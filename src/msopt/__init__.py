@@ -17,7 +17,6 @@ from msopt.score.oracles import (
     ExactManifoldAdapter,
     MlpScoreOracle,
     QuadratureScoreOracle,
-    ScoreEval,
 )
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "Sphere",
     "Orthogonal",
     "make_manifold",
-    "ScoreEval",
     "EmpiricalScoreOracle",
     "QuadratureScoreOracle",
     "ExactManifoldAdapter",

@@ -66,7 +66,6 @@ def _write_manifest(out_dir, cfg: ExperimentConfig, started, artifacts):
         fh.write(f"python_version = {sys.version.split()[0]}\n")
         fh.write(f"experiment_kind = {cfg.kind}\n")
         fh.write(f"seed = {cfg.seed}\n")
-        fh.write(f"threads = {os.environ.get('MSOPT_THREADS', 'default')}\n")
         fh.write(f"wall_time_s = {time.perf_counter() - started:.3f}\n")
         fh.write("config_echo = config_echo.cfg\n")
         for name in artifacts:

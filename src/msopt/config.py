@@ -112,8 +112,8 @@ SCHEMA = {
                            help="start distance for the landing check"),
         "t_end": Key("float", ("validate",), default=3.0),
         "euler_step": Key("float", ("validate",), default=1e-4),
-        "slope_min": Key("float", ("validate",), default=0.7),
-        "slope_max": Key("float", ("validate",), default=1.4),
+        "slope_min": Key("float", ("validate",), default=1.9),
+        "slope_max": Key("float", ("validate",), default=2.1),
         "max_rel_dev": Key("float", ("validate",), default=0.05),
         "run_csv": Key("str", ("validate",), help="run record CSV (report check)"),
         "run_meta": Key("str", ("validate",), help="run metadata sidecar (report check)"),

@@ -15,8 +15,6 @@ from msopt import rng as _rng
 from msopt.errors import DivergenceError, MsoptError
 from msopt.linalg import rk4_step
 
-_RESIM_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class SystemModel:
@@ -222,7 +220,8 @@ class TrajectoryDataset:
 
 
 def generate_dataset(model: SystemModel, count: int, horizon: int, seed: int) -> TrajectoryDataset:
-    """Sample rollouts under the model's excitation law; verifies feasibility."""
+    """Sample rollouts under the model's excitation law; a rollout that leaves
+    the finite range raises DivergenceError."""
     if count < 1 or horizon < 1:
         raise ValueError("need count >= 1 and horizon >= 1")
     inputs = np.empty((count, horizon, model.input_dim))
@@ -233,9 +232,6 @@ def generate_dataset(model: SystemModel, count: int, horizon: int, seed: int) ->
         y, _ = rollout(model, u)
         inputs[i] = u
         outputs[i] = y
-        y_check, _ = rollout(model, u)
-        if np.max(np.abs(y_check - y)) > _RESIM_TOL:
-            raise MsoptError(f"trajectory {i} failed the re-simulation check")
     return TrajectoryDataset(
         system=model, horizon=horizon, inputs=inputs, outputs=outputs, seed=seed
     )

@@ -21,12 +21,6 @@ class SvdResult:
     vt: np.ndarray
 
 
-@dataclass(frozen=True)
-class EigResult:
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _check_finite(m: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
@@ -44,29 +38,6 @@ def svd(m: np.ndarray) -> SvdResult:
             f"SVD did not converge for a {m.shape[0]}x{m.shape[1]} matrix"
         ) from exc
     return SvdResult(u=u, singular_values=s, vt=vt)
-
-
-def sym_eig(m: np.ndarray, sym_tol: float = 1e-12) -> EigResult:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
-    m = _check_finite(m, "sym_eig input")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"sym_eig expects a square matrix, got shape {m.shape}")
-    asym = np.abs(m - m.T).max() if m.size else 0.0
-    if asym > sym_tol:
-        raise ValueError(f"sym_eig input is not symmetric (residual {asym:.3e})")
-    w, v = np.linalg.eigh(m)
-    return EigResult(eigenvalues=w, eigenvectors=v)
-
-
-def log_sum_exp(values) -> float:
-    """Overflow-safe log(sum(exp(values))) via max shift."""
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size == 0:
-        raise ValueError("log_sum_exp of an empty list")
-    m = v.max()
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.exp(v - m).sum()))
 
 
 def fd_gradient(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:

@@ -11,6 +11,13 @@ Four methods:
   riemannian_gd_baseline classical projected gradient descent on an exactly
                         known manifold (comparison baseline)
 
+Each method is a step function run by one private driver, `_drive`, which
+owns the stop test, the recording, the runaway check and the termination
+metadata. The surrogate methods read the oracle only through
+`score.posterior(x)`: the landing methods make one call per iterate, DRGD
+two (at x, and at x - gamma s'(x)^T grad f(x) for the retraction) and one
+at the final iterate, where the stop test still needs the product.
+
 Jacobian contractions are vector-Jacobian products: for exact oracles the
 Jacobian is symmetric so this equals the forward product; for the network
 oracle it is the single forward-backward evaluation.
@@ -178,40 +185,54 @@ def _runaway(x, x0_scale):
     return not np.all(np.isfinite(x)) or np.linalg.norm(x) > _RUNAWAY_FACTOR * x0_scale
 
 
-def _landing_loop(score, objective, x0, step, eta, max_steps, stop_tol, baseline,
-                  record_every, algorithm):
+def _drive(step, objective, x0, max_steps, stop_tol, baseline, record_every, meta):
+    """The one iteration loop: stop test, recording, runaway check, metadata.
+
+    `step(x)` returns (surrogate objective, stop vector, advance), where
+    `advance()` computes the next iterate. The run stops on the budget, on a
+    stop vector shorter than `stop_tol` (grad_tol), or on a runaway iterate
+    (diverged, which keeps the last finite iterate).
+    """
     x = np.array(x0, dtype=float)
     x0_scale = 1.0 + np.linalg.norm(x)
     rec = _Recorder(objective, baseline, record_every)
-    meta = {
-        "algorithm": algorithm,
-        "step_size": f"{step:.17g}",
-        "eta": f"{eta:.17g}",
-        "max_steps": str(max_steps),
-        "oracle": type(score).__name__,
-        "sigma": f"{score.sigma:.17g}",
-        "termination": "budget",
-    }
+    meta.update(max_steps=str(max_steps), termination="budget")
     prev_step_norm = 0.0
     for k in range(max_steps + 1):
-        mean = score.mean(x)
-        v = objective.gradient(mean)
-        drift = -score.mean_vjp(x, v) + eta * (mean - x)
-        stop = k == max_steps or np.linalg.norm(drift) < stop_tol
-        rec.add(k, x, objective.value(mean), prev_step_norm, force=stop)
+        surrogate, stop_vec, advance = step(x)
+        stop = k == max_steps or np.linalg.norm(stop_vec) < stop_tol
+        rec.add(k, x, surrogate, prev_step_norm, force=stop)
         if stop:
             if k < max_steps:
                 meta["termination"] = "grad_tol"
             break
-        x_next = x + step * drift
+        x_next = advance()
         if _runaway(x_next, x0_scale):
-            rec.add(k, x, objective.value(mean), prev_step_norm, force=True)
+            rec.add(k, x, surrogate, prev_step_norm, force=True)
             meta["termination"] = "diverged"
             meta["diverged_at_step"] = str(k + 1)
             break
         prev_step_norm = float(np.linalg.norm(x_next - x))
         x = x_next
     return rec.finish(x, meta), x
+
+
+def _landing_loop(score, objective, x0, step_size, eta, max_steps, stop_tol, baseline,
+                  record_every, algorithm):
+    def step(x):
+        post = score.posterior(x)
+        mean = post.mean
+        drift = -post.vjp(objective.gradient(mean)) + eta * (mean - x)
+        return objective.value(mean), drift, lambda: x + step_size * drift
+
+    meta = {
+        "algorithm": algorithm,
+        "step_size": f"{step_size:.17g}",
+        "eta": f"{eta:.17g}",
+        "oracle": type(score).__name__,
+        "sigma": f"{score.sigma:.17g}",
+    }
+    return _drive(step, objective, x0, max_steps, stop_tol, baseline, record_every, meta)
 
 
 def dlf_run(score, objective, x0, cfg: DlfConfig, baseline=None, record_every: int = 1):
@@ -241,36 +262,19 @@ def landing_descent_run(score, objective, x0, gamma: float, eta: float,
 
 def drgd_run(score, objective, x0, cfg: DrgdConfig, baseline=None, record_every: int = 1):
     """Denoising Riemannian gradient descent; returns (RunRecord, final x)."""
-    x = np.array(x0, dtype=float)
-    x0_scale = 1.0 + np.linalg.norm(x)
-    rec = _Recorder(objective, baseline, record_every)
+    def step(x):
+        post = score.posterior(x)
+        vjp = post.vjp(objective.gradient(x))
+        return objective.value(post.mean), vjp, lambda: score.posterior(x - cfg.gamma * vjp).mean
+
     meta = {
         "algorithm": "drgd",
         "gamma": f"{cfg.gamma:.17g}",
-        "max_steps": str(cfg.max_steps),
         "oracle": type(score).__name__,
         "sigma": f"{score.sigma:.17g}",
-        "termination": "budget",
     }
-    prev_step_norm = 0.0
-    for k in range(cfg.max_steps + 1):
-        v = objective.gradient(x)
-        mean, vjp = score.mean_and_vjp(x, v)
-        stop = k == cfg.max_steps or np.linalg.norm(vjp) < cfg.stop_grad_tol
-        rec.add(k, x, objective.value(mean), prev_step_norm, force=stop)
-        if stop:
-            if k < cfg.max_steps:
-                meta["termination"] = "grad_tol"
-            break
-        x_next = score.mean(x - cfg.gamma * vjp)
-        if _runaway(x_next, x0_scale):
-            rec.add(k, x, objective.value(mean), prev_step_norm, force=True)
-            meta["termination"] = "diverged"
-            meta["diverged_at_step"] = str(k + 1)
-            break
-        prev_step_norm = float(np.linalg.norm(x_next - x))
-        x = x_next
-    return rec.finish(x, meta), x
+    return _drive(step, objective, x0, cfg.max_steps, cfg.stop_grad_tol, baseline,
+                  record_every, meta)
 
 
 def riemannian_gd_baseline(manifold, objective, x0, gamma: float, max_steps: int,
@@ -279,25 +283,15 @@ def riemannian_gd_baseline(manifold, objective, x0, gamma: float, max_steps: int
     x = manifold.project(np.array(x0, dtype=float))
     if np.linalg.norm(x - np.asarray(x0, dtype=float)) > 1e-9:
         raise ValueError("riemannian_gd_baseline requires an on-manifold start")
-    rec = _Recorder(objective, manifold, record_every)
+
+    def step(x):
+        g = manifold.riemannian_grad(x, objective.gradient(x))
+        return objective.value(x), g, lambda: manifold.project(x - gamma * g)
+
     meta = {
         "algorithm": "riemannian_gd",
         "gamma": f"{gamma:.17g}",
-        "max_steps": str(max_steps),
         "oracle": "exact",
         "sigma": "0",
-        "termination": "budget",
     }
-    prev_step_norm = 0.0
-    for k in range(max_steps + 1):
-        g = manifold.riemannian_grad(x, objective.gradient(x))
-        stop = k == max_steps or np.linalg.norm(g) < stop_grad_tol
-        rec.add(k, x, objective.value(x), prev_step_norm, force=stop)
-        if stop:
-            if k < max_steps:
-                meta["termination"] = "grad_tol"
-            break
-        x_next = manifold.project(x - gamma * g)
-        prev_step_norm = float(np.linalg.norm(x_next - x))
-        x = x_next
-    return rec.finish(x, meta), x
+    return _drive(step, objective, x, max_steps, stop_grad_tol, manifold, record_every, meta)

@@ -7,20 +7,14 @@ from msopt.score.oracles import (
     ExactManifoldAdapter,
     MlpScoreOracle,
     QuadratureScoreOracle,
-    ScoreEval,
-    link_grad_consistency,
-    mlp_score_eval,
 )
 from msopt.score.sampler import ve_reverse_sample
 
 __all__ = [
-    "ScoreEval",
     "EmpiricalScoreOracle",
     "QuadratureScoreOracle",
     "ExactManifoldAdapter",
     "MlpScoreOracle",
-    "link_grad_consistency",
-    "mlp_score_eval",
     "ScoreMlp",
     "make_score_mlp",
     "load_score_mlp",

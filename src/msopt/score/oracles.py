@@ -1,11 +1,18 @@
 """Score oracles: the manifold-operation surrogates and their exact forms.
 
-Every oracle exposes the same evaluation contract:
+Every oracle exposes one evaluation, `posterior(x)`, returning the state of
+the noise posterior at x:
 
-  mean(x)          Tweedie mean s(x) = x + sigma^2 grad log p_sigma(x);
-                   posterior mean of the clean point, approximate projection.
-  eval(x)          ScoreEval with mean, Jacobian s'(x) and link value.
-  mean_vjp(x, v)   s'(x)^T v without materializing the Jacobian.
+  .mean       Tweedie mean s(x) = x + sigma^2 grad log p_sigma(x); posterior
+              mean of the clean point, approximate projection. Computed on
+              construction.
+  .vjp(v)     s'(x)^T v without materializing the Jacobian.
+  .jacobian() the Jacobian s'(x).
+  .link       the link value ell_sigma(x), or None when the oracle has none.
+
+The last three are evaluated on request from the same state (for a mixture,
+the same posterior weights), so a mean and a product at one x cost one
+weight computation.
 
 For the exact mixture oracles the Jacobian equals Cov(posterior)/sigma^2
 (symmetric PSD), and the link value ell_sigma satisfies grad ell = mean and
@@ -15,37 +22,42 @@ dropped since only x-derivatives are ever consumed. The smoothed squared
 distance is recovered as d_sigma(x) = ||x||^2/2 - ell_sigma(x).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from msopt.linalg import fd_gradient
 from msopt.manifolds import Sphere
 from msopt.score.mlp import ScoreMlp
 
-LINK_UNAVAILABLE = float("nan")
 
+class _MixturePosterior:
+    """Softmax posterior over the atoms of a finite mixture at one point."""
 
-@dataclass(frozen=True)
-class ScoreEval:
-    tweedie_mean: np.ndarray
-    tweedie_jacobian: np.ndarray
-    link_value: float
+    def __init__(self, points, sigma, x):
+        self.points = points
+        self.sigma = sigma
+        self.x = x
+        diff = points - x
+        logits = -np.einsum("nd,nd->n", diff, diff) / (2.0 * sigma * sigma)
+        m = logits.max()
+        w = np.exp(logits - m)
+        z = w.sum()
+        self.weights = w / z
+        self._lse = float(m + np.log(z))
+        self.mean = self.weights @ points
 
-    def sigma_distance(self, x) -> float:
-        """d_sigma(x) = ||x||^2/2 - link; smoothed half squared distance."""
-        x = np.asarray(x, dtype=float)
-        return 0.5 * float(x @ x) - self.link_value
+    @property
+    def link(self) -> float:
+        return 0.5 * float(self.x @ self.x) + self.sigma**2 * self._lse
 
+    def vjp(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if not v.any():
+            return np.zeros_like(v)
+        centered = self.points - self.mean
+        return centered.T @ (self.weights * (centered @ v)) / self.sigma**2
 
-def _softmax_weights(points, sigma, x):
-    """Posterior weights, their log-normalizer, and residuals to x."""
-    diff = points - x
-    logits = -np.einsum("nd,nd->n", diff, diff) / (2.0 * sigma * sigma)
-    m = logits.max()
-    w = np.exp(logits - m)
-    z = w.sum()
-    return w / z, float(m + np.log(z))
+    def jacobian(self) -> np.ndarray:
+        centered = self.points - self.mean
+        return (self.weights[:, None] * centered).T @ centered / self.sigma**2
 
 
 class _MixtureOracle:
@@ -59,40 +71,8 @@ class _MixtureOracle:
     def ambient_dim(self) -> int:
         return self.points.shape[1]
 
-    def _weights(self, x):
-        return _softmax_weights(self.points, self.sigma, np.asarray(x, dtype=float))
-
-    def mean(self, x) -> np.ndarray:
-        w, _ = self._weights(x)
-        return w @ self.points
-
-    def link(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        _, lse = self._weights(x)
-        return 0.5 * float(x @ x) + self.sigma**2 * lse
-
-    def eval(self, x) -> ScoreEval:
-        x = np.asarray(x, dtype=float)
-        w, lse = self._weights(x)
-        mean = w @ self.points
-        centered = self.points - mean
-        jac = (w[:, None] * centered).T @ centered / self.sigma**2
-        link = 0.5 * float(x @ x) + self.sigma**2 * lse
-        return ScoreEval(tweedie_mean=mean, tweedie_jacobian=jac, link_value=link)
-
-    def mean_vjp(self, x, v) -> np.ndarray:
-        return self.mean_and_vjp(x, v)[1]
-
-    def mean_and_vjp(self, x, v):
-        """(mean, s'(x)^T v) from a single weight computation, O(N d)."""
-        v = np.asarray(v, dtype=float)
-        w, _ = self._weights(x)
-        mean = w @ self.points
-        if not v.any():
-            return mean, np.zeros_like(v)
-        centered = self.points - mean
-        vjp = centered.T @ (w * (centered @ v)) / self.sigma**2
-        return mean, vjp
+    def posterior(self, x) -> _MixturePosterior:
+        return _MixturePosterior(self.points, self.sigma, np.asarray(x, dtype=float))
 
 
 class EmpiricalScoreOracle(_MixtureOracle):
@@ -130,44 +110,63 @@ class QuadratureScoreOracle(_MixtureOracle):
         self.node_count = int(node_count)
 
 
+class _ExactPosterior:
+    """sigma = 0 limit at one point: mean pi(x), Jacobian pi'(x)."""
+
+    def __init__(self, manifold, x):
+        self.manifold = manifold
+        self.x = x
+        self.mean = manifold.project(x)
+
+    @property
+    def link(self) -> float:
+        return 0.5 * float(self.x @ self.x) - 0.5 * self.manifold.dist_to_manifold(self.x) ** 2
+
+    def vjp(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if not v.any():
+            return np.zeros_like(v)
+        return self.jacobian().T @ v
+
+    def jacobian(self) -> np.ndarray:
+        return self.manifold.projection_jacobian(self.x)
+
+
 class ExactManifoldAdapter:
     """sigma = 0 oracle: mean = pi(x), Jacobian = pi'(x), link from d(x)."""
 
     has_link = True
     sigma = 0.0
 
-    def __init__(self, manifold, fd_step: float = 1e-5):
+    def __init__(self, manifold):
         self.manifold = manifold
-        self.fd_step = fd_step
 
     @property
     def ambient_dim(self) -> int:
         return self.manifold.ambient_dim
 
-    def mean(self, x) -> np.ndarray:
-        return self.manifold.project(x)
+    def posterior(self, x) -> _ExactPosterior:
+        return _ExactPosterior(self.manifold, np.asarray(x, dtype=float))
 
-    def link(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return 0.5 * float(x @ x) - 0.5 * self.manifold.dist_to_manifold(x) ** 2
 
-    def eval(self, x) -> ScoreEval:
-        x = np.asarray(x, dtype=float)
-        return ScoreEval(
-            tweedie_mean=self.manifold.project(x),
-            tweedie_jacobian=self.manifold.projection_jacobian(x, h=self.fd_step),
-            link_value=self.link(x),
-        )
+class _MlpPosterior:
+    """Network Tweedie mean at one point; no link value."""
 
-    def mean_vjp(self, x, v) -> np.ndarray:
-        return self.mean_and_vjp(x, v)[1]
+    link = None
 
-    def mean_and_vjp(self, x, v):
+    def __init__(self, mlp, sigma, x):
+        self.mlp = mlp
+        self.sigma = sigma
+        self.x = x
+        self.mean = x + sigma**2 * mlp.score(x, sigma)
+
+    def vjp(self, v) -> np.ndarray:
+        # s'(x)^T v = v + sigma * (d s_tilde/dx)^T v, one forward-backward pass.
         v = np.asarray(v, dtype=float)
-        if not v.any():
-            return self.manifold.project(x), np.zeros_like(v)
-        ev = self.eval(x)
-        return ev.tweedie_mean, ev.tweedie_jacobian.T @ v
+        return v + self.sigma * self.mlp.input_vjp_raw(self.x, self.sigma, v)
+
+    def jacobian(self) -> np.ndarray:
+        return np.eye(self.x.size) + self.sigma * self.mlp.input_jacobian_raw(self.x, self.sigma)
 
 
 class MlpScoreOracle:
@@ -185,35 +184,5 @@ class MlpScoreOracle:
     def ambient_dim(self) -> int:
         return self.mlp.ambient_dim
 
-    def mean(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return x + self.sigma**2 * self.mlp.score(x, self.sigma)
-
-    def eval(self, x) -> ScoreEval:
-        return mlp_score_eval(self.mlp, x, self.sigma)
-
-    def mean_vjp(self, x, v) -> np.ndarray:
-        # s'(x)^T v = v + sigma * (d s_tilde/dx)^T v, one forward-backward pass.
-        v = np.asarray(v, dtype=float)
-        return v + self.sigma * self.mlp.input_vjp_raw(x, self.sigma, v)
-
-    def mean_and_vjp(self, x, v):
-        return self.mean(x), self.mean_vjp(x, v)
-
-
-def mlp_score_eval(mlp: ScoreMlp, x, sigma: float) -> ScoreEval:
-    """Tweedie mean/Jacobian of a network score; link marked unavailable."""
-    if sigma <= 0:
-        raise ValueError("mlp_score_eval needs sigma > 0")
-    x = np.asarray(x, dtype=float)
-    raw = mlp.forward_raw(x[None, :], float(sigma))[0]
-    mean = x + sigma * raw
-    jac = np.eye(x.size) + sigma * mlp.input_jacobian_raw(x, sigma)
-    return ScoreEval(tweedie_mean=mean, tweedie_jacobian=jac, link_value=LINK_UNAVAILABLE)
-
-
-def link_grad_consistency(oracle, x, h: float = 1e-5) -> float:
-    """|| fd-gradient of the link - Tweedie mean ||; zero for exact oracles."""
-    x = np.asarray(x, dtype=float)
-    g = fd_gradient(lambda p: oracle.link(p), x, h=h)
-    return float(np.linalg.norm(g - oracle.mean(x)))
+    def posterior(self, x) -> _MlpPosterior:
+        return _MlpPosterior(self.mlp, self.sigma, np.asarray(x, dtype=float))

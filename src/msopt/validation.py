@@ -87,12 +87,13 @@ def rate_sweep(oracle_family, manifold, offsets, sigmas, n_points: int, seed: in
         worst_m, worst_j = 0.0, 0.0
         for x, (pi_x, dpi_x) in zip(tests, truths):
             try:
-                ev = oracle.eval(x)
+                post = oracle.posterior(x)
+                jac = post.jacobian()
             except MsoptError:
                 excluded += 1
                 continue
-            worst_m = max(worst_m, float(np.linalg.norm(ev.tweedie_mean - pi_x)))
-            worst_j = max(worst_j, float(np.linalg.norm(ev.tweedie_jacobian - dpi_x, 2)))
+            worst_m = max(worst_m, float(np.linalg.norm(post.mean - pi_x)))
+            worst_j = max(worst_j, float(np.linalg.norm(jac - dpi_x, 2)))
         mean_errors.append(worst_m)
         jac_errors.append(worst_j)
 
@@ -161,7 +162,7 @@ def landing_check(manifold, eta: float, x0, t_end: float, euler_step: float,
     d0 = 0.5 * dist0**2
     times, measured = [0.0], [d0]
     for k in range(1, n_steps + 1):
-        x = x + euler_step * eta * (adapter.mean(x) - x)
+        x = x + euler_step * eta * (adapter.posterior(x).mean - x)
         if k % record_every == 0 or k == n_steps:
             times.append(k * euler_step)
             measured.append(0.5 * manifold.dist_to_manifold(x) ** 2)

@@ -115,13 +115,11 @@ def test_criterion_01_exact_oracle_identity_suite():
     for oracle in (emp, quad):
         for _ in range(100):
             x = rng.uniform(-1.6, 1.6, 2)
-            g = fd_gradient(lambda p: oracle.link(p), x)
-            worst_grad = max(worst_grad, float(np.linalg.norm(g - oracle.mean(x))))
-            jac_fd = fd_jacobian(oracle.mean, x)
-            worst_jac = max(
-                worst_jac,
-                float(np.linalg.norm(jac_fd - oracle.eval(x).tweedie_jacobian)),
-            )
+            post = oracle.posterior(x)
+            g = fd_gradient(lambda p: oracle.posterior(p).link, x)
+            worst_grad = max(worst_grad, float(np.linalg.norm(g - post.mean)))
+            jac_fd = fd_jacobian(lambda p: oracle.posterior(p).mean, x)
+            worst_jac = max(worst_jac, float(np.linalg.norm(jac_fd - post.jacobian())))
     ok = worst_grad <= 1e-5 and worst_jac <= 1e-4
     _verdict(
         1, "link-gradient and mean-Jacobian identities", ok,
@@ -213,7 +211,7 @@ def test_criterion_05_drgd_brockett_with_empirical_score():
     record, xf = drgd_run(oracle, obj, data[i0],
                           DrgdConfig(gamma=1e-3, max_steps=5000), baseline=on)
     final = float(obj.value(xf))
-    surrogate_grad = _scaled_norm(oracle.mean_and_vjp(data[i0], obj.gradient(data[i0]))[1])
+    surrogate_grad = _scaled_norm(oracle.posterior(data[i0]).vjp(obj.gradient(data[i0])))
     feas = on.feasibility(xf)
     improvement = best - final
     gap_closed = improvement / (best - optimum)
@@ -258,7 +256,8 @@ def test_criterion_06b_dsm_two_point_tweedie_mean(two_point_mlp):
     net = MlpScoreOracle(mlp, sigma=0.5)
     grid = np.linspace(-2.0, 2.0, 41)
     worst = max(
-        float(abs(net.mean(np.array([x]))[0] - oracle.mean(np.array([x]))[0])) for x in grid
+        float(abs(net.posterior(np.array([x])).mean[0] - oracle.posterior(np.array([x])).mean[0]))
+        for x in grid
     )
     ok = worst <= 0.05
     _verdict(
@@ -301,7 +300,7 @@ def test_criterion_08_tracking_desk_scale():
                           DrgdConfig(gamma=1e-3, max_steps=2000))
 
     surrogate_grad = _scaled_norm(
-        oracle.mean_and_vjp(normalized[i0], objective.gradient(normalized[i0]))[1]
+        oracle.posterior(normalized[i0]).vjp(objective.gradient(normalized[i0]))
     )
 
     u_star, y_star = dataset.split_point(dataset.denormalize(zf))

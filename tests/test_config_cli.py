@@ -196,15 +196,15 @@ n_points = 10
 [output]
 dir = out
 """
-    # uniform-circle errors decay quadratically: the default band must fail,
-    # a band around 2 must pass
-    path_fail = _write(tmp_path, rate_cfg.format(band=""), "fail.cfg")
-    assert run_cli(["validate", "--config", path_fail, "--out", str(tmp_path / "v1"),
-                    "--assert"]) == 1
-    path_pass = _write(tmp_path, rate_cfg.format(band="slope_min = 1.9\nslope_max = 2.1"),
-                       "pass.cfg")
-    assert run_cli(["validate", "--config", path_pass, "--out", str(tmp_path / "v2"),
+    # uniform-circle errors decay quadratically: the default band [1.9, 2.1]
+    # must pass, a band that excludes 2 must fail
+    path_pass = _write(tmp_path, rate_cfg.format(band=""), "pass.cfg")
+    assert run_cli(["validate", "--config", path_pass, "--out", str(tmp_path / "v1"),
                     "--assert"]) == 0
+    path_fail = _write(tmp_path, rate_cfg.format(band="slope_min = 0.7\nslope_max = 1.4"),
+                       "fail.cfg")
+    assert run_cli(["validate", "--config", path_fail, "--out", str(tmp_path / "v2"),
+                    "--assert"]) == 1
     # without --assert the violation is reported but the exit code stays 0
     assert run_cli(["validate", "--config", path_fail, "--out", str(tmp_path / "v3")]) == 0
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from msopt.linalg import fd_jacobian, log_sum_exp, rk4_step, svd, sym_eig
+from msopt.linalg import fd_jacobian, rk4_step, svd
 
 
 def test_svd_identity():
@@ -42,50 +42,6 @@ def test_svd_reconstruction_property():
         assert np.abs(res.u.T @ res.u - np.eye(k)).max() <= 1e-10
         assert np.abs(res.vt @ res.vt.T - np.eye(k)).max() <= 1e-10
         assert np.all(np.diff(res.singular_values) <= 0)
-
-
-def test_sym_eig_examples():
-    assert np.allclose(sym_eig(np.diag([2.0, -1.0])).eigenvalues, [-1.0, 2.0])
-    assert np.allclose(sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]])).eigenvalues, [-1.0, 1.0])
-    assert np.allclose(sym_eig(np.zeros((4, 4))).eigenvalues, np.zeros(4))
-
-
-def test_sym_eig_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_sym_eig_reconstruction_property():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        n = rng.integers(1, 12)
-        g = rng.standard_normal((n, n))
-        m = (g + g.T) / 2
-        res = sym_eig(m)
-        rebuilt = res.eigenvectors @ np.diag(res.eigenvalues) @ res.eigenvectors.T
-        assert np.abs(rebuilt - m).max() <= 1e-9
-        for i, lam in enumerate(res.eigenvalues):
-            v = res.eigenvectors[:, i]
-            assert np.linalg.norm(m @ v - lam * v) <= 1e-9
-
-
-def test_log_sum_exp_examples():
-    assert log_sum_exp([0.0]) == 0.0
-    assert math.isclose(log_sum_exp([3.7, 3.7]), 3.7 + math.log(2.0))
-    assert math.isclose(log_sum_exp([1000.0, 1000.0]), 1000.0 + math.log(2.0))
-
-
-def test_log_sum_exp_empty_rejected():
-    with pytest.raises(ValueError):
-        log_sum_exp([])
-
-
-def test_log_sum_exp_shift_invariance():
-    rng = np.random.default_rng(2)
-    v = rng.standard_normal(17)
-    base = log_sum_exp(v)
-    for c in (1e6, -1e6):
-        assert math.isclose(log_sum_exp(v + c), base + c, rel_tol=0, abs_tol=1e-9 * abs(c))
 
 
 def test_fd_jacobian_identity_and_constant():

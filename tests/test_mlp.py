@@ -3,7 +3,7 @@ import pytest
 
 from msopt.linalg import fd_jacobian
 from msopt.score.mlp import ScoreMlp, load_score_mlp, make_score_mlp
-from msopt.score.oracles import MlpScoreOracle, mlp_score_eval
+from msopt.score.oracles import MlpScoreOracle
 
 
 def test_zero_network_is_identity_oracle():
@@ -12,17 +12,17 @@ def test_zero_network_is_identity_oracle():
         w[:] = 0.0
         b[:] = 0.0
     x = np.array([0.4, -1.0, 2.0])
-    ev = mlp_score_eval(mlp, x, sigma=0.5)
-    assert np.allclose(ev.tweedie_mean, x)
-    assert np.allclose(ev.tweedie_jacobian, np.eye(3))
-    assert np.isnan(ev.link_value)
+    post = MlpScoreOracle(mlp, sigma=0.5).posterior(x)
+    assert np.allclose(post.mean, x)
+    assert np.allclose(post.jacobian(), np.eye(3))
+    assert post.link is None
 
 
 def test_fresh_network_output_layer_zero_initialized():
     mlp = make_score_mlp(2, hidden=(16, 16), seed=3)
     assert np.abs(mlp.layers[-1][0]).max() == 0.0
     x = np.array([0.7, -0.3])
-    assert np.allclose(mlp_score_eval(mlp, x, 0.3).tweedie_mean, x)
+    assert np.allclose(MlpScoreOracle(mlp, 0.3).posterior(x).mean, x)
 
 
 def test_linear_network_affine_jacobian():
@@ -31,8 +31,8 @@ def test_linear_network_affine_jacobian():
     w = np.array([[0.5, -1.0, 0.2], [2.0, 0.3, -0.7]])
     mlp = ScoreMlp([(w, np.array([0.1, -0.2]))])
     sigma = 0.4
-    ev = mlp_score_eval(mlp, np.array([1.0, 2.0]), sigma)
-    assert np.allclose(ev.tweedie_jacobian, np.eye(2) + sigma * w[:, :2], atol=1e-15)
+    jac = MlpScoreOracle(mlp, sigma).posterior(np.array([1.0, 2.0])).jacobian()
+    assert np.allclose(jac, np.eye(2) + sigma * w[:, :2], atol=1e-15)
 
 
 def test_input_jacobian_matches_finite_differences():
@@ -45,8 +45,8 @@ def test_input_jacobian_matches_finite_differences():
     worst = 0.0
     for _ in range(50):
         x = rng.uniform(-1.5, 1.5, 3)
-        jac = mlp_score_eval(mlp, x, sigma).tweedie_jacobian
-        jac_fd = fd_jacobian(oracle.mean, x)
+        jac = oracle.posterior(x).jacobian()
+        jac_fd = fd_jacobian(lambda p: oracle.posterior(p).mean, x)
         worst = max(worst, np.linalg.norm(jac - jac_fd, 2))
     assert worst <= 1e-4
 
@@ -57,8 +57,8 @@ def test_vjp_matches_jacobian_transpose():
     mlp.layers[-1][0][:] = rng.standard_normal(mlp.layers[-1][0].shape) * 0.5
     oracle = MlpScoreOracle(mlp, 0.7)
     x, v = rng.standard_normal(4), rng.standard_normal(4)
-    ev = mlp_score_eval(mlp, x, 0.7)
-    assert np.allclose(oracle.mean_vjp(x, v), ev.tweedie_jacobian.T @ v, atol=1e-12)
+    post = oracle.posterior(x)
+    assert np.allclose(post.vjp(v), post.jacobian().T @ v, atol=1e-12)
 
 
 def test_relu_tie_takes_zero_derivative():

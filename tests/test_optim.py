@@ -65,9 +65,9 @@ def test_dlf_tangent_and_landing_terms_orthogonal():
         base = manifold.sample_uniform(5, seed=3)
         for i, p in enumerate(base):
             x = p + 0.2 * manifold.safe_tube_radius * manifold.unit_normal(p, seed=5, index=i)
-            ev = adapter.eval(x)
-            tangent_term = ev.tweedie_jacobian.T @ obj.gradient(ev.tweedie_mean)
-            landing_term = ev.tweedie_mean - x
+            post = adapter.posterior(x)
+            tangent_term = post.jacobian().T @ obj.gradient(post.mean)
+            landing_term = post.mean - x
             assert abs(tangent_term @ landing_term) <= 1e-8
 
 
@@ -181,7 +181,7 @@ def test_drgd_retraction_confines_iterates_to_oracle_error_floor():
     circ = Circle()
     oracle = EmpiricalScoreOracle(circ.sample_uniform(128, seed=13), sigma=0.3)
     eps = max(
-        np.linalg.norm(oracle.mean(p * r) - circ.project(p * r))
+        np.linalg.norm(oracle.posterior(p * r).mean - circ.project(p * r))
         for p in circ.sample_uniform(50, seed=14)
         for r in (0.85, 1.0, 1.3)
     )
@@ -190,9 +190,9 @@ def test_drgd_retraction_confines_iterates_to_oracle_error_floor():
     gamma = 0.05
     for _ in range(40):
         v = obj.gradient(x)
-        _, vjp = oracle.mean_and_vjp(x, v)
+        vjp = oracle.posterior(x).vjp(v)
         y = x - gamma * vjp
-        x_next = oracle.mean(y)
+        x_next = oracle.posterior(y).mean
         assert circ.feasibility(x_next) <= eps + 1e-12
         if circ.feasibility(y) > 2.0 * eps:
             assert circ.feasibility(x_next) <= circ.feasibility(y)
@@ -279,3 +279,38 @@ def test_dlf_flags_runs_leaving_safe_tube():
     record, _ = dlf_run(ExactManifoldAdapter(sph), ZeroObjective(3),
                         np.array([2.5, 0.0, 0.0]), cfg, baseline=sph)
     assert record.metadata["left_safe_tube"] == "true"
+
+
+class _CountingOracle:
+    """Forwards to an oracle and counts its posterior evaluations."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.oracle, name)
+
+    def posterior(self, x):
+        self.calls += 1
+        return self.oracle.posterior(x)
+
+
+def test_posterior_calls_per_step():
+    # DLF and landing descent: one posterior per iterate, the final one
+    # included; DRGD: one at x and one for the retraction, plus the final
+    # iterate, whose product the stop test still needs
+    circ = Circle()
+    obj = LinearObjective(np.array([0.7, -0.2]))
+    x0 = np.array([1.1, 0.4])
+    steps = 7
+    counted = _CountingOracle(EmpiricalScoreOracle(circ.sample_uniform(64, seed=7), sigma=0.3))
+    dlf_run(counted, obj, x0, DlfConfig(t_step=2e-3, eta=5.0, max_steps=steps, stop_grad_tol=0.0))
+    assert counted.calls == steps + 1
+    counted.calls = 0
+    landing_descent_run(counted, obj, x0, gamma=2e-3, eta=5.0, max_steps=steps,
+                        stop_grad_tol=0.0)
+    assert counted.calls == steps + 1
+    counted.calls = 0
+    drgd_run(counted, obj, x0, DrgdConfig(gamma=1e-3, max_steps=steps, stop_grad_tol=0.0))
+    assert counted.calls == 2 * steps + 1

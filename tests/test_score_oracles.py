@@ -2,31 +2,37 @@ import numpy as np
 import pytest
 from scipy.special import ive
 
-from msopt.linalg import fd_jacobian
-from msopt.manifolds import Circle, Sphere
+from msopt.linalg import fd_gradient, fd_jacobian
+from msopt.manifolds import Circle, Orthogonal, Sphere
 from msopt.score.oracles import (
     EmpiricalScoreOracle,
     ExactManifoldAdapter,
     QuadratureScoreOracle,
-    link_grad_consistency,
 )
+
+
+def link_grad_consistency(oracle, x, h: float = 1e-5) -> float:
+    """|| fd-gradient of the link - Tweedie mean ||; zero for exact oracles."""
+    x = np.asarray(x, dtype=float)
+    g = fd_gradient(lambda p: oracle.posterior(p).link, x, h=h)
+    return float(np.linalg.norm(g - oracle.posterior(x).mean))
 
 
 def test_single_point_posterior():
     y = np.array([0.4, -1.2])
     oracle = EmpiricalScoreOracle(y[None, :], sigma=0.7)
     for x in ([0.0, 0.0], [3.0, 5.0]):
-        ev = oracle.eval(np.array(x))
-        assert np.allclose(ev.tweedie_mean, y)
-        assert np.abs(ev.tweedie_jacobian).max() <= 1e-12
+        post = oracle.posterior(np.array(x))
+        assert np.allclose(post.mean, y)
+        assert np.abs(post.jacobian()).max() <= 1e-12
 
 
 def test_two_atom_symmetry_and_closed_form():
     oracle = EmpiricalScoreOracle(np.array([[-1.0], [1.0]]), sigma=0.8)
-    assert abs(oracle.mean(np.array([0.0]))[0]) <= 1e-15
+    assert abs(oracle.posterior(np.array([0.0])).mean[0]) <= 1e-15
     oracle01 = EmpiricalScoreOracle(np.array([[0.0], [1.0]]), sigma=1.0)
     expected = 1.0 / (1.0 + np.exp(-0.5))
-    assert oracle01.mean(np.array([1.0]))[0] == pytest.approx(expected, abs=1e-12)
+    assert oracle01.posterior(np.array([1.0])).mean[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_invalid_construction():
@@ -53,15 +59,15 @@ def test_mean_jacobian_consistency():
     oracle = EmpiricalScoreOracle(rng.standard_normal((30, 3)), sigma=0.6)
     for _ in range(25):
         x = rng.uniform(-1.5, 1.5, 3)
-        jac_fd = fd_jacobian(oracle.mean, x)
-        assert np.abs(jac_fd - oracle.eval(x).tweedie_jacobian).max() <= 1e-4
+        jac_fd = fd_jacobian(lambda p: oracle.posterior(p).mean, x)
+        assert np.abs(jac_fd - oracle.posterior(x).jacobian()).max() <= 1e-4
 
 
 def test_jacobian_symmetric_psd():
     rng = np.random.default_rng(2)
     oracle = EmpiricalScoreOracle(rng.standard_normal((40, 4)), sigma=0.9)
     for _ in range(20):
-        jac = oracle.eval(rng.uniform(-2, 2, 4)).tweedie_jacobian
+        jac = oracle.posterior(rng.uniform(-2, 2, 4)).jacobian()
         assert np.abs(jac - jac.T).max() <= 1e-12
         assert np.linalg.eigvalsh(jac).min() >= -1e-9
 
@@ -78,7 +84,7 @@ def test_jacobian_eigenvalues_near_manifold_in_unit_range():
         th = rng.uniform(0, 2 * np.pi)
         r = 1.0 + 0.005 * (i % 3)
         x = r * np.array([np.cos(th), np.sin(th)])
-        eig = np.linalg.eigvalsh(oracle.eval(x).tweedie_jacobian)
+        eig = np.linalg.eigvalsh(oracle.posterior(x).jacobian())
         assert eig.min() >= -1e-9
         assert eig.max() <= 1.0 + 1e-9
 
@@ -88,20 +94,25 @@ def test_translation_equivariance():
     data = rng.standard_normal((15, 3))
     c = np.array([2.0, -1.0, 0.5])
     x = rng.standard_normal(3)
-    a = EmpiricalScoreOracle(data, sigma=0.7).eval(x)
-    b = EmpiricalScoreOracle(data + c, sigma=0.7).eval(x + c)
-    assert np.allclose(b.tweedie_mean, a.tweedie_mean + c, atol=1e-12)
-    assert np.allclose(b.tweedie_jacobian, a.tweedie_jacobian, atol=1e-12)
+    a = EmpiricalScoreOracle(data, sigma=0.7).posterior(x)
+    b = EmpiricalScoreOracle(data + c, sigma=0.7).posterior(x + c)
+    assert np.allclose(b.mean, a.mean + c, atol=1e-12)
+    assert np.allclose(b.jacobian(), a.jacobian(), atol=1e-12)
 
 
 def test_mean_and_vjp_matches_jacobian():
     rng = np.random.default_rng(6)
-    oracle = EmpiricalScoreOracle(rng.standard_normal((25, 3)), sigma=0.5)
+    emp = EmpiricalScoreOracle(rng.standard_normal((25, 3)), sigma=0.5)
     x, v = rng.standard_normal(3), rng.standard_normal(3)
-    mean, vjp = oracle.mean_and_vjp(x, v)
-    ev = oracle.eval(x)
-    assert np.allclose(mean, ev.tweedie_mean)
-    assert np.allclose(vjp, ev.tweedie_jacobian.T @ v, atol=1e-12)
+    # the exact adapter at a tube point of O(3), whose Jacobian is finite differences
+    on = Orthogonal(3)
+    p = on.sample_uniform(1, seed=6)[0]
+    x_on = p + 0.2 * on.safe_tube_radius * on.unit_normal(p, seed=6)
+    cases = ((emp, x, v), (ExactManifoldAdapter(on), x_on, rng.standard_normal(9)))
+    for oracle, x, v in cases:
+        post = oracle.posterior(x)
+        assert np.allclose(post.vjp(v), post.jacobian().T @ v, atol=1e-12)
+        assert not post.vjp(np.zeros_like(v)).any()
 
 
 # ---- quadrature oracle ------------------------------------------------------
@@ -116,20 +127,20 @@ def test_quadrature_rejects_bad_inputs():
 
 def test_quadrature_mean_approaches_projection():
     oracle = QuadratureScoreOracle(Circle(), 4096, sigma=0.05)
-    mean = oracle.mean(np.array([2.0, 0.0]))
+    mean = oracle.posterior(np.array([2.0, 0.0])).mean
     assert np.linalg.norm(mean - np.array([1.0, 0.0])) <= 2e-3
 
 
 def test_quadrature_center_symmetry():
     oracle = QuadratureScoreOracle(Circle(), 1024, sigma=0.3)
-    assert np.abs(oracle.mean(np.array([0.0, 0.0]))).max() <= 1e-12
+    assert np.abs(oracle.posterior(np.array([0.0, 0.0])).mean).max() <= 1e-12
 
 
 def test_quadrature_jacobian_near_tangent_projector():
     oracle = QuadratureScoreOracle(Circle(), 4096, sigma=0.05)
     x = np.array([np.cos(0.7), np.sin(0.7)])
     projector = np.eye(2) - np.outer(x, x)
-    jac = oracle.eval(x).tweedie_jacobian
+    jac = oracle.posterior(x).jacobian()
     assert np.linalg.norm(jac - projector, 2) <= 5e-2
 
 
@@ -141,7 +152,7 @@ def test_quadrature_matches_von_mises_closed_form():
         x = np.array([R, 0.0])
         kappa = R / sigma**2
         a_ratio = ive(1, kappa) / ive(0, kappa)
-        mean = oracle.mean(x)
+        mean = oracle.posterior(x).mean
         assert abs(mean[1]) <= 1e-12
         assert mean[0] == pytest.approx(a_ratio, abs=1e-10)
 
@@ -154,11 +165,11 @@ def test_empirical_vs_quadrature_monte_carlo():
     for i in range(20):
         th = rng.uniform(0, 2 * np.pi)
         x = (1 + 0.15 * (1 if i % 2 else -1)) * np.array([np.cos(th), np.sin(th)])
-        ev = emp.eval(x)
-        w, _ = emp._weights(x)
-        centered = emp.points - ev.tweedie_mean
+        post = emp.posterior(x)
+        w = post.weights
+        centered = emp.points - post.mean
         se = np.sqrt((w**2 * np.einsum("nd,nd->n", centered, centered)).sum())
-        gap = np.linalg.norm(ev.tweedie_mean - quad.mean(x))
+        gap = np.linalg.norm(post.mean - quad.posterior(x).mean)
         assert gap <= 3.0 * se
 
 
@@ -169,17 +180,18 @@ def test_exact_adapter_realizes_projection_operators():
     sph = Sphere(3)
     adapter = ExactManifoldAdapter(sph)
     x = np.array([1.3, -0.2, 0.4])
-    ev = adapter.eval(x)
-    assert np.allclose(ev.tweedie_mean, sph.project(x))
-    assert np.abs(ev.tweedie_jacobian - sph.projection_jacobian(x)).max() <= 1e-12
+    post = adapter.posterior(x)
+    assert np.allclose(post.mean, sph.project(x))
+    assert np.abs(post.jacobian() - sph.projection_jacobian(x)).max() <= 1e-12
     # link derivative identity carries over to sigma = 0
     assert link_grad_consistency(adapter, x) <= 1e-6
-    # d_sigma recovered from the link equals the half squared distance
-    assert ev.sigma_distance(x) == pytest.approx(0.5 * sph.dist_to_manifold(x) ** 2)
+    # d_sigma = ||x||^2/2 - link equals the half squared distance
+    d_sigma = 0.5 * float(x @ x) - post.link
+    assert d_sigma == pytest.approx(0.5 * sph.dist_to_manifold(x) ** 2)
 
 
 def test_exact_adapter_has_zero_errors_at_any_sigma():
     circ = Circle()
     adapter = ExactManifoldAdapter(circ)
     x = np.array([1.2, 0.3])
-    assert np.linalg.norm(adapter.mean(x) - circ.project(x)) == 0.0
+    assert np.linalg.norm(adapter.posterior(x).mean - circ.project(x)) == 0.0
