@@ -205,8 +205,20 @@ class TrajectoryDataset:
         system = SystemModel(kind=meta["system"], dt=float(meta["dt"]))
         horizon = int(meta["horizon"])
         count = int(meta["count"])
-        flat = np.loadtxt(os.path.join(directory, "data.csv"), delimiter=",", ndmin=2)
+        data_path = os.path.join(directory, "data.csv")
+        flat = np.loadtxt(data_path, delimiter=",", ndmin=2)
         nu_total = horizon * system.input_dim
+        width = nu_total + (horizon + 1) * system.output_dim
+        if flat.shape[0] != count:
+            raise ValueError(
+                f"{data_path}: {flat.shape[0]} rows, but meta.txt declares count = {count}"
+            )
+        if flat.shape[1] != width:
+            raise ValueError(
+                f"{data_path}: {flat.shape[1]} columns, but horizon {horizon} of "
+                f"{system.kind} needs {horizon}*{system.input_dim} + "
+                f"{horizon + 1}*{system.output_dim} = {width}"
+            )
         ds = TrajectoryDataset(
             system=system,
             horizon=horizon,

@@ -5,6 +5,7 @@ ambient points flatten row-major everywhere (one fixed convention avoids
 silent transposition bugs between oracle and manifold code).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,16 @@ def svd(m: np.ndarray) -> SvdResult:
             f"SVD did not converge for a {m.shape[0]}x{m.shape[1]} matrix"
         ) from exc
     return SvdResult(u=u, singular_values=s, vt=vt)
+
+
+def scaled_norm(v) -> float:
+    """2-norm that neither underflows nor overflows.
+
+    np.linalg.norm squares the entries, so it reads a vector of 1e-180
+    entries as 0; math.hypot scales them first. For the short vectors of
+    the optimizer loops it is also the cheaper call.
+    """
+    return math.hypot(*np.ravel(v).tolist())
 
 
 def fd_gradient(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:

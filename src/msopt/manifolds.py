@@ -156,15 +156,19 @@ class Orthogonal(_Manifold):
         return (X @ (M - M.T) / 2.0).reshape(-1)
 
     def sample_uniform(self, count: int, seed: int) -> np.ndarray:
+        # Q of the QR of a Gaussian matrix, with the signs of R's diagonal moved
+        # into Q, is Haar distributed. One stacked QR per block of draws; the
+        # blocks (about 8k entries) keep the QR's temporaries small, and the
+        # stream is read in the same order as one draw at a time.
         gen = _rng.stream(seed, f"haar_o{self.n}")
-        out = np.empty((count, self.ambient_dim))
-        for i in range(count):
-            g = gen.standard_normal((self.n, self.n))
-            q, r = np.linalg.qr(g)
-            d = np.sign(np.diag(r))
+        out = np.empty((count, self.n, self.n))
+        block = max(1, 8192 // self.ambient_dim)
+        for start in range(0, count, block):
+            q, r = np.linalg.qr(gen.standard_normal((min(block, count - start), self.n, self.n)))
+            d = np.sign(np.diagonal(r, axis1=1, axis2=2))
             d[d == 0] = 1.0
-            out[i] = (q * d).reshape(-1)
-        return out
+            np.multiply(q, d[:, None, :], out=out[start : start + len(q)])
+        return out.reshape(count, self.ambient_dim)
 
     def unit_normal(self, p, seed: int = 0, index: int = 0) -> np.ndarray:
         """Random unit normal X*S (S symmetric) at an on-manifold point."""

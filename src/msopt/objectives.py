@@ -43,7 +43,7 @@ class LinearObjective(Objective):
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
-        if np.linalg.norm(a) == 0.0:
+        if not a.any():
             raise ValueError("linear objective needs a != 0")
         object.__setattr__(self, "a", a)
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from msopt.errors import MsoptError, ProjectionError
+from msopt.linalg import scaled_norm
 
 _RUNAWAY_FACTOR = 1e9
 
@@ -190,8 +191,9 @@ def _drive(step, objective, x0, max_steps, stop_tol, baseline, record_every, met
 
     `step(x)` returns (surrogate objective, stop vector, advance), where
     `advance()` computes the next iterate. The run stops on the budget, on a
-    stop vector shorter than `stop_tol` (grad_tol), or on a runaway iterate
-    (diverged, which keeps the last finite iterate).
+    stop vector shorter than `stop_tol` (grad_tol; measured with
+    `scaled_norm`, so a tiny tolerance is not met by underflow), or on a
+    runaway iterate (diverged, which keeps the last finite iterate).
     """
     x = np.array(x0, dtype=float)
     x0_scale = 1.0 + np.linalg.norm(x)
@@ -200,7 +202,7 @@ def _drive(step, objective, x0, max_steps, stop_tol, baseline, record_every, met
     prev_step_norm = 0.0
     for k in range(max_steps + 1):
         surrogate, stop_vec, advance = step(x)
-        stop = k == max_steps or np.linalg.norm(stop_vec) < stop_tol
+        stop = k == max_steps or scaled_norm(stop_vec) < stop_tol
         rec.add(k, x, surrogate, prev_step_norm, force=stop)
         if stop:
             if k < max_steps:

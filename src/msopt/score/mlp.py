@@ -110,17 +110,39 @@ class ScoreMlp:
 
 
 def load_score_mlp(path) -> ScoreMlp:
+    """Read a network written by `ScoreMlp.save`.
+
+    A file whose size does not match its header (cut short, or with bytes
+    after the last layer) raises ValueError naming the file, the part that
+    does not fit and the byte counts.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"not a score-network file (bad magic {magic!r})")
-        (n_layers,) = struct.unpack("<I", fh.read(4))
-        layers = []
-        for _ in range(n_layers):
-            rows, cols = struct.unpack("<II", fh.read(8))
-            w = np.frombuffer(fh.read(8 * rows * cols), dtype="<f8").reshape(rows, cols)
-            b = np.frombuffer(fh.read(8 * rows), dtype="<f8")
-            layers.append((w.copy(), b.copy()))
+        data = fh.read()
+    if data[: len(_MAGIC)] != _MAGIC:
+        raise ValueError(f"{path}: not a score-network file (bad magic {data[:len(_MAGIC)]!r})")
+    pos = len(_MAGIC)
+
+    def take(size, what):
+        nonlocal pos
+        if len(data) - pos < size:
+            raise ValueError(
+                f"{path}: truncated {what}: expected {size} bytes, {len(data) - pos} available"
+            )
+        pos += size
+        return data[pos - size : pos]
+
+    (n_layers,) = struct.unpack("<I", take(4, "header"))
+    layers = []
+    for i in range(n_layers):
+        rows, cols = struct.unpack("<II", take(8, f"layer {i} shape"))
+        w = np.frombuffer(take(8 * rows * cols, f"layer {i} weights"), dtype="<f8")
+        b = np.frombuffer(take(8 * rows, f"layer {i} biases"), dtype="<f8")
+        layers.append((w.reshape(rows, cols).copy(), b.copy()))
+    if pos != len(data):
+        raise ValueError(
+            f"{path}: {len(data) - pos} trailing bytes after layer {n_layers - 1} "
+            f"(expected {pos} bytes in all, {len(data)} available)"
+        )
     return ScoreMlp(layers)
 
 

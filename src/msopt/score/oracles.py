@@ -14,6 +14,14 @@ The last three are evaluated on request from the same state (for a mixture,
 the same posterior weights), so a mean and a product at one x cost one
 weight computation.
 
+A mixture posterior costs one matrix-vector product over all N atoms for
+the logits (p.x - ||p||^2/2) / sigma^2, with ||p||^2 cached by the oracle;
+the mean, the products and the Jacobian then run over the surviving atoms
+only, those whose logit is within 746 of the largest (exp of anything lower
+is exactly 0.0 in float64, so a dropped atom adds exactly nothing). The
+logits carry a rounding error of about eps (||p||^2 + ||p|| ||x||) / sigma^2
+in absolute terms, which is the relative error of each weight.
+
 For the exact mixture oracles the Jacobian equals Cov(posterior)/sigma^2
 (symmetric PSD), and the link value ell_sigma satisfies grad ell = mean and
 hess ell = Jacobian. The link is stored up to an additive constant: the
@@ -28,32 +36,53 @@ from msopt.manifolds import Sphere
 from msopt.score.mlp import ScoreMlp
 
 
-class _MixturePosterior:
-    """Softmax posterior over the atoms of a finite mixture at one point."""
+# exp(t) is exactly 0.0 in float64 for t < -745.14
+_LOGIT_WINDOW = 746.0
 
-    def __init__(self, points, sigma, x):
-        self.points = points
+
+class _MixturePosterior:
+    """Softmax posterior over the atoms of a finite mixture at one point.
+
+    `points` and `weights` are the atoms the posterior sums over and their
+    weights; `rows` selects them among the oracle's atoms (a boolean mask,
+    or every row). When fewer than half the atoms survive the logit window
+    their rows are gathered; otherwise the full array is used as it is and
+    the dropped atoms carry weight 0.0.
+    """
+
+    def __init__(self, points, half_sq, sigma, x):
         self.sigma = sigma
-        self.x = x
-        diff = points - x
-        logits = -np.einsum("nd,nd->n", diff, diff) / (2.0 * sigma * sigma)
+        logits = (points @ x - half_sq) / (sigma * sigma)
         m = logits.max()
-        w = np.exp(logits - m)
+        keep = logits > m - _LOGIT_WINDOW
+        self.rows = slice(None)
+        # a non-finite largest logit keeps no atom; the full array then
+        # carries the NaN through to the mean
+        if 0 < 2 * np.count_nonzero(keep) < keep.size:
+            self.rows = keep
+            points, logits = points[keep], logits[keep]
+        # in place: on a dense posterior these are N-long arrays
+        logits -= m
+        w = np.exp(logits, out=logits)
         z = w.sum()
-        self.weights = w / z
+        w /= z
+        self.points = points
+        self.weights = w
         self._lse = float(m + np.log(z))
-        self.mean = self.weights @ points
+        self.mean = w @ points
 
     @property
     def link(self) -> float:
-        return 0.5 * float(self.x @ self.x) + self.sigma**2 * self._lse
+        return self.sigma**2 * self._lse
 
     def vjp(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if not v.any():
             return np.zeros_like(v)
         centered = self.points - self.mean
-        return centered.T @ (self.weights * (centered @ v)) / self.sigma**2
+        t = centered @ v
+        t *= self.weights
+        return centered.T @ t / self.sigma**2
 
     def jacobian(self) -> np.ndarray:
         centered = self.points - self.mean
@@ -63,16 +92,21 @@ class _MixturePosterior:
 class _MixtureOracle:
     """Shared closed-form Tweedie math for a finite atom mixture."""
 
-    points: np.ndarray
-    sigma: float
     has_link = True
+
+    def __init__(self, points, sigma):
+        self.points = points
+        self.sigma = float(sigma)
+        self._half_sq = 0.5 * np.einsum("nd,nd->n", points, points)
 
     @property
     def ambient_dim(self) -> int:
         return self.points.shape[1]
 
     def posterior(self, x) -> _MixturePosterior:
-        return _MixturePosterior(self.points, self.sigma, np.asarray(x, dtype=float))
+        return _MixturePosterior(
+            self.points, self._half_sq, self.sigma, np.asarray(x, dtype=float)
+        )
 
 
 class EmpiricalScoreOracle(_MixtureOracle):
@@ -84,8 +118,7 @@ class EmpiricalScoreOracle(_MixtureOracle):
             raise ValueError("empirical oracle needs a nonempty dataset")
         if sigma <= 0:
             raise ValueError("empirical oracle needs sigma > 0")
-        self.points = dataset
-        self.sigma = float(sigma)
+        super().__init__(dataset, sigma)
 
 
 class QuadratureScoreOracle(_MixtureOracle):
@@ -104,8 +137,7 @@ class QuadratureScoreOracle(_MixtureOracle):
         if sigma <= 0:
             raise ValueError("quadrature oracle needs sigma > 0")
         ang = 2.0 * np.pi * np.arange(node_count) / node_count
-        self.points = manifold.radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        self.sigma = float(sigma)
+        super().__init__(manifold.radius * np.stack([np.cos(ang), np.sin(ang)], axis=1), sigma)
         self.manifold = manifold
         self.node_count = int(node_count)
 

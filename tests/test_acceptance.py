@@ -17,7 +17,7 @@ from scipy.special import ive
 
 from msopt.cli import run_cli
 from msopt.control import SystemModel, generate_dataset, backtest
-from msopt.linalg import fd_gradient, fd_jacobian
+from msopt.linalg import fd_gradient, fd_jacobian, scaled_norm
 from msopt.manifolds import Circle, Orthogonal, Sphere
 from msopt.objectives import (
     AffineReparamObjective,
@@ -48,13 +48,6 @@ def _verdict(num, name, ok, detail, elapsed, limit):
     print(line)
     assert elapsed <= limit, f"criterion {num:02d} runtime {elapsed:.1f}s over limit {limit}s"
     assert ok, line
-
-
-def _scaled_norm(v):
-    """2-norm that does not underflow: np.linalg.norm squares the entries, so
-    a vector of 1e-249 entries reads as 0."""
-    scale = float(np.abs(v).max())
-    return scale * float(np.linalg.norm(v / scale)) if scale > 0.0 else 0.0
 
 
 def _collapse_detail(points, i0, sigma):
@@ -211,7 +204,7 @@ def test_criterion_05_drgd_brockett_with_empirical_score():
     record, xf = drgd_run(oracle, obj, data[i0],
                           DrgdConfig(gamma=1e-3, max_steps=5000), baseline=on)
     final = float(obj.value(xf))
-    surrogate_grad = _scaled_norm(oracle.posterior(data[i0]).vjp(obj.gradient(data[i0])))
+    surrogate_grad = scaled_norm(oracle.posterior(data[i0]).vjp(obj.gradient(data[i0])))
     feas = on.feasibility(xf)
     improvement = best - final
     gap_closed = improvement / (best - optimum)
@@ -299,7 +292,7 @@ def test_criterion_08_tracking_desk_scale():
     record, zf = drgd_run(oracle, objective, normalized[i0],
                           DrgdConfig(gamma=1e-3, max_steps=2000))
 
-    surrogate_grad = _scaled_norm(
+    surrogate_grad = scaled_norm(
         oracle.posterior(normalized[i0]).vjp(objective.gradient(normalized[i0]))
     )
 

@@ -236,7 +236,7 @@ dir = out
     assert os.path.exists(os.path.join(out, "landing_report.csv"))
 
 
-def test_cli_generate_and_train_and_sample(tmp_path):
+def test_cli_generate_and_train_and_sample(tmp_path, capsys):
     gen_cfg = """\
 [experiment]
 kind = generate-data
@@ -296,6 +296,16 @@ dir = out
     sample_dir = str(tmp_path / "samples")
     assert run_cli(["sample", "--config", sample_path, "--out", sample_dir]) == 0
     assert np.loadtxt(os.path.join(sample_dir, "samples.csv"), delimiter=",").shape == (16, 2)
+
+    # a model file cut short is a usage error naming the file, not a traceback
+    with open(model, "rb") as fh:
+        head = fh.read(200)
+    with open(model, "wb") as fh:
+        fh.write(head)
+    capsys.readouterr()
+    assert run_cli(["sample", "--config", sample_path, "--out", sample_dir]) == 2
+    err = capsys.readouterr().err
+    assert model in err and "truncated layer 0 weights" in err
 
 
 def test_cli_trajectory_dataset_generation(tmp_path):

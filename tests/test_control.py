@@ -145,6 +145,23 @@ def test_dataset_roundtrip(tmp_path):
     assert loaded.horizon == 6
 
 
+def test_dataset_load_rejects_inconsistent_files(tmp_path):
+    ds = generate_dataset(SystemModel("unicycle"), count=4, horizon=6, seed=11)
+    ds.save(tmp_path / "ds")
+    data = tmp_path / "ds" / "data.csv"
+    rows = data.read_text().splitlines()
+    # unicycle: 2 inputs, 3 outputs; 6*2 + 7*3 = 33 columns
+    cases = (
+        (rows[:3], "3 rows, but meta.txt declares count = 4"),
+        ([r.rsplit(",", 1)[0] for r in rows],
+         r"32 columns, but horizon 6 of unicycle needs 6\*2 \+ 7\*3 = 33"),
+    )
+    for content, message in cases:
+        data.write_text("\n".join(content) + "\n")
+        with pytest.raises(ValueError, match=message):
+            TrajectoryDataset.load(tmp_path / "ds")
+
+
 def test_normalization_roundtrip():
     ds = generate_dataset(SystemModel("unicycle"), count=10, horizon=5, seed=13)
     flat = ds.flatten()

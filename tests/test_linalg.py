@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from msopt.linalg import fd_jacobian, rk4_step, svd
+from msopt.linalg import fd_jacobian, rk4_step, scaled_norm, svd
 
 
 def test_svd_identity():
@@ -42,6 +42,14 @@ def test_svd_reconstruction_property():
         assert np.abs(res.u.T @ res.u - np.eye(k)).max() <= 1e-10
         assert np.abs(res.vt @ res.vt.T - np.eye(k)).max() <= 1e-10
         assert np.all(np.diff(res.singular_values) <= 0)
+
+
+def test_scaled_norm_without_under_or_overflow():
+    v = np.random.default_rng(3).standard_normal(103)
+    for scale in (1.0, 1e-180, 1e180):
+        assert scaled_norm(scale * v) == pytest.approx(scale * np.linalg.norm(v), rel=1e-15)
+    assert scaled_norm(np.zeros(3)) == 0.0
+    assert np.isnan(scaled_norm(np.array([np.nan, 1.0])))
 
 
 def test_fd_jacobian_identity_and_constant():

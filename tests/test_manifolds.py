@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from msopt import rng as _rng
 from msopt.errors import ProjectionError
 from msopt.linalg import fd_jacobian
 from msopt.manifolds import Circle, Orthogonal, Sphere, make_manifold
@@ -152,6 +153,20 @@ def test_haar_samples_are_orthogonal():
     on = Orthogonal(4)
     for x in on.sample_uniform(50, seed=21):
         assert on.feasibility(x) <= 1e-12
+
+
+def test_haar_batched_draw_matches_per_sample_qr():
+    # the stacked QR must reproduce, byte for byte, one QR per draw from the
+    # same stream with the signs of R's diagonal moved into Q
+    for n, count, seed in ((5, 4000, 0), (5, 4000, 7), (5, 4000, 123), (2, 3, 1), (4, 0, 1)):
+        gen = _rng.stream(seed, f"haar_o{n}")
+        expected = np.empty((count, n * n))
+        for i in range(count):
+            q, r = np.linalg.qr(gen.standard_normal((n, n)))
+            d = np.sign(np.diag(r))
+            d[d == 0] = 1.0
+            expected[i] = (q * d).reshape(-1)
+        assert Orthogonal(n).sample_uniform(count, seed).tobytes() == expected.tobytes()
 
 
 def test_dist_to_manifold():

@@ -94,6 +94,27 @@ def test_load_rejects_bad_magic(tmp_path):
         load_score_mlp(path)
 
 
+def test_load_rejects_wrong_size(tmp_path):
+    path = tmp_path / "model.msopt"
+    make_score_mlp(3, hidden=(10, 7), seed=9).save(path)
+    data = path.read_bytes()
+    # magic 6 + count 4, then per layer 8 + 8 rows cols + 8 rows bytes:
+    # layer 0 (10x4) 408, layer 1 (7x10) 624, layer 2 (3x7) 200
+    assert len(data) == 1242
+    cases = (
+        (data[:8], "truncated header: expected 4 bytes, 2 available"),
+        (data[:526], "truncated layer 1 weights: expected 560 bytes, 100 available"),
+        (data[:1240], "truncated layer 2 biases: expected 24 bytes, 22 available"),
+        (data + b"\0" * 5, r"5 trailing bytes after layer 2 \(expected 1242 bytes in all, 1247"),
+    )
+    for i, (content, message) in enumerate(cases):
+        bad = tmp_path / f"bad{i}.msopt"
+        bad.write_bytes(content)
+        with pytest.raises(ValueError, match=message) as err:
+            load_score_mlp(bad)
+        assert str(bad) in str(err.value)
+
+
 def test_shape_validation():
     with pytest.raises(ValueError):
         ScoreMlp([(np.zeros((3, 2)), np.zeros(2))])

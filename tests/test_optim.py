@@ -223,6 +223,18 @@ def test_riemannian_gd_critical_point_is_fixed():
     assert record.metadata["termination"] == "grad_tol"
 
 
+def test_stop_test_does_not_underflow():
+    # a gradient of ~1e-180 entries is far above a 1e-200 tolerance, but a
+    # norm that squares the entries reads it as 0 and stops at step 0
+    sph = Sphere(3)
+    obj = LinearObjective(np.array([1e-180, 2e-180, -5e-181]))
+    x0 = sph.sample_uniform(1, seed=11)[0]
+    for tol, termination in ((1e-200, "budget"), (1e-179, "grad_tol")):
+        record, _ = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=3,
+                                           stop_grad_tol=tol)
+        assert record.metadata["termination"] == termination
+
+
 def test_riemannian_gd_rejects_off_manifold_start():
     sph = Sphere(3)
     with pytest.raises(ValueError):

@@ -115,6 +115,65 @@ def test_mean_and_vjp_matches_jacobian():
         assert not post.vjp(np.zeros_like(v)).any()
 
 
+def _difference_posterior(points, sigma, x):
+    """Reference mixture posterior from the differences p - x over all atoms:
+    weights, mean, Jacobian Cov/sigma^2 and link ||x||^2/2 + sigma^2 lse."""
+    diff = points - x
+    logits = -np.einsum("nd,nd->n", diff, diff) / (2.0 * sigma**2)
+    m = logits.max()
+    w = np.exp(logits - m)
+    z = w.sum()
+    w /= z
+    mean = w @ points
+    centered = points - mean
+    jac = (w[:, None] * centered).T @ centered / sigma**2
+    return w, mean, jac, 0.5 * float(x @ x) + sigma**2 * float(m + np.log(z))
+
+
+def _rel_err(a, b):
+    # the floor admits a subnormal reference where the kernel has exactly 0
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+def test_mixture_kernel_matches_difference_formula():
+    on5 = Orthogonal(5).sample_uniform(4000, seed=0)
+    circle = Circle().sample_uniform(2000, seed=3)
+    th = 0.4
+    off = 1.15 * np.array([np.cos(th), np.sin(th)])
+    # (atoms, sigma, x, atoms the kernel keeps): collapsed, partial underflow
+    # with and without the gather, dense
+    cases = (
+        (on5, 0.05, 3.0 * on5[0], "one"),
+        (circle, 0.05, off, "all"),
+        (circle, 0.02, off, "gathered"),
+        (circle, 0.5, off, "all"),
+    )
+    rng = np.random.default_rng(9)
+    for points, sigma, x, kept in cases:
+        post = EmpiricalScoreOracle(points, sigma).posterior(x)
+        w_ref, mean_ref, jac_ref, link_ref = _difference_posterior(points, sigma, x)
+        n = post.weights.size
+        assert {"one": n == 1, "all": n == len(points), "gathered": 1 < n < len(points) / 2}[kept]
+        if sigma == 0.05 and kept == "all":
+            assert 0 < np.count_nonzero(w_ref) < len(points)
+        weights = np.zeros(len(points))
+        weights[post.rows] = post.weights
+        assert np.array_equal(post.points, points[post.rows])
+        assert np.allclose(weights, w_ref, rtol=1e-10, atol=1e-300)
+        assert _rel_err(post.mean, mean_ref) <= 1e-12
+        assert abs(post.link - link_ref) <= 1e-12 * abs(link_ref)
+        assert _rel_err(post.jacobian(), jac_ref) <= 1e-10
+        v = rng.standard_normal(x.size)
+        assert _rel_err(post.vjp(v), jac_ref @ v) <= 1e-10
+
+
+def test_mixture_kernel_propagates_non_finite_points():
+    oracle = EmpiricalScoreOracle(Circle().sample_uniform(64, seed=1), 0.1)
+    with np.errstate(invalid="ignore"):
+        for bad in (np.nan, np.inf):
+            assert np.isnan(oracle.posterior(np.array([bad, 0.0])).mean).all()
+
+
 # ---- quadrature oracle ------------------------------------------------------
 
 
@@ -167,7 +226,7 @@ def test_empirical_vs_quadrature_monte_carlo():
         x = (1 + 0.15 * (1 if i % 2 else -1)) * np.array([np.cos(th), np.sin(th)])
         post = emp.posterior(x)
         w = post.weights
-        centered = emp.points - post.mean
+        centered = post.points - post.mean
         se = np.sqrt((w**2 * np.einsum("nd,nd->n", centered, centered)).sum())
         gap = np.linalg.norm(post.mean - quad.posterior(x).mean)
         assert gap <= 3.0 * se
