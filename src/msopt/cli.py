@@ -72,13 +72,6 @@ def _write_manifest(out_dir, cfg: ExperimentConfig, started, artifacts):
             fh.write(f"artifact = {name}\n")
 
 
-def _build_system(cfg: ExperimentConfig) -> SystemModel:
-    kind = cfg.get("manifold", "kind")
-    if cfg.has("manifold", "dt"):
-        return SystemModel(kind=kind, dt=cfg.get("manifold", "dt"))
-    return SystemModel(kind=kind)
-
-
 def _build_manifold(cfg: ExperimentConfig):
     kind = cfg.get("manifold", "kind")
     if kind is None:
@@ -91,41 +84,36 @@ def _build_manifold(cfg: ExperimentConfig):
     )
 
 
-def _load_points(path) -> np.ndarray:
-    if not os.path.exists(path):
-        raise ConfigError(f"dataset path does not exist: {path}")
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+def _oracle_family(cfg: ExperimentConfig, manifold, atoms=None):
+    """sigma -> oracle of the configured [oracle] kind.
 
-
-def _build_oracle(cfg: ExperimentConfig, manifold, dataset_points=None):
+    The points file is read, the sample drawn or the network loaded once,
+    here; every sigma reuses them. `atoms` (the normalized trajectories of a
+    tracking run) take the place of the points file and the sample.
+    """
     kind = cfg.get("oracle", "kind")
-    sigma = cfg.get("oracle", "sigma")
+    if kind in ("exact", "quadrature") and manifold is None:
+        raise ConfigError(f"{kind} oracle needs a circle, sphere or orthogonal [manifold]")
     if kind == "exact":
-        if manifold is None:
-            raise ConfigError("exact oracle needs a [manifold] section")
-        return ExactManifoldAdapter(manifold)
+        exact = ExactManifoldAdapter(manifold)
+        return lambda sigma: exact
     if kind == "quadrature":
-        if manifold is None:
-            raise ConfigError("quadrature oracle needs a [manifold] section")
-        return QuadratureScoreOracle(manifold, cfg.get("oracle", "node_count"), sigma)
+        return lambda sigma: QuadratureScoreOracle(manifold, cfg.get("oracle", "node_count"), sigma)
     if kind == "empirical":
-        if dataset_points is None:
+        if atoms is None:
             if cfg.has("oracle", "dataset"):
-                dataset_points = _load_points(cfg.get("oracle", "dataset"))
-            elif cfg.has("oracle", "sample_count") and manifold is not None:
-                dataset_points = manifold.sample_uniform(
-                    cfg.get("oracle", "sample_count"), seed=cfg.seed
-                )
+                atoms = np.loadtxt(cfg.get("oracle", "dataset"), delimiter=",", ndmin=2)
+            elif manifold is not None:
+                atoms = manifold.sample_uniform(cfg.get("oracle", "sample_count"), seed=cfg.seed)
             else:
-                raise ConfigError(
-                    "empirical oracle needs [oracle] dataset or sample_count + manifold"
-                )
-        return EmpiricalScoreOracle(dataset_points, sigma)
+                raise ConfigError("empirical oracle needs [oracle] dataset or a [manifold]")
+        return lambda sigma: EmpiricalScoreOracle(atoms, sigma)
     if kind == "mlp":
         model = cfg.get("oracle", "model")
         if model is None:
             raise ConfigError("mlp oracle needs [oracle] model")
-        return MlpScoreOracle(load_score_mlp(model), sigma)
+        mlp = load_score_mlp(model)
+        return lambda sigma: MlpScoreOracle(mlp, sigma)
     raise ConfigError(f"unknown oracle kind {kind!r}")
 
 
@@ -143,8 +131,25 @@ def _tracking_weights(cfg: ExperimentConfig, system: SystemModel):
     return q, r
 
 
-def _build_tracking_objective(cfg: ExperimentConfig, dataset: TrajectoryDataset):
+def _load_tracking(cfg: ExperimentConfig):
+    """The trajectory dataset of a tracking run and its tracking objective.
+
+    [manifold] kind, horizon and dt describe the dataset here; when set they
+    must match it.
+    """
+    path = cfg.get("oracle", "dataset")
+    if path is None or not os.path.isdir(path):
+        raise ConfigError("tracking runs need [oracle] dataset = <trajectory directory>")
+    if cfg.get("objective", "kind") != "tracking":
+        raise ConfigError("a trajectory dataset needs [objective] kind = tracking")
+    dataset = TrajectoryDataset.load(path)
     system = dataset.system
+    for key, value in (("kind", system.kind), ("horizon", dataset.horizon), ("dt", system.dt)):
+        if cfg.has("manifold", key) and cfg.get("manifold", key) != value:
+            raise ConfigError(
+                f"[manifold] {key} = {cfg.get('manifold', key)} does not match "
+                f"the dataset in {path} ({key} = {value})"
+            )
     q, r = _tracking_weights(cfg, system)
     ref_spec = cfg.get("objective", "reference")
     if ref_spec in ("sinusoid", "arc", "figure_eight"):
@@ -154,7 +159,29 @@ def _build_tracking_objective(cfg: ExperimentConfig, dataset: TrajectoryDataset)
         )
     else:
         ref = load_reference_csv(ref_spec)
-    return TrackingObjective(ref, q, r, dataset.horizon)
+    tracking = TrackingObjective(ref, q, r, dataset.horizon)
+    if tracking.ambient_dim != dataset.ambient_dim:
+        raise ConfigError(
+            f"objective layout {tracking.ambient_dim} does not match dataset "
+            f"ambient dim {dataset.ambient_dim}"
+        )
+    return dataset, tracking
+
+
+def _manifold_objective(cfg: ExperimentConfig, manifold, ambient_dim):
+    obj_kind = cfg.get("objective", "kind")
+    if obj_kind == "linear":
+        a = cfg.get("objective", "a")
+        if a is None:
+            raise ConfigError("linear objective needs [objective] a")
+        return LinearObjective(np.array(a))
+    if obj_kind == "brockett":
+        if manifold is None or not hasattr(manifold, "n"):
+            raise ConfigError("brockett objective needs an orthogonal [manifold]")
+        return random_brockett(manifold.n, seed=cfg.get("objective", "a_seed"))
+    if obj_kind == "zero":
+        return ZeroObjective(ambient_dim)
+    raise ConfigError(f"unknown objective kind {obj_kind!r}")
 
 
 def _run_algorithm(cfg, oracle, objective, x0, baseline):
@@ -189,7 +216,7 @@ def _cmd_generate_data(cfg: ExperimentConfig, out_dir: str):
     kind = cfg.get("manifold", "kind")
     count = cfg.get("manifold", "count")
     if kind in _SYSTEM_KINDS:
-        system = _build_system(cfg)
+        system = SystemModel(kind=kind, dt=cfg.get("manifold", "dt"))
         ds = generate_dataset(system, count, cfg.get("manifold", "horizon"), cfg.seed)
         ds.save(out_dir)
         return ["meta.txt", "data.csv"]
@@ -205,7 +232,7 @@ def _cmd_train_score(cfg: ExperimentConfig, out_dir: str):
         ds = TrajectoryDataset.load(path)
         data = ds.normalize(ds.flatten())
     else:
-        data = _load_points(path)
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
     mlp = make_score_mlp(data.shape[1], hidden=cfg.get("algorithm", "hidden"), seed=cfg.seed)
     train_cfg = DsmTrainConfig(
         epochs=cfg.get("algorithm", "epochs"),
@@ -225,88 +252,69 @@ def _cmd_train_score(cfg: ExperimentConfig, out_dir: str):
     return ["model.msopt", "loss_trace.csv"]
 
 
-def _resolve_x0(cfg, manifold, oracle, objective):
+def _resolve_x0(cfg, manifold, atoms, atom_values, data_atoms):
+    """Start point and, when it is the best of `atoms`, its objective value.
+
+    `atom_values()` gives the objective at the atoms; data atoms (not
+    quadrature nodes) are the auto start.
+    """
     spec = cfg.get("algorithm", "x0")
-    dataset = getattr(oracle, "points", None)
-    if spec in ("auto", "dataset_argmin"):
-        if dataset is not None and (spec == "dataset_argmin" or not isinstance(oracle, (ExactManifoldAdapter, QuadratureScoreOracle))):
-            vals = np.array([objective.value(p) for p in dataset])
-            return dataset[int(np.argmin(vals))].copy(), float(vals.min())
-        if manifold is None:
-            raise ConfigError("cannot resolve x0 = auto without a manifold or dataset")
-        return manifold.sample_uniform(1, _rng.stream(cfg.seed, "x0").integers(2**31))[0], None
+    if spec == "auto":
+        spec = "dataset_argmin" if data_atoms else "sample"
+    if spec == "dataset_argmin":
+        if atoms is None:
+            raise ConfigError("x0 = dataset_argmin needs an empirical or quadrature oracle "
+                              "or a trajectory dataset")
+        vals = np.asarray(atom_values())
+        best = int(np.argmin(vals))
+        return atoms[best].copy(), float(vals[best])
     if spec == "sample":
         if manifold is None:
-            raise ConfigError("x0 = sample needs a [manifold] section")
+            raise ConfigError("x0 = sample needs a circle, sphere or orthogonal [manifold]")
         return manifold.sample_uniform(1, _rng.stream(cfg.seed, "x0").integers(2**31))[0], None
     return np.array([float(v) for v in spec.split(",")]), None
 
 
 def _cmd_optimize(cfg: ExperimentConfig, out_dir: str):
-    kind = cfg.get("manifold", "kind")
-    if cfg.get("objective", "kind") == "tracking" or kind in _SYSTEM_KINDS:
-        return _optimize_tracking(cfg, out_dir)
-    manifold = _build_manifold(cfg)
-    oracle = _build_oracle(cfg, manifold)
-    obj_kind = cfg.get("objective", "kind")
-    if obj_kind == "linear":
-        a = cfg.get("objective", "a")
-        if a is None:
-            raise ConfigError("linear objective needs [objective] a")
-        objective = LinearObjective(np.array(a))
-    elif obj_kind == "brockett":
-        if manifold is None or not hasattr(manifold, "n"):
-            raise ConfigError("brockett objective needs an orthogonal [manifold]")
-        objective = random_brockett(manifold.n, seed=cfg.get("objective", "a_seed"))
-    elif obj_kind == "zero":
-        objective = ZeroObjective(oracle.ambient_dim)
+    sigma = cfg.get("oracle", "sigma")
+    if cfg.get("objective", "kind") == "tracking" or cfg.get("manifold", "kind") in _SYSTEM_KINDS:
+        # a trajectory dataset: optimize in its normalized coordinates
+        dataset, tracking = _load_tracking(cfg)
+        manifold, flat = None, dataset.flatten()
+        atoms = dataset.normalize(flat)
+        oracle = _oracle_family(cfg, None, atoms)(sigma)
+        if oracle.ambient_dim != dataset.ambient_dim:
+            raise ConfigError(f"oracle dimension {oracle.ambient_dim} does not match the "
+                              f"dataset's {dataset.ambient_dim}")
+        objective = AffineReparamObjective(tracking, dataset.norm_shift, dataset.norm_scale)
+        atom_values = lambda: [tracking.value(p) for p in flat]
     else:
-        raise ConfigError(f"unknown objective kind {obj_kind!r}")
+        dataset = tracking = None
+        manifold = _build_manifold(cfg)
+        oracle = _oracle_family(cfg, manifold)(sigma)
+        objective = _manifold_objective(cfg, manifold, oracle.ambient_dim)
+        atoms = getattr(oracle, "points", None)
+        atom_values = lambda: [objective.value(p) for p in atoms]
+    x0, best = _resolve_x0(cfg, manifold, atoms, atom_values,
+                           dataset is not None or isinstance(oracle, EmpiricalScoreOracle))
 
-    x0, best = _resolve_x0(cfg, manifold, oracle, objective)
     record, x_final = _run_algorithm(cfg, oracle, objective, x0, manifold)
     record.metadata["seed"] = str(cfg.seed)
+    if dataset is not None:
+        record.metadata["space"] = "normalized"
     if best is not None:
         record.metadata["dataset_best_objective"] = f"{best:.17g}"
     record.save(os.path.join(out_dir, "run.csv"), os.path.join(out_dir, "run.meta.txt"))
-    summary = feasibility_optimality_report(record, baseline=manifold)
+    summary = feasibility_optimality_report(record, baseline=manifold, dataset=dataset,
+                                            objective=tracking)
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write(summary.to_text())
-    aborted = record.metadata.get("termination") == "diverged"
-    return ["run.csv", "run.meta.txt", "summary.txt"], aborted
-
-
-def _optimize_tracking(cfg: ExperimentConfig, out_dir: str):
-    path = cfg.get("oracle", "dataset")
-    if path is None or not os.path.isdir(path):
-        raise ConfigError("tracking runs need [oracle] dataset = <trajectory directory>")
-    dataset = TrajectoryDataset.load(path)
-    tracking = _build_tracking_objective(cfg, dataset)
-    if tracking.ambient_dim != dataset.ambient_dim:
-        raise ConfigError(
-            f"objective layout {tracking.ambient_dim} does not match dataset "
-            f"ambient dim {dataset.ambient_dim}"
-        )
-    flat = dataset.flatten()
-    normalized = dataset.normalize(flat)
-    oracle = EmpiricalScoreOracle(normalized, cfg.get("oracle", "sigma"))
-    objective = AffineReparamObjective(tracking, dataset.norm_shift, dataset.norm_scale)
-
-    vals = np.array([tracking.value(p) for p in flat])
-    i_best = int(np.argmin(vals))
-    x0 = normalized[i_best].copy()
-    record, z_final = _run_algorithm(cfg, oracle, objective, x0, None)
-    record.metadata["seed"] = str(cfg.seed)
-    record.metadata["space"] = "normalized"
-    record.metadata["dataset_best_objective"] = f"{vals[i_best]:.17g}"
-    record.save(os.path.join(out_dir, "run.csv"), os.path.join(out_dir, "run.meta.txt"))
-    summary = feasibility_optimality_report(record, dataset=dataset, objective=tracking)
-    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-        fh.write(summary.to_text())
-    final_phys = dataset.denormalize(z_final)
-    _write_points_csv(os.path.join(out_dir, "optimized_point.csv"), final_phys[None, :])
-    aborted = record.metadata.get("termination") == "diverged"
-    return ["run.csv", "run.meta.txt", "summary.txt", "optimized_point.csv"], aborted
+    artifacts = ["run.csv", "run.meta.txt", "summary.txt"]
+    if dataset is not None:
+        _write_points_csv(os.path.join(out_dir, "optimized_point.csv"),
+                          dataset.denormalize(x_final)[None, :])
+        artifacts.append("optimized_point.csv")
+    return artifacts, record.metadata.get("termination") == "diverged"
 
 
 def _cmd_validate(cfg: ExperimentConfig, out_dir: str, do_assert: bool):
@@ -317,23 +325,8 @@ def _cmd_validate(cfg: ExperimentConfig, out_dir: str, do_assert: bool):
         manifold = _build_manifold(cfg)
         if manifold is None:
             raise ConfigError("rate check needs a [manifold] section")
-        oracle_kind = cfg.get("oracle", "kind") or "quadrature"
-
-        def family(sigma):
-            if oracle_kind == "quadrature":
-                return QuadratureScoreOracle(manifold, cfg.get("oracle", "node_count"), sigma)
-            if oracle_kind == "exact":
-                return ExactManifoldAdapter(manifold)
-            if oracle_kind == "empirical":
-                if cfg.has("oracle", "dataset"):
-                    pts = _load_points(cfg.get("oracle", "dataset"))
-                else:
-                    pts = manifold.sample_uniform(cfg.get("oracle", "sample_count") or 10000, cfg.seed)
-                return EmpiricalScoreOracle(pts, sigma)
-            raise ConfigError(f"rate check does not support oracle kind {oracle_kind!r}")
-
         report = rate_sweep(
-            family, manifold, cfg.get("algorithm", "offsets"),
+            _oracle_family(cfg, manifold), manifold, cfg.get("algorithm", "offsets"),
             cfg.get("algorithm", "sigmas"), cfg.get("algorithm", "n_points"), cfg.seed,
         )
         report.save_csv(os.path.join(out_dir, "rate_report.csv"))
@@ -455,11 +448,9 @@ def run_cli(argv=None) -> int:
             print("run finished with violations or a numerical abort", file=sys.stderr)
             return 1
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # contract violations from component constructors are config mistakes
+    except (ConfigError, ValueError, OSError) as exc:
+        # contract violations from component constructors and missing or
+        # unreadable input files (the message names the path) are config mistakes
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except MsoptError as exc:

@@ -50,14 +50,15 @@ SCHEMA = {
         "seed": Key("int", _ALL, default=0, help="master seed for all named random streams"),
     },
     "oracle": {
-        "kind": Key("str", ("optimize", "validate"),
+        "kind": Key("str", ("optimize", "validate"), default="quadrature",
                     help="empirical | quadrature | exact | mlp"),
-        "sigma": Key("float", ("optimize", "validate"), default=0.05,
-                     help="noise scale of the score oracle"),
+        "sigma": Key("float", ("optimize",), default=0.05,
+                     help="noise scale of the score oracle (validate sweeps [algorithm] sigmas)"),
         "dataset": Key("str", ("optimize", "validate", "train-score"),
                        help="points CSV or trajectory dataset directory"),
-        "sample_count": Key("int", ("optimize", "validate"),
-                            help="sample this many manifold points as the oracle dataset"),
+        "sample_count": Key("int", ("optimize", "validate"), default=10000,
+                            help="without a dataset, sample this many manifold points as the "
+                                 "empirical oracle's atoms"),
         "node_count": Key("int", ("optimize", "validate"), default=4096,
                           help="quadrature nodes (circle oracle)"),
         "model": Key("str", ("optimize", "validate", "sample"),
@@ -65,18 +66,20 @@ SCHEMA = {
     },
     "manifold": {
         "kind": Key("str", ("generate-data", "optimize", "validate"),
-                    help="circle | sphere | orthogonal | unicycle | double_pendulum"),
+                    help="circle | sphere | orthogonal | unicycle | double_pendulum "
+                         "(on a tracking run, must match the dataset)"),
         "radius": Key("float", ("generate-data", "optimize", "validate"), default=1.0),
         "dim": Key("int", ("generate-data", "optimize", "validate"), default=3,
                    help="ambient dimension (sphere)"),
         "n": Key("int", ("generate-data", "optimize", "validate"), default=3,
                  help="matrix size (orthogonal group)"),
         "horizon": Key("int", ("generate-data", "optimize"), default=20,
-                       help="trajectory horizon (systems)"),
-        "count": Key("int", ("generate-data",), default=1000,
-                     help="points or trajectories to generate"),
+                       help="trajectory horizon (systems; on a tracking run, must match "
+                            "the dataset)"),
+        "count": Key("int", ("generate-data",), help="points or trajectories to generate"),
         "dt": Key("float", ("generate-data", "optimize"),
-                  help="discretization step override (systems)"),
+                  help="discretization step override (systems; on a tracking run, must "
+                       "match the dataset)"),
     },
     "objective": {
         "kind": Key("str", ("optimize",),
@@ -117,7 +120,7 @@ SCHEMA = {
         "max_rel_dev": Key("float", ("validate",), default=0.05),
         "run_csv": Key("str", ("validate",), help="run record CSV (report check)"),
         "run_meta": Key("str", ("validate",), help="run metadata sidecar (report check)"),
-        "epochs": Key("int", ("train-score",), default=4000),
+        "epochs": Key("int", ("train-score",)),
         "batch": Key("int", ("train-score",), default=128),
         "hidden": Key("ints", ("train-score",), default=(128, 128, 128)),
         "t_max": Key("float", ("train-score", "sample"), default=3.0),

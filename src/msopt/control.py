@@ -198,10 +198,15 @@ class TrajectoryDataset:
     @staticmethod
     def load(directory) -> "TrajectoryDataset":
         meta = {}
-        with open(os.path.join(directory, "meta.txt")) as fh:
+        meta_path = os.path.join(directory, "meta.txt")
+        with open(meta_path) as fh:
             for line in fh:
                 key, _, value = line.partition("=")
                 meta[key.strip()] = value.strip()
+        missing = [k for k in ("system", "dt", "horizon", "count", "seed", "norm_shift",
+                               "norm_scale") if k not in meta]
+        if missing:
+            raise ValueError(f"{meta_path}: missing key(s) " + ", ".join(missing))
         system = SystemModel(kind=meta["system"], dt=float(meta["dt"]))
         horizon = int(meta["horizon"])
         count = int(meta["count"])
@@ -219,16 +224,22 @@ class TrajectoryDataset:
                 f"{system.kind} needs {horizon}*{system.input_dim} + "
                 f"{horizon + 1}*{system.output_dim} = {width}"
             )
-        ds = TrajectoryDataset(
+        norm = {}
+        for key in ("norm_shift", "norm_scale"):
+            norm[key] = np.array([float(v) for v in meta[key].split(",")])
+            if norm[key].size != width:
+                raise ValueError(
+                    f"{meta_path}: {key} has {norm[key].size} entries, "
+                    f"but the rows of {data_path} have {width}"
+                )
+        return TrajectoryDataset(
             system=system,
             horizon=horizon,
             inputs=flat[:, :nu_total].reshape(count, horizon, system.input_dim),
             outputs=flat[:, nu_total:].reshape(count, horizon + 1, system.output_dim),
             seed=int(meta["seed"]),
-            norm_shift=np.array([float(v) for v in meta["norm_shift"].split(",")]),
-            norm_scale=np.array([float(v) for v in meta["norm_scale"].split(",")]),
+            **norm,
         )
-        return ds
 
 
 def generate_dataset(model: SystemModel, count: int, horizon: int, seed: int) -> TrajectoryDataset:

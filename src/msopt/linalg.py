@@ -6,39 +6,10 @@ silent transposition bugs between oracle and manifold code).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from msopt.errors import MsoptError
-
 FD_STEP = 1e-5
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    u: np.ndarray
-    singular_values: np.ndarray
-    vt: np.ndarray
-
-
-def _check_finite(m: np.ndarray, what: str) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{what} contains non-finite entries")
-    return m
-
-
-def svd(m: np.ndarray) -> SvdResult:
-    """Singular value decomposition m = u @ diag(s) @ vt, s descending."""
-    m = _check_finite(m, "svd input")
-    try:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise MsoptError(
-            f"SVD did not converge for a {m.shape[0]}x{m.shape[1]} matrix"
-        ) from exc
-    return SvdResult(u=u, singular_values=s, vt=vt)
 
 
 def scaled_norm(v) -> float:

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from msopt import rng as _rng
-from msopt.errors import ProjectionError
-from msopt.linalg import fd_jacobian, svd
+from msopt.errors import MsoptError, ProjectionError
+from msopt.linalg import fd_jacobian
 
 _DEGENERATE_TOL = 1e-12
 _ON_MANIFOLD_TOL = 1e-9
@@ -140,13 +140,20 @@ class Orthogonal(_Manifold):
 
     def project(self, x):
         m = self._as_matrix(x)
-        res = svd(m)
-        if res.singular_values.min() < _DEGENERATE_TOL:
+        # as on the sphere, a non-finite input projects to NaN; LAPACK is not
+        # asked, since its SVD can loop without end on inf entries
+        if not np.isfinite(m).all():
+            return np.full(self.ambient_dim, np.nan)
+        try:
+            u, s, vt = np.linalg.svd(m, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise MsoptError(f"SVD did not converge for a {self.n}x{self.n} matrix") from exc
+        if s.min() < _DEGENERATE_TOL:
             raise ProjectionError(
                 "polar factor undefined: zero singular value "
                 "(outside tubular neighborhood)"
             )
-        return (res.u @ res.vt).reshape(-1)
+        return (u @ vt).reshape(-1)
 
     def tangent_project(self, p, v):
         self._check_on_manifold(p)

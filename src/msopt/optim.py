@@ -34,7 +34,6 @@ from msopt.linalg import scaled_norm
 _RUNAWAY_FACTOR = 1e9
 
 CSV_HEADER = "step,objective,surrogate_objective,feasibility,riem_grad_norm,step_norm"
-_COLUMNS = CSV_HEADER.split(",")
 
 
 @dataclass
@@ -105,6 +104,18 @@ def load_run_record(csv_path, meta_path=None) -> RunRecord:
     )
 
 
+def _check_params(step_name: str, step: float, max_steps: int, eta: float = None):
+    """The one parameter check of the four optimizers: a positive step size,
+    a nonnegative landing gain (where there is one) and step budget."""
+    bad = [f"{step_name} = {step!r} (need > 0)"] if not step > 0 else []
+    if eta is not None and not eta >= 0:
+        bad.append(f"eta = {eta!r} (need >= 0)")
+    if not max_steps >= 0:
+        bad.append(f"max_steps = {max_steps!r} (need >= 0)")
+    if bad:
+        raise ValueError("bad optimizer parameters: " + ", ".join(bad))
+
+
 @dataclass
 class DlfConfig:
     t_step: float = 1e-4
@@ -113,8 +124,7 @@ class DlfConfig:
     stop_grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.t_step <= 0 or self.eta < 0 or self.max_steps < 0:
-            raise ValueError("need t_step > 0, eta >= 0, max_steps >= 0")
+        _check_params("t_step", self.t_step, self.max_steps, self.eta)
 
 
 @dataclass
@@ -124,8 +134,7 @@ class DrgdConfig:
     stop_grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.max_steps < 0:
-            raise ValueError("need gamma > 0, max_steps >= 0")
+        _check_params("gamma", self.gamma, self.max_steps)
 
 
 class _Recorder:
@@ -254,6 +263,7 @@ def landing_descent_run(score, objective, x0, gamma: float, eta: float,
     that potential when the oracle exposes the link value, so link-less
     oracles are rejected.
     """
+    _check_params("gamma", gamma, max_steps, eta)
     if not getattr(score, "has_link", False):
         raise MsoptError("landing descent requires an oracle with a link value")
     return _landing_loop(
@@ -282,6 +292,7 @@ def drgd_run(score, objective, x0, cfg: DrgdConfig, baseline=None, record_every:
 def riemannian_gd_baseline(manifold, objective, x0, gamma: float, max_steps: int,
                            stop_grad_tol: float = 1e-8, record_every: int = 1):
     """Exact projected Riemannian gradient descent on a known manifold."""
+    _check_params("gamma", gamma, max_steps)
     x = manifold.project(np.array(x0, dtype=float))
     if np.linalg.norm(x - np.asarray(x0, dtype=float)) > 1e-9:
         raise ValueError("riemannian_gd_baseline requires an on-manifold start")

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -330,3 +331,235 @@ dir = out
     ds = TrajectoryDataset.load(out)
     assert ds.count == 12
     assert ds.horizon == 6
+
+
+def _tracking_cfg(data_dir, oracle="kind = empirical", manifold="kind = unicycle\nhorizon = 6"):
+    return f"""\
+[experiment]
+kind = optimize
+seed = 6
+
+[oracle]
+dataset = {data_dir}
+{oracle}
+
+[manifold]
+{manifold}
+
+[objective]
+kind = tracking
+reference = arc
+amplitude = 0.3
+
+[algorithm]
+kind = drgd
+gamma = 1e-3
+max_steps = 5
+
+[output]
+dir = out
+"""
+
+
+@pytest.fixture(scope="module")
+def unicycle_data(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("traj"))
+    path = tmp_path_factory.getbasetemp() / "gen.cfg"
+    path.write_text("[experiment]\nkind = generate-data\nseed = 6\n\n"
+                    "[manifold]\nkind = unicycle\nhorizon = 6\ncount = 30\n")
+    assert run_cli(["generate-data", "--config", str(path), "--out", out]) == 0
+    return out
+
+
+@pytest.mark.parametrize("manifold, message", [
+    ("kind = double_pendulum",
+     r"\[manifold\] kind = double_pendulum does not match .*kind = unicycle"),
+    ("kind = unicycle\nhorizon = 99", r"\[manifold\] horizon = 99 does not match .*horizon = 6"),
+    ("kind = unicycle\nhorizon = 6\ndt = 0.7", r"\[manifold\] dt = 0.7 does not match .*dt = 0.05"),
+], ids=["kind", "horizon", "dt"])
+def test_cli_tracking_manifold_keys_must_match_dataset(tmp_path, capsys, unicycle_data,
+                                                       manifold, message):
+    path = _write(tmp_path, _tracking_cfg(unicycle_data, manifold=manifold))
+    assert run_cli(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert re.search(message, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("kind", ["exact", "quadrature"])
+def test_cli_tracking_rejects_manifold_oracles(tmp_path, capsys, unicycle_data, kind):
+    path = _write(tmp_path, _tracking_cfg(unicycle_data, oracle=f"kind = {kind}"))
+    assert run_cli(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{kind} oracle needs a circle, sphere or orthogonal [manifold]" in err
+
+
+def test_cli_tracking_honours_x0(tmp_path, capsys, unicycle_data):
+    path = _write(tmp_path, _tracking_cfg(unicycle_data).replace("max_steps = 5",
+                                                                  "max_steps = 5\nx0 = sample"))
+    assert run_cli(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "x0 = sample needs a circle, sphere or orthogonal [manifold]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["sample_model", "tracking_reference", "report_run_csv"])
+def test_cli_missing_input_file_exits_2(tmp_path, capsys, unicycle_data, case):
+    gone = str(tmp_path / "gone.csv")
+    command, text = {
+        "sample_model": ("sample", f"[experiment]\nkind = sample\n\n[oracle]\nmodel = {gone}\n"),
+        "tracking_reference": ("optimize", _tracking_cfg(unicycle_data).replace(
+            "reference = arc", f"reference = {gone}")),
+        "report_run_csv": ("validate", "[experiment]\nkind = validate\n\n"
+                                       f"[algorithm]\ncheck = report\nrun_csv = {gone}\n"),
+    }[case]
+    path = _write(tmp_path, text)
+    assert run_cli([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert gone in err and "Traceback" not in err
+
+
+def test_cli_x0_dataset_argmin_needs_atoms(tmp_path, capsys):
+    cfg = OPTIMIZE_CFG.replace("max_steps = 400", "max_steps = 5\nx0 = dataset_argmin")
+    path = _write(tmp_path, cfg)
+    assert run_cli(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "x0 = dataset_argmin needs" in capsys.readouterr().err
+
+
+def test_cli_empirical_oracle_samples_default_count(tmp_path):
+    # neither [oracle] dataset nor sample_count: the schema default of 10000 atoms
+    base = OPTIMIZE_CFG.replace("max_steps = 400", "max_steps = 3").replace(
+        "[oracle]\nkind = exact", "[oracle]\nkind = empirical\nsigma = 0.3{count}")
+    runs = []
+    for name, count in (("default", ""), ("explicit", "\nsample_count = 10000")):
+        out = tmp_path / name
+        path = _write(tmp_path, base.format(count=count), f"{name}.cfg")
+        assert run_cli(["optimize", "--config", path, "--out", str(out)]) == 0
+        runs.append((out / "run.csv").read_bytes())
+    assert runs[0] == runs[1]
+
+
+def test_cli_orthogonal_overflowing_step_diverges(tmp_path, capsys):
+    # the retraction of an overflowed iterate is NaN, which ends the run as
+    # diverged (exit 1), as on the sphere
+    cfg = (OPTIMIZE_CFG.replace("kind = sphere\ndim = 3", "kind = orthogonal\nn = 3")
+           .replace("kind = linear\na = 1.0,2.0,-0.5", "kind = brockett")
+           .replace("gamma = 0.05", "gamma = 1e308"))
+    out = tmp_path / "o"
+    assert run_cli(["optimize", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 1
+    assert "termination = diverged" in (out / "run.meta.txt").read_text()
+
+
+@pytest.mark.parametrize("algorithm, message", [
+    ("kind = landing_descent\ngamma = -0.5", r"gamma = -0.5 \(need > 0\)"),
+    ("kind = riemannian_gd\nmax_steps = -1", r"max_steps = -1 \(need >= 0\)"),
+], ids=["landing_descent_gamma", "riemannian_gd_max_steps"])
+def test_cli_optimizer_parameters_checked(tmp_path, capsys, algorithm, message):
+    cfg = OPTIMIZE_CFG.replace("kind = drgd\ngamma = 0.05\nmax_steps = 400", algorithm)
+    path = _write(tmp_path, cfg)
+    assert run_cli(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert re.search(message, capsys.readouterr().err)
+
+
+def test_validate_rejects_oracle_sigma():
+    # the rate check sweeps [algorithm] sigmas; a fixed oracle sigma would be ignored
+    with pytest.raises(ConfigError, match="'sigma' in \\[oracle\\] is not used by"):
+        parse_config_text("[experiment]\nkind = validate\n\n[oracle]\nsigma = 0.1\n\n"
+                          "[algorithm]\ncheck = rate\n")
+
+
+RATE_CFG = """\
+[experiment]
+kind = validate
+seed = 3
+
+[oracle]
+{oracle}
+
+[manifold]
+kind = circle
+
+[algorithm]
+check = rate
+n_points = 4
+sigmas = 0.4,0.2,0.1
+
+[output]
+dir = out
+"""
+
+
+def test_cli_rate_check_builds_oracle_atoms_once(tmp_path, monkeypatch):
+    from msopt import cli
+    from msopt.manifolds import Sphere
+    from msopt.score.mlp import make_score_mlp
+
+    calls = []
+    for owner, name in ((Sphere, "sample_uniform"), (cli, "load_score_mlp")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name, **k:
+                            calls.append(_name) or _real(*a, **k))
+    model = str(tmp_path / "m.msopt")
+    make_score_mlp(2, hidden=(8,), seed=1).save(model)
+    for oracle, expected in (
+        ("kind = empirical\nsample_count = 500", ["sample_uniform"] * 2),
+        (f"kind = mlp\nmodel = {model}", ["sample_uniform", "load_score_mlp"]),
+    ):
+        calls.clear()
+        path = _write(tmp_path, RATE_CFG.format(oracle=oracle))
+        assert run_cli(["validate", "--config", path, "--out", str(tmp_path / "r")]) == 0
+        # one draw of test points by the sweep, one build of the oracle's atoms or network
+        assert sorted(calls) == sorted(expected)
+
+
+@pytest.fixture
+def key_reads(monkeypatch):
+    """Every (section, key) looked up through ExperimentConfig.get or has."""
+    from msopt.config import ExperimentConfig
+
+    reads = set()
+    for name in ("get", "has"):
+        real = getattr(ExperimentConfig, name)
+        monkeypatch.setattr(ExperimentConfig, name, lambda self, section, key, _real=real:
+                            reads.add((section, key)) or _real(self, section, key))
+    return reads
+
+
+def _run_reading_every_key(reads, argv):
+    """Run one invocation; fail if a key its config sets is never read.
+
+    [experiment] kind and seed are consumed by the parser itself.
+    """
+    config = argv[argv.index("--config") + 1]
+    reads.clear()
+    assert run_cli(argv) == 0
+    unread = {k for k in load_config(config).values if k[0] != "experiment"} - reads
+    assert not unread, f"{config}: set but never read: {sorted(unread)}"
+
+
+def test_shipped_configs_read_every_key(tmp_path, monkeypatch, key_reads):
+    import shutil
+
+    shutil.copytree(os.path.join(os.path.dirname(__file__), "..", "configs"), tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    # the tracking config reads the dataset the data config writes
+    for command, name in (("generate-data", "unicycle_data"), ("optimize", "unicycle_tracking"),
+                          ("optimize", "brockett_drgd"), ("validate", "rate_circle"),
+                          ("validate", "landing_sphere")):
+        _run_reading_every_key(key_reads, [command, "--config", f"configs/{name}.cfg"])
+
+
+def test_tracking_with_trained_score(tmp_path, monkeypatch, key_reads):
+    # generate-data -> train-score on the trajectory directory -> optimize with kind = mlp
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "[experiment]\nkind = generate-data\nseed = 6\n\n"
+                     "[manifold]\nkind = unicycle\nhorizon = 6\ncount = 60\n\n"
+                     "[output]\ndir = traj\n", "gen.cfg")
+    _write(tmp_path, "[experiment]\nkind = train-score\nseed = 4\n\n[oracle]\ndataset = traj\n\n"
+                     "[algorithm]\nepochs = 30\nbatch = 32\nhidden = 16,16\n\n"
+                     "[output]\ndir = model\n", "train.cfg")
+    _write(tmp_path, _tracking_cfg("traj", oracle="kind = mlp\nmodel = model/model.msopt\n"
+                                                  "sigma = 0.1").replace("dir = out", "dir = run"),
+           "opt.cfg")
+    for command, name in (("generate-data", "gen"), ("train-score", "train"), ("optimize", "opt")):
+        _run_reading_every_key(key_reads, [command, "--config", f"{name}.cfg"])
+    meta = (tmp_path / "run" / "run.meta.txt").read_text()
+    assert "oracle = MlpScoreOracle" in meta and "sigma = 0.10000000000000001" in meta
+    assert "backtest_gap" in (tmp_path / "run" / "summary.txt").read_text()
+    assert (tmp_path / "run" / "optimized_point.csv").exists()

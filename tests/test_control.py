@@ -162,6 +162,24 @@ def test_dataset_load_rejects_inconsistent_files(tmp_path):
             TrajectoryDataset.load(tmp_path / "ds")
 
 
+def test_dataset_load_rejects_inconsistent_meta(tmp_path):
+    ds = generate_dataset(SystemModel("unicycle"), count=4, horizon=6, seed=11)
+    ds.save(tmp_path / "ds")
+    meta = tmp_path / "ds" / "meta.txt"
+    lines = meta.read_text().splitlines()
+    cases = (
+        ([l for l in lines if not l.startswith("seed")], "missing key\\(s\\) seed"),
+        ([("norm_shift = 1,2" if l.startswith("norm_shift") else l) for l in lines],
+         "norm_shift has 2 entries, but the rows of .*data.csv have 33"),
+        ([l.rsplit(",", 1)[0] if l.startswith("norm_scale") else l for l in lines],
+         "norm_scale has 32 entries"),
+    )
+    for content, message in cases:
+        meta.write_text("\n".join(content) + "\n")
+        with pytest.raises(ValueError, match=f"{meta}: {message}"):
+            TrajectoryDataset.load(tmp_path / "ds")
+
+
 def test_normalization_roundtrip():
     ds = generate_dataset(SystemModel("unicycle"), count=10, horizon=5, seed=13)
     flat = ds.flatten()

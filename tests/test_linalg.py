@@ -3,45 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from msopt.linalg import fd_jacobian, rk4_step, scaled_norm, svd
-
-
-def test_svd_identity():
-    res = svd(np.eye(3))
-    assert np.allclose(res.singular_values, [1.0, 1.0, 1.0])
-
-
-def test_svd_diagonal():
-    res = svd(np.diag([3.0, 2.0, 1.0]))
-    assert np.allclose(res.singular_values, [3.0, 2.0, 1.0])
-
-
-def test_svd_offdiagonal():
-    # singular values are sqrt of eigenvalues of M^T M = diag(0.25, 4)
-    m = np.array([[0.0, 2.0], [-0.5, 0.0]])
-    res = svd(m)
-    assert np.allclose(res.singular_values, [2.0, 0.5], atol=1e-12)
-
-
-def test_svd_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-def test_svd_reconstruction_property():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        rows = rng.integers(1, 21)
-        cols = rng.integers(1, 21)
-        m = rng.standard_normal((rows, cols)) * rng.uniform(0.1, 10.0)
-        res = svd(m)
-        rebuilt = res.u @ np.diag(res.singular_values) @ res.vt
-        scale = max(np.linalg.norm(m), 1e-30)
-        assert np.linalg.norm(rebuilt - m) / scale <= 1e-10
-        k = res.singular_values.size
-        assert np.abs(res.u.T @ res.u - np.eye(k)).max() <= 1e-10
-        assert np.abs(res.vt @ res.vt.T - np.eye(k)).max() <= 1e-10
-        assert np.all(np.diff(res.singular_values) <= 0)
+from msopt.linalg import fd_jacobian, rk4_step, scaled_norm
 
 
 def test_scaled_norm_without_under_or_overflow():

@@ -49,6 +49,18 @@ def test_projection_degenerate_points_rejected():
         Orthogonal(2).project(np.diag([1.0, 0.0]).reshape(-1))
 
 
+def test_projection_of_non_finite_points_is_nan():
+    # no error: the optimizer's runaway check reads the NaN as divergence.
+    # On the sphere a coordinate that is 0 times the inf scale stays 0; on
+    # O(3) LAPACK's SVD of the inf input does not return, so it is never asked
+    # (this test hangs if it is).
+    for manifold in (Sphere(3), Orthogonal(3)):
+        for bad in (np.nan, np.inf):
+            x = manifold.sample_uniform(1, seed=4)[0]
+            x[:2] = bad
+            assert np.isnan(manifold.project(x)).any()
+
+
 def test_sphere_tangent_project_examples():
     circ = Circle()
     assert np.allclose(circ.tangent_project([1.0, 0.0], [0.0, 3.0]), [0.0, 3.0])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,36 @@ def test_riemannian_gd_rejects_off_manifold_start():
     with pytest.raises(ValueError):
         riemannian_gd_baseline(sph, ZeroObjective(3), np.array([2.0, 0.0, 0.0]),
                                gamma=0.1, max_steps=10)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"step": 0.0}, "STEP = 0.0 (need > 0)"),
+    ({"step": -0.5}, "STEP = -0.5 (need > 0)"),
+    ({"step": float("nan")}, "STEP = nan (need > 0)"),
+    ({"max_steps": -1}, "max_steps = -1 (need >= 0)"),
+    ({"eta": -1.0}, "eta = -1.0 (need >= 0)"),
+], ids=["zero_step", "negative_step", "nan_step", "negative_max_steps", "negative_eta"])
+def test_optimizers_share_one_parameter_check(bad, message):
+    # a negative step would run an ascent, a negative budget an empty record;
+    # all four optimizers reject both before the first step
+    sph, obj, _ = _sphere_linear()
+    x0 = sph.sample_uniform(1, seed=2)[0]
+    adapter = ExactManifoldAdapter(sph)
+    p = {"step": 1e-3, "max_steps": 10, "eta": 1.0, **bad}
+    runs = [
+        ("t_step", lambda: DlfConfig(t_step=p["step"], eta=p["eta"], max_steps=p["max_steps"])),
+        ("gamma", lambda: landing_descent_run(adapter, obj, x0, gamma=p["step"], eta=p["eta"],
+                                              max_steps=p["max_steps"])),
+    ]
+    if "eta" not in bad:
+        runs += [
+            ("gamma", lambda: DrgdConfig(gamma=p["step"], max_steps=p["max_steps"])),
+            ("gamma", lambda: riemannian_gd_baseline(sph, obj, x0, gamma=p["step"],
+                                                     max_steps=p["max_steps"])),
+        ]
+    for step_name, run in runs:
+        with pytest.raises(ValueError, match=re.escape(message.replace("STEP", step_name))):
+            run()
 
 
 def test_running_average_sq_grad_norm_nonincreasing_for_tol_runs():
