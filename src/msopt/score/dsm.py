@@ -94,7 +94,7 @@ def dsm_train(dataset, mlp: ScoreMlp, cfg: DsmTrainConfig):
                 f"(lr {_cosine_lr(step, cfg.epochs, cfg.lr_hi, cfg.lr_lo):.2e}, "
                 f"batch {cfg.batch})"
             )
-        grads_nested, _ = mlp.backward(acts, pres, 2.0 * residual / cfg.batch)
+        grads_nested = mlp.backward(acts, pres, 2.0 * residual / cfg.batch)
         grads = [arr for pair in grads_nested for arr in pair]
         opt.step(params, grads, _cosine_lr(step, cfg.epochs, cfg.lr_hi, cfg.lr_lo))
 

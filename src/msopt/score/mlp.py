@@ -3,9 +3,10 @@
 The network takes (x, sigma) concatenated and returns the *scaled* score
 s_tilde; the score itself is s_tilde / sigma, which keeps regression targets
 O(1) across noise levels. All forward/backward math is hand-rolled numpy on
-the fixed topology: training needs parameter gradients, the optimizers need
-exact input Jacobians (or vector-Jacobian products) with the same ReLU
-subgradient (ties at 0 take derivative 0) used during training.
+the fixed topology: training needs parameter gradients (`backward`), the
+optimizers need exact input Jacobians or vector-Jacobian products
+(`input_backward`), both with the ReLU subgradient that takes derivative 0
+at a tie at 0.
 """
 
 import struct
@@ -15,6 +16,16 @@ import numpy as np
 from msopt import rng as _rng
 
 _MAGIC = b"MSOPT1"
+
+
+def _net_input(x, sigma):
+    """Network input rows (x, sigma) for a batch (B, d); sigma is one value
+    or one per row."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    a = np.empty((x.shape[0], x.shape[1] + 1))
+    a[:, :-1] = x
+    a[:, -1] = sigma
+    return a
 
 
 class ScoreMlp:
@@ -41,9 +52,7 @@ class ScoreMlp:
 
     def forward_raw(self, x, sigma):
         """Scaled score s_tilde for a batch (B, d) with per-sample sigma (B,)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (x.shape[0],))
-        h = np.concatenate([x, sigma[:, None]], axis=1)
+        h = _net_input(x, sigma)
         last = len(self.layers) - 1
         for i, (w, b) in enumerate(self.layers):
             h = h @ w.T + b
@@ -53,10 +62,7 @@ class ScoreMlp:
 
     def forward_cached(self, x, sigma):
         """Forward pass keeping pre-activations for backprop."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (x.shape[0],))
-        a = np.concatenate([x, sigma[:, None]], axis=1)
-        acts = [a]
+        acts = [_net_input(x, sigma)]
         pres = []
         last = len(self.layers) - 1
         for i, (w, b) in enumerate(self.layers):
@@ -66,36 +72,31 @@ class ScoreMlp:
         return acts, pres
 
     def backward(self, acts, pres, dout):
-        """Parameter gradients and input gradient for a cached forward pass."""
+        """Parameter gradients of a cached forward pass, for training.
+
+        The loop stops at the first layer's parameters: training has no use
+        for the input gradient, which is `input_backward`'s job.
+        """
         grads = [None] * len(self.layers)
         delta = np.asarray(dout, dtype=float)
         for i in range(len(self.layers) - 1, -1, -1):
-            w, _ = self.layers[i]
             grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
-            delta = delta @ w
             if i > 0:
+                delta = delta @ self.layers[i][0]
                 delta = delta * (pres[i - 1] > 0.0)
-        return grads, delta
+        return grads
 
-    def score(self, x, sigma):
-        """Score estimate s_tilde / sigma at a single point."""
-        x = np.asarray(x, dtype=float)
-        return self.forward_raw(x[None, :], float(sigma))[0] / float(sigma)
+    def input_backward(self, pres, dout):
+        """Rows dout^T d(s_tilde)/d(x, sigma) of a cached forward pass.
 
-    def input_jacobian_raw(self, x, sigma) -> np.ndarray:
-        """Exact Jacobian of s_tilde w.r.t. x (sigma column dropped)."""
-        acts, pres = self.forward_cached(np.asarray(x, dtype=float)[None, :], float(sigma))
-        jac = self.layers[0][0].copy()
-        for i in range(1, len(self.layers)):
-            mask = (pres[i - 1][0] > 0.0).astype(float)
-            jac = self.layers[i][0] @ (mask[:, None] * jac)
-        return jac[:, :-1]
-
-    def input_vjp_raw(self, x, sigma, v) -> np.ndarray:
-        """Vector-Jacobian product v^T d(s_tilde)/dx via one backward pass."""
-        acts, pres = self.forward_cached(np.asarray(x, dtype=float)[None, :], float(sigma))
-        _, dinp = self.backward(acts, pres, np.asarray(v, dtype=float)[None, :])
-        return dinp[0, :-1]
+        The same masked chain as `backward` (ReLU masks pres > 0) with no
+        parameter gradients; the last column is the sigma input's.
+        """
+        delta = np.asarray(dout, dtype=float)
+        for i in range(len(self.layers) - 1, 0, -1):
+            delta = delta @ self.layers[i][0]
+            delta = delta * (pres[i - 1] > 0.0)
+        return delta @ self.layers[0][0]
 
     # ---- persistence --------------------------------------------------------
 

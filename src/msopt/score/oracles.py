@@ -11,8 +11,10 @@ the noise posterior at x:
   .link       the link value ell_sigma(x), or None when the oracle has none.
 
 The last three are evaluated on request from the same state (for a mixture,
-the same posterior weights), so a mean and a product at one x cost one
-weight computation.
+the same posterior weights; for the network, the ReLU masks of the forward
+pass that gave the mean), so a mean and a product at one x cost one weight
+computation or one network forward. The network's products then run only
+the input end of backprop, `ScoreMlp.input_backward`.
 
 A mixture posterior costs one matrix-vector product over all N atoms for
 the logits (p.x - ||p||^2/2) / sigma^2, with ||p||^2 cached by the oracle;
@@ -38,6 +40,12 @@ from msopt.score.mlp import ScoreMlp
 
 # exp(t) is exactly 0.0 in float64 for t < -745.14
 _LOGIT_WINDOW = 746.0
+
+
+def _check_sigma(oracle, sigma):
+    # a plain `sigma <= 0` test lets NaN and inf through
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"{oracle} oracle needs finite sigma > 0, got sigma = {sigma!r}")
 
 
 class _MixturePosterior:
@@ -116,8 +124,7 @@ class EmpiricalScoreOracle(_MixtureOracle):
         dataset = np.atleast_2d(np.asarray(dataset, dtype=float))
         if dataset.shape[0] == 0:
             raise ValueError("empirical oracle needs a nonempty dataset")
-        if sigma <= 0:
-            raise ValueError("empirical oracle needs sigma > 0")
+        _check_sigma("empirical", sigma)
         super().__init__(dataset, sigma)
 
 
@@ -134,8 +141,7 @@ class QuadratureScoreOracle(_MixtureOracle):
             raise ValueError("quadrature oracle supports circles only")
         if node_count < 64:
             raise ValueError("quadrature oracle needs node_count >= 64")
-        if sigma <= 0:
-            raise ValueError("quadrature oracle needs sigma > 0")
+        _check_sigma("quadrature", sigma)
         ang = 2.0 * np.pi * np.arange(node_count) / node_count
         super().__init__(manifold.radius * np.stack([np.cos(ang), np.sin(ang)], axis=1), sigma)
         self.manifold = manifold
@@ -182,23 +188,29 @@ class ExactManifoldAdapter:
 
 
 class _MlpPosterior:
-    """Network Tweedie mean at one point; no link value."""
+    """Network Tweedie mean at one point from one cached forward pass; no link.
+
+    The pre-activations of that pass are kept, so `vjp` and `jacobian` run
+    only the input end of backprop over its ReLU masks.
+    """
 
     link = None
 
     def __init__(self, mlp, sigma, x):
         self.mlp = mlp
         self.sigma = sigma
-        self.x = x
-        self.mean = x + sigma**2 * mlp.score(x, sigma)
+        acts, self._pres = mlp.forward_cached(x[None, :], sigma)
+        # s(x) = x + sigma^2 * score, with score = s_tilde / sigma
+        self.mean = x + sigma**2 * (acts[-1][0] / sigma)
 
     def vjp(self, v) -> np.ndarray:
-        # s'(x)^T v = v + sigma * (d s_tilde/dx)^T v, one forward-backward pass.
+        # s'(x)^T v = v + sigma * (d s_tilde/dx)^T v; the sigma column is dropped
         v = np.asarray(v, dtype=float)
-        return v + self.sigma * self.mlp.input_vjp_raw(self.x, self.sigma, v)
+        return v + self.sigma * self.mlp.input_backward(self._pres, v[None, :])[0, :-1]
 
     def jacobian(self) -> np.ndarray:
-        return np.eye(self.x.size) + self.sigma * self.mlp.input_jacobian_raw(self.x, self.sigma)
+        eye = np.eye(self.mean.size)
+        return eye + self.sigma * self.mlp.input_backward(self._pres, eye)[:, :-1]
 
 
 class MlpScoreOracle:
@@ -207,8 +219,7 @@ class MlpScoreOracle:
     has_link = False
 
     def __init__(self, mlp: ScoreMlp, sigma: float):
-        if sigma <= 0:
-            raise ValueError("mlp oracle needs sigma > 0")
+        _check_sigma("mlp", sigma)
         self.mlp = mlp
         self.sigma = float(sigma)
 

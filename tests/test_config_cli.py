@@ -449,12 +449,32 @@ def test_cli_orthogonal_overflowing_step_diverges(tmp_path, capsys):
 @pytest.mark.parametrize("algorithm, message", [
     ("kind = landing_descent\ngamma = -0.5", r"gamma = -0.5 \(need > 0\)"),
     ("kind = riemannian_gd\nmax_steps = -1", r"max_steps = -1 \(need >= 0\)"),
-], ids=["landing_descent_gamma", "riemannian_gd_max_steps"])
+    ("kind = drgd\ngamma = inf\nmax_steps = 400", r"gamma = inf \(need finite\)"),
+    ("kind = dlf\nt_step = inf\neta = 1.0\nmax_steps = 400", r"t_step = inf \(need finite\)"),
+    ("kind = landing_descent\ngamma = 0.01\neta = inf\nmax_steps = 400",
+     r"eta = inf \(need finite\)"),
+], ids=["landing_descent_gamma", "riemannian_gd_max_steps", "drgd_gamma_inf", "dlf_t_step_inf",
+        "landing_descent_eta_inf"])
 def test_cli_optimizer_parameters_checked(tmp_path, capsys, algorithm, message):
     cfg = OPTIMIZE_CFG.replace("kind = drgd\ngamma = 0.05\nmax_steps = 400", algorithm)
     path = _write(tmp_path, cfg)
     assert run_cli(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert re.search(message, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_cli_non_finite_sigma_exits_2(tmp_path, capsys, sigma):
+    # the shipped Brockett run with a non-finite sigma: NaN ended as diverged
+    # (exit 1) and inf as grad_tol at step 0 (exit 0, a wrong result)
+    shipped = os.path.join(os.path.dirname(__file__), "..", "configs", "brockett_drgd.cfg")
+    with open(shipped) as fh:
+        cfg = fh.read()
+    assert "sigma = 0.05\n" in cfg
+    path = _write(tmp_path, cfg.replace("sigma = 0.05\n", f"sigma = {sigma}\n"))
+    out = tmp_path / "o"
+    assert run_cli(["optimize", "--config", path, "--out", str(out)]) == 2
+    assert f"empirical oracle needs finite sigma > 0, got sigma = {sigma}" in capsys.readouterr().err
+    assert not (out / "run.csv").exists()
 
 
 def test_validate_rejects_oracle_sigma():

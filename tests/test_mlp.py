@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from msopt.linalg import fd_jacobian
+from msopt.manifolds import Circle
+from msopt.objectives import LinearObjective
+from msopt.optim import DrgdConfig, drgd_run
+from msopt.score.dsm import DsmTrainConfig, dsm_train
 from msopt.score.mlp import ScoreMlp, load_score_mlp, make_score_mlp
 from msopt.score.oracles import MlpScoreOracle
 
@@ -66,10 +70,117 @@ def test_relu_tie_takes_zero_derivative():
     w1 = np.array([[1.0, 0.0]])  # input (x, sigma); pre = x
     w2 = np.array([[2.0]])
     mlp = ScoreMlp([(w1, np.zeros(1)), (w2, np.zeros(1))])
-    jac = mlp.input_jacobian_raw(np.array([0.0]), 0.5)
-    assert jac[0, 0] == 0.0
-    jac_pos = mlp.input_jacobian_raw(np.array([0.1]), 0.5)
-    assert jac_pos[0, 0] == 2.0
+    oracle = MlpScoreOracle(mlp, 0.5)
+    for x, raw in ((0.0, 0.0), (0.1, 2.0)):
+        _, pres = mlp.forward_cached(np.array([[x]]), 0.5)
+        jac = mlp.input_backward(pres, np.eye(1))[:, :-1]
+        assert jac[0, 0] == raw
+        # Tweedie Jacobian 1 + sigma * raw through the posterior
+        assert oracle.posterior(np.array([x])).jacobian()[0, 0] == 1.0 + 0.5 * raw
+
+
+def _full_backward(mlp, acts, pres, dout):
+    """Backprop through every layer: parameter gradients and input gradient."""
+    grads = [None] * len(mlp.layers)
+    delta = np.asarray(dout, dtype=float)
+    for i in range(len(mlp.layers) - 1, -1, -1):
+        w, _ = mlp.layers[i]
+        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
+        delta = delta @ w
+        if i > 0:
+            delta = delta * (pres[i - 1] > 0.0)
+    return grads, delta
+
+
+def _random_net(seed, hidden=(16, 16, 16), d=2):
+    mlp = make_score_mlp(d, hidden=hidden, seed=seed)
+    rng = np.random.default_rng(seed)
+    for w, b in mlp.layers:
+        w += rng.standard_normal(w.shape) * 0.3
+        b += rng.standard_normal(b.shape) * 0.3
+    return mlp
+
+
+def test_posterior_runs_one_network_forward():
+    mlp = _random_net(1)
+    calls = []
+    for name in ("forward_raw", "forward_cached"):
+        method = getattr(mlp, name)
+        setattr(mlp, name, lambda *a, _m=method, _n=name: calls.append(_n) or _m(*a))
+    post = MlpScoreOracle(mlp, 0.3).posterior(np.array([0.4, -0.2]))
+    assert calls == ["forward_cached"]
+    post.vjp(np.array([1.0, 2.0]))
+    post.jacobian()
+    post.vjp(np.array([-0.5, 0.0]))
+    assert calls == ["forward_cached"]
+
+
+def test_input_backward_matches_full_backward_bitwise():
+    mlp = _random_net(2)
+    # a unit of the first and of the second hidden layer sits exactly at
+    # pre-activation 0 for every input: a ReLU tie, derivative 0
+    for layer in mlp.layers[:2]:
+        layer[0][0] = 0.0
+        layer[1][0] = 0.0
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((5, 2))
+    acts, pres = mlp.forward_cached(x, rng.uniform(0.1, 1.0, 5))
+    assert (pres[0][:, 0] == 0.0).all() and (pres[1][:, 0] == 0.0).all()
+    dout = rng.standard_normal((5, 2))
+    grads_ref, dinp_ref = _full_backward(mlp, acts, pres, dout)
+    assert np.array_equal(mlp.input_backward(pres, dout), dinp_ref)
+    for (gw, gb), (rw, rb) in zip(mlp.backward(acts, pres, dout), grads_ref):
+        assert np.array_equal(gw, rw) and np.array_equal(gb, rb)
+    # one point, as the posterior runs it: a vjp, and the Jacobian rows
+    # against the reference on two copies of the point
+    acts, pres = mlp.forward_cached(x[:1], 0.4)
+    v = dout[:1]
+    assert np.array_equal(mlp.input_backward(pres, v), _full_backward(mlp, acts, pres, v)[1])
+    acts2, pres2 = mlp.forward_cached(np.repeat(x[:1], 2, axis=0), 0.4)
+    eye = np.eye(2)
+    assert np.array_equal(mlp.input_backward(pres, eye),
+                          _full_backward(mlp, acts2, pres2, eye)[1])
+
+
+def test_mlp_drgd_matches_reference_loop_bitwise():
+    # the reference keeps the formulas of a separate forward for the mean and
+    # a forward plus full backward for the product
+    # a briefly trained network pulls toward the circle, so the run is bounded
+    mlp = make_score_mlp(2, hidden=(32, 32, 32), seed=4)
+    dsm_train(Circle().sample_uniform(200, seed=5), mlp,
+              DsmTrainConfig(epochs=300, batch=64, seed=6))
+    sigma, gamma, steps = 0.2, 0.01, 200
+    obj = LinearObjective(np.array([1.0, -0.5]))
+    x0 = np.array([0.9, 0.3])
+
+    def mean(x):
+        return x + sigma**2 * (mlp.forward_raw(x[None, :], sigma)[0] / sigma)
+
+    def vjp(x, v):
+        acts, pres = mlp.forward_cached(x[None, :], sigma)
+        return v + sigma * _full_backward(mlp, acts, pres, v[None, :])[1][0, :-1]
+
+    x, step_norm = x0.copy(), 0.0
+    rows = []
+    for k in range(steps + 1):
+        rows.append((k, obj.value(x), obj.value(mean(x)), step_norm))
+        if k == steps:
+            break
+        x_next = mean(x - gamma * vjp(x, obj.gradient(x)))
+        step_norm = float(np.linalg.norm(x_next - x))
+        x = x_next
+    ref = np.array(rows)
+
+    cfg = DrgdConfig(gamma=gamma, max_steps=steps, stop_grad_tol=0.0)
+    record, xf = drgd_run(MlpScoreOracle(mlp, sigma), obj, x0, cfg)
+    assert record.metadata["termination"] == "budget"
+    assert np.array_equal(record.steps, ref[:, 0])
+    assert np.array_equal(record.objective, ref[:, 1])
+    assert np.array_equal(record.surrogate_objective, ref[:, 2])
+    assert np.array_equal(record.step_norm, ref[:, 3])
+    assert np.array_equal(xf, x) and np.array_equal(record.final_point, x)
+    # the iterates moved: the check is not of a fixed point
+    assert np.linalg.norm(x - x0) > 0.1
 
 
 def test_save_load_roundtrip(tmp_path):

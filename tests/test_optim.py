@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from msopt.errors import MsoptError
+from msopt.linalg import scaled_norm
 from msopt.manifolds import Circle, Orthogonal, Sphere
 from msopt.objectives import LinearObjective, ZeroObjective, random_brockett, brockett_optimum
 from msopt.optim import (
@@ -237,6 +238,22 @@ def test_stop_test_does_not_underflow():
         assert record.metadata["termination"] == termination
 
 
+@pytest.mark.parametrize("scale", [1e-180, 1e-162])
+def test_recorded_gradient_norm_does_not_underflow(scale):
+    # a norm that squares the entries records a ~1e-180 true Riemannian
+    # gradient as 0 and a ~1e-162 one 3 % short
+    sph = Sphere(3)
+    obj = LinearObjective(np.array([1.0, 2.0, -0.5]) * scale)
+    x0 = sph.sample_uniform(1, seed=11)[0]
+    record, _ = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=3,
+                                       stop_grad_tol=scale * 1e-20)
+    assert record.metadata["termination"] == "budget"
+    p = sph.project(x0)
+    expected = scaled_norm(sph.riemannian_grad(p, obj.gradient(p)))
+    assert expected > 0.1 * scale
+    assert np.allclose(record.riem_grad_norm, expected, rtol=1e-14, atol=0.0)
+
+
 def test_riemannian_gd_rejects_off_manifold_start():
     sph = Sphere(3)
     with pytest.raises(ValueError):
@@ -250,10 +267,15 @@ def test_riemannian_gd_rejects_off_manifold_start():
     ({"step": float("nan")}, "STEP = nan (need > 0)"),
     ({"max_steps": -1}, "max_steps = -1 (need >= 0)"),
     ({"eta": -1.0}, "eta = -1.0 (need >= 0)"),
-], ids=["zero_step", "negative_step", "nan_step", "negative_max_steps", "negative_eta"])
+    ({"step": float("inf")}, "STEP = inf (need finite)"),
+    ({"eta": float("inf")}, "eta = inf (need finite)"),
+    ({"eta": float("nan")}, "eta = nan (need >= 0)"),
+], ids=["zero_step", "negative_step", "nan_step", "negative_max_steps", "negative_eta",
+        "inf_step", "inf_eta", "nan_eta"])
 def test_optimizers_share_one_parameter_check(bad, message):
-    # a negative step would run an ascent, a negative budget an empty record;
-    # all four optimizers reject both before the first step
+    # a negative step would run an ascent, a negative budget an empty record,
+    # an infinite step a non-finite iterate; all four optimizers reject them
+    # before the first step
     sph, obj, _ = _sphere_linear()
     x0 = sph.sample_uniform(1, seed=2)[0]
     adapter = ExactManifoldAdapter(sph)

@@ -1,12 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.special import ive
 
 from msopt.linalg import fd_gradient, fd_jacobian
 from msopt.manifolds import Circle, Orthogonal, Sphere
+from msopt.score.mlp import make_score_mlp
 from msopt.score.oracles import (
     EmpiricalScoreOracle,
     ExactManifoldAdapter,
+    MlpScoreOracle,
     QuadratureScoreOracle,
 )
 
@@ -38,8 +42,17 @@ def test_two_atom_symmetry_and_closed_form():
 def test_invalid_construction():
     with pytest.raises(ValueError):
         EmpiricalScoreOracle(np.zeros((0, 2)), sigma=0.5)
-    with pytest.raises(ValueError):
-        EmpiricalScoreOracle(np.zeros((3, 2)), sigma=0.0)
+    # NaN and inf pass a plain `sigma <= 0` test
+    constructors = (
+        ("empirical", lambda s: EmpiricalScoreOracle(np.zeros((3, 2)), sigma=s)),
+        ("quadrature", lambda s: QuadratureScoreOracle(Circle(), 64, sigma=s)),
+        ("mlp", lambda s: MlpScoreOracle(make_score_mlp(2, hidden=(4,), seed=0), sigma=s)),
+    )
+    for kind, build in constructors:
+        for sigma in (0.0, -0.1, float("nan"), float("inf")):
+            message = f"{kind} oracle needs finite sigma > 0, got sigma = {sigma!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(sigma)
 
 
 def test_link_gradient_recovers_mean():
