@@ -447,12 +447,12 @@ def test_cli_orthogonal_overflowing_step_diverges(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("algorithm, message", [
-    ("kind = landing_descent\ngamma = -0.5", r"gamma = -0.5 \(need > 0\)"),
+    ("kind = landing_descent\ngamma = -0.5", r"gamma = -0.5 \(need finite > 0\)"),
     ("kind = riemannian_gd\nmax_steps = -1", r"max_steps = -1 \(need >= 0\)"),
-    ("kind = drgd\ngamma = inf\nmax_steps = 400", r"gamma = inf \(need finite\)"),
-    ("kind = dlf\nt_step = inf\neta = 1.0\nmax_steps = 400", r"t_step = inf \(need finite\)"),
+    ("kind = drgd\ngamma = inf\nmax_steps = 400", r"gamma = inf \(need finite > 0\)"),
+    ("kind = dlf\nt_step = inf\neta = 1.0\nmax_steps = 400", r"t_step = inf \(need finite > 0\)"),
     ("kind = landing_descent\ngamma = 0.01\neta = inf\nmax_steps = 400",
-     r"eta = inf \(need finite\)"),
+     r"eta = inf \(need finite >= 0\)"),
 ], ids=["landing_descent_gamma", "riemannian_gd_max_steps", "drgd_gamma_inf", "dlf_t_step_inf",
         "landing_descent_eta_inf"])
 def test_cli_optimizer_parameters_checked(tmp_path, capsys, algorithm, message):
