@@ -9,8 +9,6 @@ import math
 
 import numpy as np
 
-FD_STEP = 1e-5
-
 
 def scaled_norm(v) -> float:
     """2-norm that neither underflows nor overflows.
@@ -20,28 +18,6 @@ def scaled_norm(v) -> float:
     the optimizer loops it is also the cheaper call.
     """
     return math.hypot(*np.ravel(v).tolist())
-
-
-def fd_gradient(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function."""
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2 * h)
-    return g
-
-
-def fd_jacobian(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """Central-difference Jacobian; column i is d f / d x_i."""
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        cols.append((np.asarray(f(x + e), dtype=float) - np.asarray(f(x - e), dtype=float)) / (2 * h))
-    return np.stack(cols, axis=-1)
 
 
 def rk4_step(f, x: np.ndarray, u, dt: float) -> np.ndarray:

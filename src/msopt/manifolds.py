@@ -3,6 +3,22 @@
 These provide the ground-truth projection pi, tangent projection, uniform
 sampling and distance against which the score surrogates are validated.
 Matrix manifolds flatten to ambient vectors row-major.
+
+The derivative of pi is taken in closed form, never numerically. Both
+projections are gradients of a potential (r ||x|| resp. the nuclear norm), so
+their Jacobians are symmetric and a vector-Jacobian product is the forward
+derivative:
+
+  sphere  pi(x) = r x/||x||, with u = x/||x||:
+          pi'(x) v = (r/||x||) (v - (u.v) u)
+  O(n)    pi(X) = U V^T for X = U S V^T (the polar factor); with
+          F = U^T E V and Omega_ij = (F_ij - F_ji)/(s_i + s_j),
+          pi'(X)[E] = U Omega V^T
+          (Higham, Functions of Matrices, 2008; Absil, Mahony and
+          Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008)
+
+`projection_vjp(x, v)` is that product and `projection_jacobian(x)` the
+matrix; on O(n) both, like `project`, come from one SVD of X.
 """
 
 from dataclasses import dataclass
@@ -11,7 +27,6 @@ import numpy as np
 
 from msopt import rng as _rng
 from msopt.errors import MsoptError, ProjectionError
-from msopt.linalg import fd_jacobian
 
 _DEGENERATE_TOL = 1e-12
 _ON_MANIFOLD_TOL = 1e-9
@@ -36,9 +51,13 @@ class _Manifold:
         """Constraint residual reported in run records (see subclasses)."""
         return self.dist_to_manifold(x)
 
-    def projection_jacobian(self, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-        """Jacobian of the closest-point projection at x (finite differences)."""
-        return fd_jacobian(self.project, np.asarray(x, dtype=float), h=h)
+    def projection_jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Jacobian pi'(x) of the closest-point projection (symmetric)."""
+        raise NotImplementedError
+
+    def projection_vjp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """pi'(x)^T v = pi'(x) v, without building the Jacobian."""
+        raise NotImplementedError
 
     def _check_on_manifold(self, p: np.ndarray):
         res = self.constraint_residual(p)
@@ -66,14 +85,17 @@ class Sphere(_Manifold):
     def constraint_residual(self, p) -> float:
         return float(abs(np.linalg.norm(p) - self.radius))
 
-    def project(self, x):
-        x = np.asarray(x, dtype=float)
+    def _norm(self, x) -> float:
         n = np.linalg.norm(x)
         if n < _DEGENERATE_TOL:
             raise ProjectionError(
                 "projection undefined at the origin (outside tubular neighborhood)"
             )
-        return (self.radius / n) * x
+        return n
+
+    def project(self, x):
+        x = np.asarray(x, dtype=float)
+        return (self.radius / self._norm(x)) * x
 
     def tangent_project(self, p, v):
         p = np.asarray(p, dtype=float)
@@ -82,13 +104,18 @@ class Sphere(_Manifold):
         u = p / np.linalg.norm(p)
         return v - (v @ u) * u
 
-    def projection_jacobian(self, x, h: float = 1e-5):
+    def projection_jacobian(self, x):
         x = np.asarray(x, dtype=float)
-        n = np.linalg.norm(x)
-        if n < _DEGENERATE_TOL:
-            raise ProjectionError("projection Jacobian undefined at the origin")
+        n = self._norm(x)
         u = x / n
         return (self.radius / n) * (np.eye(x.size) - np.outer(u, u))
+
+    def projection_vjp(self, x, v):
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        n = self._norm(x)
+        u = x / n
+        return (self.radius / n) * (v - (u @ v) * u)
 
     def sample_uniform(self, count: int, seed: int) -> np.ndarray:
         g = _rng.stream(seed, f"sphere{self.ambient_dim}").standard_normal(
@@ -138,12 +165,14 @@ class Orthogonal(_Manifold):
         """Gram residual ||X^T X - I||_F, the tube metric used in reports."""
         return self.constraint_residual(x)
 
-    def project(self, x):
+    def _svd(self, x):
+        """SVD (u, s, vt) of X behind the projection and its derivatives, or
+        None when X is not finite."""
         m = self._as_matrix(x)
         # as on the sphere, a non-finite input projects to NaN; LAPACK is not
         # asked, since its SVD can loop without end on inf entries
         if not np.isfinite(m).all():
-            return np.full(self.ambient_dim, np.nan)
+            return None
         try:
             u, s, vt = np.linalg.svd(m, full_matrices=False)
         except np.linalg.LinAlgError as exc:
@@ -153,7 +182,35 @@ class Orthogonal(_Manifold):
                 "polar factor undefined: zero singular value "
                 "(outside tubular neighborhood)"
             )
+        return u, s, vt
+
+    def project(self, x):
+        svd = self._svd(x)
+        if svd is None:
+            return np.full(self.ambient_dim, np.nan)
+        u, _, vt = svd
         return (u @ vt).reshape(-1)
+
+    @staticmethod
+    def _polar_derivative(u, s, vt, e):
+        """pi'(X)[E] for a stack of directions e of shape (..., n, n)."""
+        f = u.T @ e @ vt.T
+        return u @ ((f - np.swapaxes(f, -1, -2)) / (s[:, None] + s[None, :])) @ vt
+
+    def projection_jacobian(self, x):
+        svd = self._svd(x)
+        if svd is None:
+            return np.full((self.ambient_dim, self.ambient_dim), np.nan)
+        # row k is the derivative along the k-th basis direction, i.e. column
+        # k of the Jacobian
+        basis = np.eye(self.ambient_dim).reshape(self.ambient_dim, self.n, self.n)
+        return self._polar_derivative(*svd, basis).reshape(self.ambient_dim, -1).T
+
+    def projection_vjp(self, x, v):
+        svd = self._svd(x)
+        if svd is None:
+            return np.full(self.ambient_dim, np.nan)
+        return self._polar_derivative(*svd, self._as_matrix(v)).reshape(-1)
 
     def tangent_project(self, p, v):
         self._check_on_manifold(p)

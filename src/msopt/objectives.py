@@ -1,9 +1,10 @@
 """Objective functions with analytic gradients and ground-truth oracles.
 
 An objective exposes value(x) and gradient(x) on flattened ambient points.
-Every analytic gradient is expected to pass grad_check against central
-differences; the Brockett eigenvalue pairing provides an independent global
-optimum for the orthogonal-group experiments.
+Every analytic gradient is checked against central differences by the
+test suite (tests/finite_differences.py); the package itself never
+differentiates numerically. The Brockett eigenvalue pairing provides
+an independent global optimum for the orthogonal-group experiments.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from msopt import rng as _rng
-from msopt.linalg import fd_gradient
 
 
 class Objective:
@@ -185,16 +185,6 @@ class AffineReparamObjective(Objective):
 
     def gradient(self, z) -> np.ndarray:
         return self.scale * self.inner.gradient(self.shift + self.scale * np.asarray(z, dtype=float))
-
-
-def grad_check(obj: Objective, points, h: float = 1e-5) -> float:
-    """Max over points of ||analytic - central-difference|| / (1 + ||analytic||)."""
-    worst = 0.0
-    for x in np.atleast_2d(np.asarray(points, dtype=float)):
-        g = obj.gradient(x)
-        g_fd = fd_gradient(obj.value, x, h=h)
-        worst = max(worst, float(np.linalg.norm(g - g_fd) / (1.0 + np.linalg.norm(g))))
-    return worst
 
 
 # ---- reference trajectory generators ---------------------------------------

@@ -107,10 +107,13 @@ def load_run_record(csv_path, meta_path=None) -> RunRecord:
     )
 
 
-def _check_params(step_name: str, step: float, max_steps: int, eta: float = None):
+def _check_params(step_name: str, step: float, max_steps: int, stop_grad_tol: float,
+                  eta: float = None):
     """The one parameter check of the four optimizers: a finite positive step
-    size, a finite nonnegative landing gain (where there is one) and a
-    nonnegative step budget. NaN fails every comparison, so it is rejected."""
+    size, a finite nonnegative landing gain (where there is one), a
+    nonnegative step budget and a finite nonnegative stop tolerance. NaN
+    fails every comparison, so it is rejected (a NaN tolerance would turn
+    the stop test off)."""
     bad = []
     if not 0 < step < math.inf:
         bad.append(f"{step_name} = {step!r} (need finite > 0)")
@@ -118,6 +121,8 @@ def _check_params(step_name: str, step: float, max_steps: int, eta: float = None
         bad.append(f"eta = {eta!r} (need finite >= 0)")
     if not max_steps >= 0:
         bad.append(f"max_steps = {max_steps!r} (need >= 0)")
+    if not 0 <= stop_grad_tol < math.inf:
+        bad.append(f"stop_grad_tol = {stop_grad_tol!r} (need finite >= 0)")
     if bad:
         raise ValueError("bad optimizer parameters: " + ", ".join(bad))
 
@@ -130,7 +135,7 @@ class DlfConfig:
     stop_grad_tol: float = 1e-8
 
     def __post_init__(self):
-        _check_params("t_step", self.t_step, self.max_steps, self.eta)
+        _check_params("t_step", self.t_step, self.max_steps, self.stop_grad_tol, self.eta)
 
 
 @dataclass
@@ -140,7 +145,7 @@ class DrgdConfig:
     stop_grad_tol: float = 1e-8
 
     def __post_init__(self):
-        _check_params("gamma", self.gamma, self.max_steps)
+        _check_params("gamma", self.gamma, self.max_steps, self.stop_grad_tol)
 
 
 class _Recorder:
@@ -269,7 +274,7 @@ def landing_descent_run(score, objective, x0, gamma: float, eta: float,
     that potential when the oracle exposes the link value, so link-less
     oracles are rejected.
     """
-    _check_params("gamma", gamma, max_steps, eta)
+    _check_params("gamma", gamma, max_steps, stop_grad_tol, eta)
     if not getattr(score, "has_link", False):
         raise MsoptError("landing descent requires an oracle with a link value")
     return _landing_loop(
@@ -298,7 +303,7 @@ def drgd_run(score, objective, x0, cfg: DrgdConfig, baseline=None, record_every:
 def riemannian_gd_baseline(manifold, objective, x0, gamma: float, max_steps: int,
                            stop_grad_tol: float = 1e-8, record_every: int = 1):
     """Exact projected Riemannian gradient descent on a known manifold."""
-    _check_params("gamma", gamma, max_steps)
+    _check_params("gamma", gamma, max_steps, stop_grad_tol)
     x = manifold.project(np.array(x0, dtype=float))
     if np.linalg.norm(x - np.asarray(x0, dtype=float)) > 1e-9:
         raise ValueError("riemannian_gd_baseline requires an on-manifold start")

@@ -158,13 +158,13 @@ class _ExactPosterior:
 
     @property
     def link(self) -> float:
-        return 0.5 * float(self.x @ self.x) - 0.5 * self.manifold.dist_to_manifold(self.x) ** 2
+        return 0.5 * float(self.x @ self.x) - 0.5 * float(np.linalg.norm(self.x - self.mean)) ** 2
 
     def vjp(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if not v.any():
             return np.zeros_like(v)
-        return self.jacobian().T @ v
+        return self.manifold.projection_vjp(self.x, v)
 
     def jacobian(self) -> np.ndarray:
         return self.manifold.projection_jacobian(self.x)

@@ -15,7 +15,6 @@ import numpy as np
 
 from msopt.control import TrajectoryDataset, backtest
 from msopt.errors import MsoptError
-from msopt.linalg import fd_jacobian
 from msopt.optim import RunRecord
 from msopt.score.oracles import ExactManifoldAdapter
 
@@ -67,7 +66,7 @@ def rate_sweep(oracle_family, manifold, offsets, sigmas, n_points: int, seed: in
 
     Test points sit at offset * safe_tube_radius along manifold normals of
     uniformly sampled base points; ground truth is the exact projection and
-    its finite-difference Jacobian.
+    its closed-form Jacobian `manifold.projection_jacobian`.
     """
     sigmas = np.asarray(sorted(sigmas, reverse=True), dtype=float)
     offsets = tuple(float(o) for o in offsets)
@@ -78,7 +77,7 @@ def rate_sweep(oracle_family, manifold, offsets, sigmas, n_points: int, seed: in
             normal = manifold.unit_normal(p, seed=seed, index=i)
             x = p + off * manifold.safe_tube_radius * normal
             tests.append(x)
-            truths.append((manifold.project(x), fd_jacobian(manifold.project, x)))
+            truths.append((manifold.project(x), manifold.projection_jacobian(x)))
 
     mean_errors, jac_errors = [], []
     excluded = 0

@@ -453,10 +453,17 @@ def test_cli_orthogonal_overflowing_step_diverges(tmp_path, capsys):
     ("kind = dlf\nt_step = inf\neta = 1.0\nmax_steps = 400", r"t_step = inf \(need finite > 0\)"),
     ("kind = landing_descent\ngamma = 0.01\neta = inf\nmax_steps = 400",
      r"eta = inf \(need finite >= 0\)"),
+    ("kind = drgd\ngamma = 0.05\nmax_steps = 400\nstop_grad_tol = nan",
+     r"stop_grad_tol = nan \(need finite >= 0\)"),
+    ("kind = drgd\ngamma = 0.05\nmax_steps = 400\nstop_grad_tol = inf",
+     r"stop_grad_tol = inf \(need finite >= 0\)"),
 ], ids=["landing_descent_gamma", "riemannian_gd_max_steps", "drgd_gamma_inf", "dlf_t_step_inf",
-        "landing_descent_eta_inf"])
+        "landing_descent_eta_inf", "drgd_stop_grad_tol_nan", "drgd_stop_grad_tol_inf"])
 def test_cli_optimizer_parameters_checked(tmp_path, capsys, algorithm, message):
+    # a NaN stop_grad_tol would turn the stop test off and run the whole budget
     cfg = OPTIMIZE_CFG.replace("kind = drgd\ngamma = 0.05\nmax_steps = 400", algorithm)
+    if "stop_grad_tol = " in algorithm:
+        cfg = cfg.replace("stop_grad_tol = 1e-10\n", "")
     path = _write(tmp_path, cfg)
     assert run_cli(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert re.search(message, capsys.readouterr().err)

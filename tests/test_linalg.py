@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from msopt.linalg import fd_jacobian, rk4_step, scaled_norm
+from msopt.linalg import rk4_step, scaled_norm
 
 
 def test_scaled_norm_without_under_or_overflow():
@@ -12,18 +12,6 @@ def test_scaled_norm_without_under_or_overflow():
         assert scaled_norm(scale * v) == pytest.approx(scale * np.linalg.norm(v), rel=1e-15)
     assert scaled_norm(np.zeros(3)) == 0.0
     assert np.isnan(scaled_norm(np.array([np.nan, 1.0])))
-
-
-def test_fd_jacobian_identity_and_constant():
-    x = np.array([0.3, -0.7, 1.1])
-    assert np.allclose(fd_jacobian(lambda p: p, x), np.eye(3), atol=1e-10)
-    assert np.allclose(fd_jacobian(lambda p: np.array([2.0, 5.0]), x), 0.0)
-
-
-def test_fd_jacobian_analytic():
-    f = lambda p: np.array([p[0] ** 2, p[1]])
-    jac = fd_jacobian(f, np.array([1.0, 1.0]))
-    assert np.abs(jac - np.array([[2.0, 0.0], [0.0, 1.0]])).max() <= 1e-8
 
 
 def test_rk4_trivial_and_constant_input():

@@ -3,8 +3,9 @@ import pytest
 
 from msopt import rng as _rng
 from msopt.errors import ProjectionError
-from msopt.linalg import fd_jacobian
 from msopt.manifolds import Circle, Orthogonal, Sphere, make_manifold
+
+from finite_differences import fd_jacobian
 
 
 def _rotation(theta):
@@ -42,23 +43,40 @@ def test_orthogonal_projection_vs_bruteforce():
     assert np.allclose(on.project(m.reshape(-1)), expected.reshape(-1), atol=1e-12)
 
 
+def _projection_and_derivatives(manifold, x):
+    """pi(x), pi'(x) and pi'(x)^T v for a fixed v, each as a callable."""
+    v = np.linspace(-1.0, 1.0, manifold.ambient_dim)
+    return (lambda: manifold.project(x), lambda: manifold.projection_jacobian(x),
+            lambda: manifold.projection_vjp(x, v))
+
+
 def test_projection_degenerate_points_rejected():
-    with pytest.raises(ProjectionError):
-        Sphere(2).project([0.0, 0.0])
-    with pytest.raises(ProjectionError):
-        Orthogonal(2).project(np.diag([1.0, 0.0]).reshape(-1))
+    # the projection and both derivatives share one check
+    for manifold, x in (
+        (Sphere(2), np.zeros(2)),
+        (Orthogonal(2), np.diag([1.0, 0.0]).reshape(-1)),
+        (Orthogonal(3), np.diag([1.0, 1e-13, 1.0]).reshape(-1)),
+    ):
+        for call in _projection_and_derivatives(manifold, x):
+            with pytest.raises(ProjectionError):
+                call()
 
 
-def test_projection_of_non_finite_points_is_nan():
+def test_projection_of_non_finite_points_is_nan(monkeypatch):
     # no error: the optimizer's runaway check reads the NaN as divergence.
     # On the sphere a coordinate that is 0 times the inf scale stays 0; on
-    # O(3) LAPACK's SVD of the inf input does not return, so it is never asked
-    # (this test hangs if it is).
+    # O(3) LAPACK's SVD of the inf input can loop without end, so it is never
+    # asked, neither by the projection nor by its derivatives.
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD asked for a non-finite matrix")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
     for manifold in (Sphere(3), Orthogonal(3)):
         for bad in (np.nan, np.inf):
             x = manifold.sample_uniform(1, seed=4)[0]
             x[:2] = bad
-            assert np.isnan(manifold.project(x)).any()
+            for call in _projection_and_derivatives(manifold, x):
+                assert np.isnan(call()).any()
 
 
 def test_sphere_tangent_project_examples():
@@ -128,6 +146,35 @@ def test_sphere_projection_jacobian_identity():
         expected = (sph.radius / np.linalg.norm(x)) * (np.eye(3) - np.outer(u, u))
         assert np.abs(fd_jacobian(sph.project, x) - expected).max() <= 1e-6
         assert np.abs(sph.projection_jacobian(x) - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_orthogonal_projection_derivatives_closed_form(n):
+    # the polar derivative U Omega V^T against central differences of pi at
+    # points 0.1 off O(n); pi is the gradient of the nuclear norm, so its
+    # Jacobian is symmetric and the product is the forward derivative
+    on = Orthogonal(n)
+    rng = np.random.default_rng(n)
+    for i, p in enumerate(on.sample_uniform(5, seed=13)):
+        x = p + 0.1 * on.unit_normal(p, seed=13, index=i)
+        jac_fd = fd_jacobian(on.project, x)
+        jac = on.projection_jacobian(x)
+        assert np.abs(jac - jac_fd).max() <= 1e-7
+        assert np.abs(jac - jac.T).max() <= 1e-14
+        for v in rng.standard_normal((3, n * n)):
+            vjp = on.projection_vjp(x, v)
+            assert np.abs(vjp - jac_fd.T @ v).max() <= 1e-7
+            assert np.abs(jac.T @ v - vjp).max() <= 1e-13
+
+
+@pytest.mark.parametrize("sph", [Circle(0.7), Sphere(3, radius=1.3)])
+def test_sphere_projection_vjp_matches_jacobian(sph):
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        x = rng.standard_normal(sph.ambient_dim)
+        x *= rng.uniform(0.8, 2.0) / np.linalg.norm(x)
+        v = rng.standard_normal(sph.ambient_dim)
+        assert np.abs(sph.projection_vjp(x, v) - sph.projection_jacobian(x).T @ v).max() <= 1e-15
 
 
 def test_circle_samples_on_constraint():

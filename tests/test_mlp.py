@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from msopt.linalg import fd_jacobian
 from msopt.manifolds import Circle
 from msopt.objectives import LinearObjective
 from msopt.optim import DrgdConfig, drgd_run
 from msopt.score.dsm import DsmTrainConfig, dsm_train
 from msopt.score.mlp import ScoreMlp, load_score_mlp, make_score_mlp
 from msopt.score.oracles import MlpScoreOracle
+
+from finite_differences import fd_jacobian
 
 
 def test_zero_network_is_identity_oracle():

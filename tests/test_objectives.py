@@ -8,12 +8,13 @@ from msopt.objectives import (
     LinearObjective,
     TrackingObjective,
     brockett_optimum,
-    grad_check,
     load_reference_csv,
     make_reference,
     random_brockett,
 )
 from msopt.optim import riemannian_gd_baseline
+
+from finite_differences import grad_check
 
 
 def test_brockett_value_grad_at_identity():

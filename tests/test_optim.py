@@ -270,26 +270,34 @@ def test_riemannian_gd_rejects_off_manifold_start():
     ({"step": float("inf")}, "STEP = inf (need finite > 0)"),
     ({"eta": float("inf")}, "eta = inf (need finite >= 0)"),
     ({"eta": float("nan")}, "eta = nan (need finite >= 0)"),
+    ({"tol": float("nan")}, "stop_grad_tol = nan (need finite >= 0)"),
+    ({"tol": float("inf")}, "stop_grad_tol = inf (need finite >= 0)"),
+    ({"tol": -1e-8}, "stop_grad_tol = -1e-08 (need finite >= 0)"),
 ], ids=["zero_step", "negative_step", "nan_step", "negative_max_steps", "negative_eta",
-        "inf_step", "inf_eta", "nan_eta"])
+        "inf_step", "inf_eta", "nan_eta", "nan_stop_grad_tol", "inf_stop_grad_tol",
+        "negative_stop_grad_tol"])
 def test_optimizers_share_one_parameter_check(bad, message):
     # a negative step would run an ascent, a negative budget an empty record,
-    # an infinite step a non-finite iterate; all four optimizers reject them
-    # before the first step
+    # an infinite step a non-finite iterate, a NaN or negative tolerance a run
+    # whose stop test never fires; all four optimizers reject them before the
+    # first step
     sph, obj, _ = _sphere_linear()
     x0 = sph.sample_uniform(1, seed=2)[0]
     adapter = ExactManifoldAdapter(sph)
-    p = {"step": 1e-3, "max_steps": 10, "eta": 1.0, **bad}
+    p = {"step": 1e-3, "max_steps": 10, "eta": 1.0, "tol": 1e-8, **bad}
     runs = [
-        ("t_step", lambda: DlfConfig(t_step=p["step"], eta=p["eta"], max_steps=p["max_steps"])),
+        ("t_step", lambda: DlfConfig(t_step=p["step"], eta=p["eta"], max_steps=p["max_steps"],
+                                     stop_grad_tol=p["tol"])),
         ("gamma", lambda: landing_descent_run(adapter, obj, x0, gamma=p["step"], eta=p["eta"],
-                                              max_steps=p["max_steps"])),
+                                              max_steps=p["max_steps"], stop_grad_tol=p["tol"])),
     ]
     if "eta" not in bad:
         runs += [
-            ("gamma", lambda: DrgdConfig(gamma=p["step"], max_steps=p["max_steps"])),
+            ("gamma", lambda: DrgdConfig(gamma=p["step"], max_steps=p["max_steps"],
+                                         stop_grad_tol=p["tol"])),
             ("gamma", lambda: riemannian_gd_baseline(sph, obj, x0, gamma=p["step"],
-                                                     max_steps=p["max_steps"])),
+                                                     max_steps=p["max_steps"],
+                                                     stop_grad_tol=p["tol"])),
         ]
     for step_name, run in runs:
         with pytest.raises(ValueError, match=re.escape(message.replace("STEP", step_name))):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.special import ive
 
-from msopt.linalg import fd_gradient, fd_jacobian
 from msopt.manifolds import Circle, Orthogonal, Sphere
 from msopt.score.mlp import make_score_mlp
 from msopt.score.oracles import (
@@ -13,6 +12,8 @@ from msopt.score.oracles import (
     MlpScoreOracle,
     QuadratureScoreOracle,
 )
+
+from finite_differences import fd_gradient, fd_jacobian
 
 
 def link_grad_consistency(oracle, x, h: float = 1e-5) -> float:
@@ -117,7 +118,7 @@ def test_mean_and_vjp_matches_jacobian():
     rng = np.random.default_rng(6)
     emp = EmpiricalScoreOracle(rng.standard_normal((25, 3)), sigma=0.5)
     x, v = rng.standard_normal(3), rng.standard_normal(3)
-    # the exact adapter at a tube point of O(3), whose Jacobian is finite differences
+    # the exact adapter at a tube point of O(3): the closed-form polar derivative
     on = Orthogonal(3)
     p = on.sample_uniform(1, seed=6)[0]
     x_on = p + 0.2 * on.safe_tube_radius * on.unit_normal(p, seed=6)
@@ -260,6 +261,46 @@ def test_exact_adapter_realizes_projection_operators():
     # d_sigma = ||x||^2/2 - link equals the half squared distance
     d_sigma = 0.5 * float(x @ x) - post.link
     assert d_sigma == pytest.approx(0.5 * sph.dist_to_manifold(x) ** 2)
+
+
+def _count_calls(manifold, name):
+    """Wrap one method of a (frozen) manifold instance; returns the counter."""
+    calls = []
+    method = getattr(manifold, name)
+
+    def counted(*args):
+        calls.append(1)
+        return method(*args)
+
+    object.__setattr__(manifold, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("manifold", [Sphere(3), Orthogonal(5)])
+def test_exact_adapter_products_build_no_jacobian(manifold):
+    p = manifold.sample_uniform(1, seed=9)[0]
+    x = p + 0.1 * manifold.unit_normal(p, seed=9)
+    v = np.random.default_rng(9).standard_normal(manifold.ambient_dim)
+    jacobians = _count_calls(manifold, "projection_jacobian")
+    products = _count_calls(manifold, "projection_vjp")
+    post = ExactManifoldAdapter(manifold).posterior(x)
+    vjp = post.vjp(v)
+    assert (len(jacobians), len(products)) == (0, 1)
+    assert np.abs(vjp - post.jacobian().T @ v).max() <= 1e-13
+    assert len(jacobians) == 1
+
+
+@pytest.mark.parametrize("manifold", [Sphere(3), Orthogonal(5)])
+def test_exact_adapter_link_reuses_the_mean(manifold):
+    # the link takes the distance from the mean already projected: one
+    # projection per posterior, and the bits of the distance-based formula
+    p = manifold.sample_uniform(1, seed=10)[0]
+    x = p + 0.1 * manifold.unit_normal(p, seed=10)
+    expected = 0.5 * float(x @ x) - 0.5 * manifold.dist_to_manifold(x) ** 2
+    projections = _count_calls(manifold, "project")
+    link = ExactManifoldAdapter(manifold).posterior(x).link
+    assert len(projections) == 1
+    assert np.array_equal(link, expected)
 
 
 def test_exact_adapter_has_zero_errors_at_any_sigma():
