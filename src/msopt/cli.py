@@ -28,16 +28,8 @@ from msopt.objectives import (
     make_reference,
     random_brockett,
 )
-from msopt.optim import (
-    DlfConfig,
-    DrgdConfig,
-    dlf_run,
-    drgd_run,
-    landing_descent_run,
-    load_run_record,
-    riemannian_gd_baseline,
-)
-from msopt.score.dsm import DsmTrainConfig, dsm_train
+from msopt.optim import dlf_run, drgd_run, load_run_record, riemannian_gd_baseline
+from msopt.score.dsm import dsm_train
 from msopt.score.mlp import load_score_mlp, make_score_mlp
 from msopt.score.oracles import (
     EmpiricalScoreOracle,
@@ -184,31 +176,26 @@ def _manifold_objective(cfg: ExperimentConfig, manifold, ambient_dim):
     raise ConfigError(f"unknown objective kind {obj_kind!r}")
 
 
+def _algorithm_params(cfg: ExperimentConfig, *keys):
+    """[algorithm] values by key; a run function's parameter is named after
+    the key that sets it, and its default is the schema's."""
+    return {key: cfg.get("algorithm", key) for key in keys}
+
+
 def _run_algorithm(cfg, oracle, objective, x0, baseline):
     algo = cfg.get("algorithm", "kind")
-    every = cfg.get("algorithm", "record_every")
-    steps = cfg.get("algorithm", "max_steps")
-    tol = cfg.get("algorithm", "stop_grad_tol")
+    loop = ("max_steps", "stop_grad_tol", "record_every")
     if algo == "dlf":
-        c = DlfConfig(t_step=cfg.get("algorithm", "t_step"), eta=cfg.get("algorithm", "eta"),
-                      max_steps=steps, stop_grad_tol=tol)
-        return dlf_run(oracle, objective, x0, c, baseline=baseline, record_every=every)
+        return dlf_run(oracle, objective, x0, baseline=baseline,
+                       **_algorithm_params(cfg, "t_step", "eta", *loop))
     if algo == "drgd":
-        c = DrgdConfig(gamma=cfg.get("algorithm", "gamma"), max_steps=steps, stop_grad_tol=tol)
-        return drgd_run(oracle, objective, x0, c, baseline=baseline, record_every=every)
-    if algo == "landing_descent":
-        return landing_descent_run(
-            oracle, objective, x0, gamma=cfg.get("algorithm", "gamma"),
-            eta=cfg.get("algorithm", "eta"), max_steps=steps, stop_grad_tol=tol,
-            baseline=baseline, record_every=every,
-        )
+        return drgd_run(oracle, objective, x0, baseline=baseline,
+                        **_algorithm_params(cfg, "gamma", *loop))
     if algo == "riemannian_gd":
         if baseline is None:
             raise ConfigError("riemannian_gd needs a [manifold] section")
-        return riemannian_gd_baseline(
-            baseline, objective, x0, gamma=cfg.get("algorithm", "gamma"),
-            max_steps=steps, stop_grad_tol=tol, record_every=every,
-        )
+        return riemannian_gd_baseline(baseline, objective, x0,
+                                      **_algorithm_params(cfg, "gamma", *loop))
     raise ConfigError(f"unknown algorithm kind {algo!r}")
 
 
@@ -234,16 +221,10 @@ def _cmd_train_score(cfg: ExperimentConfig, out_dir: str):
     else:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
     mlp = make_score_mlp(data.shape[1], hidden=cfg.get("algorithm", "hidden"), seed=cfg.seed)
-    train_cfg = DsmTrainConfig(
-        epochs=cfg.get("algorithm", "epochs"),
-        batch=cfg.get("algorithm", "batch"),
-        t_max=cfg.get("algorithm", "t_max"),
-        t_min=cfg.get("algorithm", "t_min"),
-        lr_hi=cfg.get("algorithm", "lr_hi"),
-        lr_lo=cfg.get("algorithm", "lr_lo"),
-        seed=cfg.seed,
+    mlp, trace = dsm_train(
+        data, mlp, seed=cfg.seed,
+        **_algorithm_params(cfg, "epochs", "batch", "t_max", "t_min", "lr_hi", "lr_lo"),
     )
-    mlp, trace = dsm_train(data, mlp, train_cfg)
     mlp.save(os.path.join(out_dir, "model.msopt"))
     with open(os.path.join(out_dir, "loss_trace.csv"), "w") as fh:
         fh.write("epoch,loss\n")
@@ -346,9 +327,8 @@ def _cmd_validate(cfg: ExperimentConfig, out_dir: str, do_assert: bool):
         base = manifold.sample_uniform(1, cfg.seed)[0]
         x0 = base + cfg.get("algorithm", "x0_distance") * manifold.unit_normal(base, seed=cfg.seed)
         report = landing_check(
-            manifold, cfg.get("algorithm", "eta"), x0,
-            cfg.get("algorithm", "t_end"), cfg.get("algorithm", "euler_step"),
-            record_every=cfg.get("algorithm", "record_every"),
+            manifold, x0=x0,
+            **_algorithm_params(cfg, "eta", "t_end", "euler_step", "record_every"),
         )
         report.save_csv(os.path.join(out_dir, "landing_report.csv"))
         with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
@@ -380,9 +360,7 @@ def _cmd_validate(cfg: ExperimentConfig, out_dir: str, do_assert: bool):
 def _cmd_sample(cfg: ExperimentConfig, out_dir: str):
     mlp = load_score_mlp(cfg.get("oracle", "model"))
     samples = ve_reverse_sample(
-        mlp, count=cfg.get("algorithm", "count"), steps=cfg.get("algorithm", "steps"),
-        seed=cfg.seed, t_max=cfg.get("algorithm", "t_max"),
-        t_min=cfg.get("algorithm", "t_min"),
+        mlp, seed=cfg.seed, **_algorithm_params(cfg, "count", "steps", "t_max", "t_min"),
     )
     _write_points_csv(os.path.join(out_dir, "samples.csv"), samples)
     return ["samples.csv"]
@@ -426,7 +404,6 @@ def run_cli(argv=None) -> int:
                 f"config declares kind {cfg.kind!r} but subcommand is {args.command!r}"
             )
         if args.seed is not None:
-            cfg.seed = args.seed
             cfg.values[("experiment", "seed")] = args.seed
         out_dir = args.out or cfg.get("output", "dir")
         cfg.values[("output", "dir")] = out_dir

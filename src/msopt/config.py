@@ -39,14 +39,13 @@ class Key:
     type: str
     kinds: tuple
     default: object = None
-    required: bool = False
     help: str = ""
 
 
 # section -> key name -> Key
 SCHEMA = {
     "experiment": {
-        "kind": Key("str", _ALL, required=True, help="one of " + "|".join(KINDS)),
+        "kind": Key("str", _ALL, help="one of " + "|".join(KINDS)),
         "seed": Key("int", _ALL, default=0, help="master seed for all named random streams"),
     },
     "oracle": {
@@ -97,7 +96,7 @@ SCHEMA = {
     },
     "algorithm": {
         "kind": Key("str", ("optimize",),
-                    help="dlf | drgd | landing_descent | riemannian_gd"),
+                    help="dlf | drgd | riemannian_gd"),
         "eta": Key("float", ("optimize", "validate"), default=3e3, help="landing gain"),
         "t_step": Key("float", ("optimize",), default=1e-4, help="Euler step (dlf)"),
         "gamma": Key("float", ("optimize",), default=1e-3, help="step size"),
@@ -135,6 +134,7 @@ SCHEMA = {
     },
 }
 
+# keys each subcommand requires beyond [experiment] kind, which every config sets
 _REQUIRED = {
     "generate-data": (("manifold", "kind"), ("manifold", "count")),
     "train-score": (("oracle", "dataset"), ("algorithm", "epochs")),
@@ -143,14 +143,21 @@ _REQUIRED = {
     "sample": (("oracle", "model"),),
 }
 
-_SECTION_ORDER = ("experiment", "oracle", "manifold", "objective", "algorithm", "output")
-
 
 @dataclass
 class ExperimentConfig:
-    kind: str
-    seed: int
+    """The parsed (section, key) -> value pairs; unset keys read their schema
+    default. `kind` and `seed` are views of [experiment] kind and seed."""
+
     values: dict = field(default_factory=dict)
+
+    @property
+    def kind(self) -> str:
+        return self.values[("experiment", "kind")]
+
+    @property
+    def seed(self) -> int:
+        return self.get("experiment", "seed")
 
     def get(self, section, key):
         if (section, key) in self.values:
@@ -164,7 +171,7 @@ class ExperimentConfig:
     def echo(self) -> str:
         """Canonical config text; reloads to an identical ExperimentConfig."""
         lines = []
-        for section in _SECTION_ORDER:
+        for section in SCHEMA:
             keys = sorted(k for (s, k) in self.values if s == section)
             if not keys:
                 continue
@@ -241,8 +248,7 @@ def parse_config_text(text, source="<config>") -> ExperimentConfig:
         raise ConfigError(
             f"{source}: experiment kind {kind!r} requires keys: " + ", ".join(missing)
         )
-    seed = values.get(("experiment", "seed"), SCHEMA["experiment"]["seed"].default)
-    return ExperimentConfig(kind=kind, seed=seed, values=values)
+    return ExperimentConfig(values)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -257,13 +263,13 @@ def load_config(path) -> ExperimentConfig:
 def describe_keys(kind: str) -> str:
     """Accepted config keys for a subcommand, generated from the schema."""
     lines = []
-    for section in _SECTION_ORDER:
+    for section in SCHEMA:
         rows = []
         for key, spec in SCHEMA[section].items():
             if kind not in spec.kinds:
                 continue
             extra = []
-            if spec.required or (section, key) in _REQUIRED.get(kind, ()):
+            if (section, key) == ("experiment", "kind") or (section, key) in _REQUIRED[kind]:
                 extra.append("required")
             elif spec.default is not None:
                 extra.append(f"default {_render(spec.default)}")

@@ -190,7 +190,8 @@ class AffineReparamObjective(Objective):
 # ---- reference trajectory generators ---------------------------------------
 
 
-def make_reference(kind: str, horizon: int, dt: float, output_dim: int, **params) -> np.ndarray:
+def make_reference(kind: str, horizon: int, dt: float, output_dim: int, *,
+                   amplitude: float) -> np.ndarray:
     """Configurable references: sinusoid, circular arc, or figure-eight.
 
     Returns (horizon+1, output_dim); coordinates beyond the generated planar
@@ -199,7 +200,6 @@ def make_reference(kind: str, horizon: int, dt: float, output_dim: int, **params
     t = np.arange(horizon + 1) * dt
     span = max(horizon * dt, dt)
     kind = kind.lower()
-    amplitude = float(params.get("amplitude", 1.0))
     if kind == "sinusoid":
         prof = amplitude * np.sin(2.0 * np.pi * t / span)[:, None]
     elif kind == "arc":

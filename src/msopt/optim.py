@@ -1,22 +1,24 @@
 """Optimizers driven by score surrogates, with per-iteration instrumentation.
 
-Four methods:
+Three methods:
 
-  dlf_run               Euler-discretized landing flow
-                        x <- x + t_step * (-s'(x)^T grad f(s(x)) + eta (s(x) - x))
-  landing_descent_run   the same update read as gradient descent on the
-                        penalized objective f(s(x)) + eta * d_sigma(x);
-                        requires an oracle that exposes the link value
+  dlf_run               Euler-discretized denoising landing flow
+                        x <- x + t_step * (-s'(x)^T grad f(s(x)) + eta (s(x) - x));
+                        with an oracle that carries the link value (mixture
+                        or exact) the drift is the negative gradient of the
+                        penalized objective f(s(x)) + eta * d_sigma(x)
   drgd_run              projected descent x <- s(x - gamma s'(x)^T grad f(x))
   riemannian_gd_baseline classical projected gradient descent on an exactly
                         known manifold (comparison baseline)
 
-Each method is a step function run by one private driver, `_drive`, which
-owns the stop test, the recording, the runaway check and the termination
-metadata. The surrogate methods read the oracle only through
-`score.posterior(x)`: the landing methods make one call per iterate, DRGD
-two (at x, and at x - gamma s'(x)^T grad f(x) for the retraction) and one
-at the final iterate, where the stop test still needs the product.
+A parameter that a config key sets is keyword-only and has no default here;
+`config.SCHEMA` holds the defaults. Each method checks its parameters on
+entry with `_check_params`, then runs its step function under one private
+driver, `_drive`, which owns the stop test, the recording, the runaway check
+and the termination metadata. The surrogate methods read the oracle only
+through `score.posterior(x)`: DLF makes one call per iterate, DRGD two (at
+x, and at x - gamma s'(x)^T grad f(x) for the retraction) and one at the
+final iterate, where the stop test still needs the product.
 
 Jacobian contractions are vector-Jacobian products: for exact oracles the
 Jacobian is symmetric so this equals the forward product; for the network
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from msopt.errors import MsoptError, ProjectionError
+from msopt.errors import ProjectionError
 from msopt.linalg import scaled_norm
 
 _RUNAWAY_FACTOR = 1e9
@@ -108,12 +110,12 @@ def load_run_record(csv_path, meta_path=None) -> RunRecord:
 
 
 def _check_params(step_name: str, step: float, max_steps: int, stop_grad_tol: float,
-                  eta: float = None):
-    """The one parameter check of the four optimizers: a finite positive step
+                  record_every: int, eta: float = None):
+    """The one parameter check of the three optimizers: a finite positive step
     size, a finite nonnegative landing gain (where there is one), a
-    nonnegative step budget and a finite nonnegative stop tolerance. NaN
-    fails every comparison, so it is rejected (a NaN tolerance would turn
-    the stop test off)."""
+    nonnegative step budget, a finite nonnegative stop tolerance and a
+    recording interval of at least one step. NaN fails every comparison, so
+    it is rejected (a NaN tolerance would turn the stop test off)."""
     bad = []
     if not 0 < step < math.inf:
         bad.append(f"{step_name} = {step!r} (need finite > 0)")
@@ -123,29 +125,10 @@ def _check_params(step_name: str, step: float, max_steps: int, stop_grad_tol: fl
         bad.append(f"max_steps = {max_steps!r} (need >= 0)")
     if not 0 <= stop_grad_tol < math.inf:
         bad.append(f"stop_grad_tol = {stop_grad_tol!r} (need finite >= 0)")
+    if not record_every >= 1:
+        bad.append(f"record_every = {record_every!r} (need >= 1)")
     if bad:
         raise ValueError("bad optimizer parameters: " + ", ".join(bad))
-
-
-@dataclass
-class DlfConfig:
-    t_step: float = 1e-4
-    eta: float = 3e3
-    max_steps: int = 1000
-    stop_grad_tol: float = 1e-8
-
-    def __post_init__(self):
-        _check_params("t_step", self.t_step, self.max_steps, self.stop_grad_tol, self.eta)
-
-
-@dataclass
-class DrgdConfig:
-    gamma: float = 1e-3
-    max_steps: int = 1000
-    stop_grad_tol: float = 1e-8
-
-    def __post_init__(self):
-        _check_params("gamma", self.gamma, self.max_steps, self.stop_grad_tol)
 
 
 class _Recorder:
@@ -154,7 +137,7 @@ class _Recorder:
     def __init__(self, objective, baseline, every):
         self.objective = objective
         self.baseline = baseline
-        self.every = max(1, int(every))
+        self.every = every
         self.rows = []
         self.max_dist = 0.0
         self.start = time.perf_counter()
@@ -239,71 +222,50 @@ def _drive(step, objective, x0, max_steps, stop_tol, baseline, record_every, met
     return rec.finish(x, meta), x
 
 
-def _landing_loop(score, objective, x0, step_size, eta, max_steps, stop_tol, baseline,
-                  record_every, algorithm):
+def dlf_run(score, objective, x0, *, t_step, eta, max_steps, stop_grad_tol, record_every,
+            baseline=None):
+    """Euler-discretized denoising landing flow; returns (RunRecord, final x)."""
+    _check_params("t_step", t_step, max_steps, stop_grad_tol, record_every, eta)
+
     def step(x):
         post = score.posterior(x)
         mean = post.mean
         drift = -post.vjp(objective.gradient(mean)) + eta * (mean - x)
-        return objective.value(mean), drift, lambda: x + step_size * drift
+        return objective.value(mean), drift, lambda: x + t_step * drift
 
     meta = {
-        "algorithm": algorithm,
-        "step_size": f"{step_size:.17g}",
+        "algorithm": "dlf",
+        "step_size": f"{t_step:.17g}",
         "eta": f"{eta:.17g}",
         "oracle": type(score).__name__,
         "sigma": f"{score.sigma:.17g}",
     }
-    return _drive(step, objective, x0, max_steps, stop_tol, baseline, record_every, meta)
+    return _drive(step, objective, x0, max_steps, stop_grad_tol, baseline, record_every, meta)
 
 
-def dlf_run(score, objective, x0, cfg: DlfConfig, baseline=None, record_every: int = 1):
-    """Euler-discretized denoising landing flow; returns (RunRecord, final x)."""
-    return _landing_loop(
-        score, objective, x0, cfg.t_step, cfg.eta, cfg.max_steps, cfg.stop_grad_tol,
-        baseline, record_every, "dlf",
-    )
-
-
-def landing_descent_run(score, objective, x0, gamma: float, eta: float,
-                        max_steps: int, stop_grad_tol: float = 1e-8,
-                        baseline=None, record_every: int = 1):
-    """Gradient descent on the penalized objective f(s(x)) + eta d_sigma(x).
-
-    The assembled gradient s'(x) grad f(s(x)) + eta (x - s(x)) only descends
-    that potential when the oracle exposes the link value, so link-less
-    oracles are rejected.
-    """
-    _check_params("gamma", gamma, max_steps, stop_grad_tol, eta)
-    if not getattr(score, "has_link", False):
-        raise MsoptError("landing descent requires an oracle with a link value")
-    return _landing_loop(
-        score, objective, x0, gamma, eta, max_steps, stop_grad_tol,
-        baseline, record_every, "landing_descent",
-    )
-
-
-def drgd_run(score, objective, x0, cfg: DrgdConfig, baseline=None, record_every: int = 1):
+def drgd_run(score, objective, x0, *, gamma, max_steps, stop_grad_tol, record_every,
+             baseline=None):
     """Denoising Riemannian gradient descent; returns (RunRecord, final x)."""
+    _check_params("gamma", gamma, max_steps, stop_grad_tol, record_every)
+
     def step(x):
         post = score.posterior(x)
         vjp = post.vjp(objective.gradient(x))
-        return objective.value(post.mean), vjp, lambda: score.posterior(x - cfg.gamma * vjp).mean
+        return objective.value(post.mean), vjp, lambda: score.posterior(x - gamma * vjp).mean
 
     meta = {
         "algorithm": "drgd",
-        "gamma": f"{cfg.gamma:.17g}",
+        "gamma": f"{gamma:.17g}",
         "oracle": type(score).__name__,
         "sigma": f"{score.sigma:.17g}",
     }
-    return _drive(step, objective, x0, cfg.max_steps, cfg.stop_grad_tol, baseline,
-                  record_every, meta)
+    return _drive(step, objective, x0, max_steps, stop_grad_tol, baseline, record_every, meta)
 
 
-def riemannian_gd_baseline(manifold, objective, x0, gamma: float, max_steps: int,
-                           stop_grad_tol: float = 1e-8, record_every: int = 1):
+def riemannian_gd_baseline(manifold, objective, x0, *, gamma, max_steps, stop_grad_tol,
+                           record_every):
     """Exact projected Riemannian gradient descent on a known manifold."""
-    _check_params("gamma", gamma, max_steps, stop_grad_tol)
+    _check_params("gamma", gamma, max_steps, stop_grad_tol, record_every)
     x = manifold.project(np.array(x0, dtype=float))
     if np.linalg.norm(x - np.asarray(x0, dtype=float)) > 1e-9:
         raise ValueError("riemannian_gd_baseline requires an on-manifold start")

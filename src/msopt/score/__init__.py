@@ -1,6 +1,6 @@
 """Score oracles: exact mixture formulas, trainable network, VE sampler."""
 
-from msopt.score.dsm import DsmTrainConfig, dsm_train
+from msopt.score.dsm import dsm_train
 from msopt.score.mlp import ScoreMlp, load_score_mlp, make_score_mlp
 from msopt.score.oracles import (
     EmpiricalScoreOracle,
@@ -18,7 +18,6 @@ __all__ = [
     "ScoreMlp",
     "make_score_mlp",
     "load_score_mlp",
-    "DsmTrainConfig",
     "dsm_train",
     "ve_reverse_sample",
 ]

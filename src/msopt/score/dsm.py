@@ -7,8 +7,6 @@ plain least-squares residual ||s_tilde(x, t) + z||^2, so targets stay O(1)
 at every noise level.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from msopt import rng as _rng
@@ -18,21 +16,11 @@ from msopt.score.mlp import ScoreMlp
 _DIVERGENCE_LIMIT = 1e6
 
 
-@dataclass
-class DsmTrainConfig:
-    epochs: int
-    batch: int = 128
-    t_max: float = 3.0
-    t_min: float = 1e-4
-    lr_hi: float = 1e-3
-    lr_lo: float = 5e-5
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (0.0 < self.t_min < self.t_max):
-            raise ValueError("need 0 < t_min < t_max")
-        if self.epochs < 0 or self.batch < 1:
-            raise ValueError("need epochs >= 0 and batch >= 1")
+def _check_noise_range(t_min, t_max):
+    """The VE noise range of training and sampling: 0 < t_min < t_max < inf.
+    NaN fails every comparison, so it is rejected."""
+    if not 0.0 < t_min < t_max < np.inf:
+        raise ValueError(f"t_min = {t_min!r}, t_max = {t_max!r} (need 0 < t_min < t_max < inf)")
 
 
 class _Adam:
@@ -62,8 +50,19 @@ def _cosine_lr(step, total, lr_hi, lr_lo):
     return lr_lo + 0.5 * (lr_hi - lr_lo) * (1.0 + np.cos(np.pi * frac))
 
 
-def dsm_train(dataset, mlp: ScoreMlp, cfg: DsmTrainConfig):
+def dsm_train(dataset, mlp: ScoreMlp, *, epochs, batch, t_max, t_min, lr_hi, lr_lo, seed):
     """Train in place with Adam + cosine schedule; returns (mlp, loss trace)."""
+    _check_noise_range(t_min, t_max)
+    bad = []
+    if not epochs >= 0:
+        bad.append(f"epochs = {epochs!r} (need >= 0)")
+    if not batch >= 1:
+        bad.append(f"batch = {batch!r} (need >= 1)")
+    for name, lr in (("lr_hi", lr_hi), ("lr_lo", lr_lo)):
+        if not 0.0 < lr < np.inf:
+            bad.append(f"{name} = {lr!r} (need finite > 0)")
+    if bad:
+        raise ValueError("bad training parameters: " + ", ".join(bad))
     data = np.atleast_2d(np.asarray(dataset, dtype=float))
     if data.shape[0] == 0:
         raise ValueError("dsm_train needs a nonempty dataset")
@@ -72,30 +71,30 @@ def dsm_train(dataset, mlp: ScoreMlp, cfg: DsmTrainConfig):
             f"network input width {mlp.widths[0]} does not match "
             f"ambient dim {data.shape[1]} + 1"
         )
-    gen = _rng.stream(cfg.seed, "dsm_train")
+    gen = _rng.stream(seed, "dsm_train")
     params = [arr for layer in mlp.layers for arr in layer]
     opt = _Adam([p.shape for p in params])
-    trace = np.empty(cfg.epochs)
+    trace = np.empty(epochs)
 
-    for step in range(cfg.epochs):
-        idx = gen.integers(0, data.shape[0], cfg.batch)
+    for step in range(epochs):
+        idx = gen.integers(0, data.shape[0], batch)
         x0 = data[idx]
-        t = gen.uniform(cfg.t_min, cfg.t_max, cfg.batch)
+        t = gen.uniform(t_min, t_max, batch)
         z = gen.standard_normal(x0.shape)
         x = x0 + t[:, None] * z
 
         acts, pres = mlp.forward_cached(x, t)
         residual = acts[-1] + z
-        loss = float(np.einsum("bd,bd->", residual, residual) / cfg.batch)
+        loss = float(np.einsum("bd,bd->", residual, residual) / batch)
         trace[step] = loss
         if not np.isfinite(loss) or loss > _DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"dsm training diverged at step {step}: loss {loss:.3e} "
-                f"(lr {_cosine_lr(step, cfg.epochs, cfg.lr_hi, cfg.lr_lo):.2e}, "
-                f"batch {cfg.batch})"
+                f"(lr {_cosine_lr(step, epochs, lr_hi, lr_lo):.2e}, "
+                f"batch {batch})"
             )
-        grads_nested = mlp.backward(acts, pres, 2.0 * residual / cfg.batch)
+        grads_nested = mlp.backward(acts, pres, 2.0 * residual / batch)
         grads = [arr for pair in grads_nested for arr in pair]
-        opt.step(params, grads, _cosine_lr(step, cfg.epochs, cfg.lr_hi, cfg.lr_lo))
+        opt.step(params, grads, _cosine_lr(step, epochs, lr_hi, lr_lo))
 
     return mlp, trace

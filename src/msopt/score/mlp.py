@@ -147,8 +147,11 @@ def load_score_mlp(path) -> ScoreMlp:
     return ScoreMlp(layers)
 
 
-def make_score_mlp(ambient_dim: int, hidden=(128, 128, 128), seed: int = 0) -> ScoreMlp:
+def make_score_mlp(ambient_dim: int, *, hidden, seed) -> ScoreMlp:
     """He-initialized hidden layers, zero-initialized output layer."""
+    if not (ambient_dim >= 1 and all(h >= 1 for h in hidden)):
+        raise ValueError(f"ambient_dim = {ambient_dim!r}, hidden = {tuple(hidden)!r} "
+                         f"(need widths >= 1)")
     gen = _rng.stream(seed, "mlp_init")
     widths = [ambient_dim + 1, *hidden, ambient_dim]
     layers = []

@@ -100,8 +100,6 @@ class _MixturePosterior:
 class _MixtureOracle:
     """Shared closed-form Tweedie math for a finite atom mixture."""
 
-    has_link = True
-
     def __init__(self, points, sigma):
         self.points = points
         self.sigma = float(sigma)
@@ -173,7 +171,6 @@ class _ExactPosterior:
 class ExactManifoldAdapter:
     """sigma = 0 oracle: mean = pi(x), Jacobian = pi'(x), link from d(x)."""
 
-    has_link = True
     sigma = 0.0
 
     def __init__(self, manifold):
@@ -215,8 +212,6 @@ class _MlpPosterior:
 
 class MlpScoreOracle:
     """Trained network as oracle at a fixed sigma; no link value available."""
-
-    has_link = False
 
     def __init__(self, mlp: ScoreMlp, sigma: float):
         _check_sigma("mlp", sigma)

@@ -12,22 +12,17 @@ is integrated here on a uniform grid over [0, T - t_min].
 import numpy as np
 
 from msopt import rng as _rng
+from msopt.score.dsm import _check_noise_range
 from msopt.score.mlp import ScoreMlp
 
 
-def ve_reverse_sample(
-    mlp: ScoreMlp,
-    count: int,
-    steps: int,
-    seed: int,
-    t_max: float = 3.0,
-    t_min: float = 1e-4,
-) -> np.ndarray:
+def ve_reverse_sample(mlp: ScoreMlp, *, count, steps, seed, t_max, t_min) -> np.ndarray:
     """Draw `count` approximate data samples; rows are ambient points."""
+    _check_noise_range(t_min, t_max)
     if count < 1:
-        raise ValueError("need count >= 1")
+        raise ValueError(f"count = {count!r} (need >= 1)")
     if steps < 0:
-        raise ValueError("need steps >= 0")
+        raise ValueError(f"steps = {steps!r} (need >= 0)")
     d = mlp.ambient_dim
     gen = _rng.stream(seed, "ve_reverse")
     x = t_max * gen.standard_normal((count, d))

@@ -145,10 +145,20 @@ class LandingReport:
         )
 
 
-def landing_check(manifold, eta: float, x0, t_end: float, euler_step: float,
-                  record_every: int = 1) -> LandingReport:
+def landing_check(manifold, *, eta, x0, t_end, euler_step, record_every) -> LandingReport:
     """Integrate the zero-objective exact landing flow and compare with
     d(x(t)) = exp(-2 eta t) d(x(0))."""
+    bad = []
+    if not 0.0 <= eta < np.inf:
+        bad.append(f"eta = {eta!r} (need finite >= 0)")
+    if not 0.0 <= t_end < np.inf:
+        bad.append(f"t_end = {t_end!r} (need finite >= 0)")
+    if not 0.0 < euler_step < np.inf:
+        bad.append(f"euler_step = {euler_step!r} (need finite > 0)")
+    if not record_every >= 1:
+        bad.append(f"record_every = {record_every!r} (need >= 1)")
+    if bad:
+        raise ValueError("bad landing check parameters: " + ", ".join(bad))
     x = np.array(x0, dtype=float)
     dist0 = manifold.dist_to_manifold(x)
     if dist0 > manifold.safe_tube_radius:

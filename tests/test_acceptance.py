@@ -27,8 +27,8 @@ from msopt.objectives import (
     make_reference,
     random_brockett,
 )
-from msopt.optim import DrgdConfig, drgd_run, riemannian_gd_baseline
-from msopt.score.dsm import DsmTrainConfig, dsm_train
+from msopt.optim import drgd_run, riemannian_gd_baseline
+from msopt.score.dsm import dsm_train
 from msopt.score.mlp import make_score_mlp
 from msopt.score.oracles import (
     EmpiricalScoreOracle,
@@ -95,7 +95,8 @@ def _von_mises_errors(circle, offset, sigma):
 def two_point_mlp():
     started = time.perf_counter()
     mlp = make_score_mlp(1, hidden=(128, 128, 128), seed=3)
-    dsm_train(np.array([[-1.0], [1.0]]), mlp, DsmTrainConfig(epochs=10000, batch=256, seed=4))
+    dsm_train(np.array([[-1.0], [1.0]]), mlp, epochs=10000, batch=256, t_max=3.0, t_min=1e-4,
+              lr_hi=1e-3, lr_lo=5e-5, seed=4)
     return mlp, time.perf_counter() - started
 
 
@@ -154,7 +155,8 @@ def test_criterion_03_exact_landing_law():
     started = time.perf_counter()
     sph = Sphere(3)
     base = sph.sample_uniform(1, seed=3)[0]
-    report = landing_check(sph, eta=1.0, x0=base * 1.3, t_end=3.0, euler_step=1e-4)
+    report = landing_check(sph, eta=1.0, x0=base * 1.3, t_end=3.0, euler_step=1e-4,
+                           record_every=1)
     ok = report.max_rel_deviation <= 0.05
     _verdict(
         3, "exponential landing decay on the sphere", ok,
@@ -168,20 +170,21 @@ def test_criterion_04_riemannian_gd_baseline_exactness():
     sph = Sphere(3)
     a = np.array([1.0, 2.0, -0.5])
     _, xf = riemannian_gd_baseline(sph, LinearObjective(a), sph.sample_uniform(1, seed=4)[0],
-                                   gamma=0.1, max_steps=5000, stop_grad_tol=1e-12)
+                                   gamma=0.1, max_steps=5000, stop_grad_tol=1e-12,
+                                   record_every=1)
     sphere_err = float(np.linalg.norm(xf + a / np.linalg.norm(a)))
 
     on = Orthogonal(5)
     obj = random_brockett(5, seed=11)
     x0 = on.sample_uniform(1, seed=5)[0]
     _, xb = riemannian_gd_baseline(on, obj, x0, gamma=1e-2, max_steps=20000,
-                                   stop_grad_tol=1e-10)
+                                   stop_grad_tol=1e-10, record_every=1)
     gap = float(obj.value(xb) - brockett_optimum(obj))
     # same optimum through the sigma = 0 oracle driving the denoising descent
     from msopt.score.oracles import ExactManifoldAdapter
 
-    _, xa = drgd_run(ExactManifoldAdapter(on), obj, x0,
-                     DrgdConfig(gamma=1e-2, max_steps=4000, stop_grad_tol=1e-10))
+    _, xa = drgd_run(ExactManifoldAdapter(on), obj, x0, gamma=1e-2, max_steps=4000,
+                     stop_grad_tol=1e-10, record_every=1)
     gap_adapter = float(obj.value(xa) - brockett_optimum(obj))
     ok = sphere_err <= 1e-6 and abs(gap) <= 1e-6 and abs(gap_adapter) <= 1e-6
     _verdict(
@@ -203,8 +206,8 @@ def test_criterion_05_drgd_brockett_with_empirical_score():
     optimum = brockett_optimum(obj)
 
     oracle = EmpiricalScoreOracle(data, sigma=0.05)
-    record, xf = drgd_run(oracle, obj, data[i0],
-                          DrgdConfig(gamma=1e-3, max_steps=5000), baseline=on)
+    record, xf = drgd_run(oracle, obj, data[i0], gamma=1e-3, max_steps=5000,
+                          stop_grad_tol=1e-8, record_every=1, baseline=on)
     final = float(obj.value(xf))
     surrogate_grad = scaled_norm(oracle.posterior(data[i0]).vjp(obj.gradient(data[i0])))
     feas = on.feasibility(xf)
@@ -226,7 +229,8 @@ def test_criterion_05_drgd_brockett_with_empirical_score():
 def test_criterion_06a_dsm_single_gaussian():
     started = time.perf_counter()
     mlp = make_score_mlp(2, hidden=(128, 128, 128), seed=1)
-    dsm_train(np.zeros((1, 2)), mlp, DsmTrainConfig(epochs=6000, batch=256, seed=2))
+    dsm_train(np.zeros((1, 2)), mlp, epochs=6000, batch=256, t_max=3.0, t_min=1e-4,
+              lr_hi=1e-3, lr_lo=5e-5, seed=2)
     rng = np.random.default_rng(0)
     worst = 0.0
     for sigma in (0.3, 0.5, 0.7, 1.0):
@@ -265,7 +269,8 @@ def test_criterion_06b_dsm_two_point_tweedie_mean(two_point_mlp):
 
 def test_criterion_07_ve_reverse_sampler(two_point_mlp):
     started = time.perf_counter()
-    samples = ve_reverse_sample(two_point_mlp[0], count=1000, steps=800, seed=9).ravel()
+    samples = ve_reverse_sample(two_point_mlp[0], count=1000, steps=800, seed=9,
+                                t_max=3.0, t_min=1e-4).ravel()
     near = np.minimum(np.abs(samples - 1.0), np.abs(samples + 1.0))
     frac = float((near <= 0.15).mean())
     ok = frac >= 0.90
@@ -292,8 +297,8 @@ def test_criterion_08_tracking_desk_scale():
     normalized = dataset.normalize(flat)
     oracle = EmpiricalScoreOracle(normalized, sigma=0.05)
     objective = AffineReparamObjective(tracking, dataset.norm_shift, dataset.norm_scale)
-    record, zf = drgd_run(oracle, objective, normalized[i0],
-                          DrgdConfig(gamma=1e-3, max_steps=2000))
+    record, zf = drgd_run(oracle, objective, normalized[i0], gamma=1e-3, max_steps=2000,
+                          stop_grad_tol=1e-8, record_every=1)
 
     surrogate_grad = scaled_norm(
         oracle.posterior(normalized[i0]).vjp(objective.gradient(normalized[i0]))

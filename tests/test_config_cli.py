@@ -237,6 +237,72 @@ dir = out
     assert os.path.exists(os.path.join(out, "landing_report.csv"))
 
 
+@pytest.mark.parametrize("every", [0, -4])
+def test_cli_validate_landing_record_every_checked(tmp_path, capsys, every):
+    # record_every = 0 ended in a ZeroDivisionError traceback
+    shipped = os.path.join(os.path.dirname(__file__), "..", "configs", "landing_sphere.cfg")
+    with open(shipped) as fh:
+        cfg = fh.read()
+    assert "record_every = 100\n" in cfg
+    path = _write(tmp_path, cfg.replace("record_every = 100\n", f"record_every = {every}\n"))
+    out = tmp_path / "o"
+    assert run_cli(["validate", "--config", path, "--out", str(out)]) == 2
+    assert f"record_every = {every} (need >= 1)" in capsys.readouterr().err
+    assert not (out / "landing_report.csv").exists()
+
+
+@pytest.mark.parametrize("kind, algorithm, message, artifact", [
+    ("sample", "t_max = nan", "t_min = 0.0001, t_max = nan (need 0 < t_min < t_max < inf)",
+     "samples.csv"),
+    ("sample", "t_max = 0.5\nt_min = 1.0",
+     "t_min = 1.0, t_max = 0.5 (need 0 < t_min < t_max < inf)", "samples.csv"),
+    ("train-score", "epochs = 1\nlr_hi = nan", "lr_hi = nan (need finite > 0)", "model.msopt"),
+], ids=["sample_t_max_nan", "sample_t_max_below_t_min", "train_lr_hi_nan"])
+def test_cli_noise_range_and_learning_rate_checked(tmp_path, capsys, kind, algorithm, message,
+                                                    artifact):
+    # each wrote NaN output (all-NaN samples, a network of NaN weights) and exited 0
+    from msopt.score.mlp import make_score_mlp
+
+    model, points = tmp_path / "m.msopt", tmp_path / "points.csv"
+    make_score_mlp(2, hidden=(4,), seed=0).save(model)
+    points.write_text("1.0,0.0\n0.0,1.0\n")
+    source = f"model = {model}" if kind == "sample" else f"dataset = {points}"
+    path = _write(tmp_path, f"[experiment]\nkind = {kind}\n\n[oracle]\n{source}\n\n"
+                            f"[algorithm]\n{algorithm}\n")
+    out = tmp_path / "o"
+    assert run_cli([kind, "--config", path, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / artifact).exists()
+
+
+def test_config_set_parameters_have_no_default_outside_the_schema():
+    # a parameter named like a config key takes its default from the schema
+    # alone; the run functions take such parameters by keyword
+    import inspect
+
+    from msopt.config import SCHEMA
+    from msopt.optim import dlf_run, drgd_run, riemannian_gd_baseline
+    from msopt.score.dsm import dsm_train
+    from msopt.score.mlp import make_score_mlp
+    from msopt.score.sampler import ve_reverse_sample
+    from msopt.validation import landing_check
+
+    keys = {key for section in SCHEMA.values() for key in section}
+    problem_inputs = ("x0", "dataset")  # positional, like the oracle and the objective
+    checked = 0
+    for fn in (dlf_run, drgd_run, riemannian_gd_baseline, dsm_train, ve_reverse_sample,
+               make_score_mlp, landing_check):
+        for name, param in inspect.signature(fn).parameters.items():
+            if name not in keys:
+                continue
+            checked += 1
+            where = f"{fn.__name__}({name}={param.default!r})"
+            assert param.default is inspect.Parameter.empty, where
+            if name not in problem_inputs:
+                assert param.kind is inspect.Parameter.KEYWORD_ONLY, where
+    assert checked == 36
+
+
 def test_cli_generate_and_train_and_sample(tmp_path, capsys):
     gen_cfg = """\
 [experiment]
@@ -447,20 +513,26 @@ def test_cli_orthogonal_overflowing_step_diverges(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("algorithm, message", [
-    ("kind = landing_descent\ngamma = -0.5", r"gamma = -0.5 \(need finite > 0\)"),
+    ("kind = dlf\nt_step = -0.5", r"t_step = -0.5 \(need finite > 0\)"),
     ("kind = riemannian_gd\nmax_steps = -1", r"max_steps = -1 \(need >= 0\)"),
     ("kind = drgd\ngamma = inf\nmax_steps = 400", r"gamma = inf \(need finite > 0\)"),
     ("kind = dlf\nt_step = inf\neta = 1.0\nmax_steps = 400", r"t_step = inf \(need finite > 0\)"),
-    ("kind = landing_descent\ngamma = 0.01\neta = inf\nmax_steps = 400",
+    ("kind = dlf\nt_step = 0.01\neta = inf\nmax_steps = 400",
      r"eta = inf \(need finite >= 0\)"),
     ("kind = drgd\ngamma = 0.05\nmax_steps = 400\nstop_grad_tol = nan",
      r"stop_grad_tol = nan \(need finite >= 0\)"),
     ("kind = drgd\ngamma = 0.05\nmax_steps = 400\nstop_grad_tol = inf",
      r"stop_grad_tol = inf \(need finite >= 0\)"),
-], ids=["landing_descent_gamma", "riemannian_gd_max_steps", "drgd_gamma_inf", "dlf_t_step_inf",
-        "landing_descent_eta_inf", "drgd_stop_grad_tol_nan", "drgd_stop_grad_tol_inf"])
+    ("kind = drgd\ngamma = 0.05\nmax_steps = 400\nrecord_every = 0",
+     r"record_every = 0 \(need >= 1\)"),
+    ("kind = dlf\nt_step = 0.01\neta = 1.0\nmax_steps = 400\nrecord_every = -4",
+     r"record_every = -4 \(need >= 1\)"),
+], ids=["dlf_t_step", "riemannian_gd_max_steps", "drgd_gamma_inf", "dlf_t_step_inf",
+        "dlf_eta_inf", "drgd_stop_grad_tol_nan", "drgd_stop_grad_tol_inf",
+        "drgd_record_every_zero", "dlf_record_every_negative"])
 def test_cli_optimizer_parameters_checked(tmp_path, capsys, algorithm, message):
-    # a NaN stop_grad_tol would turn the stop test off and run the whole budget
+    # a NaN stop_grad_tol would turn the stop test off and run the whole budget,
+    # a record_every below 1 recorded every step
     cfg = OPTIMIZE_CFG.replace("kind = drgd\ngamma = 0.05\nmax_steps = 400", algorithm)
     if "stop_grad_tol = " in algorithm:
         cfg = cfg.replace("stop_grad_tol = 1e-10\n", "")

@@ -192,7 +192,7 @@ def test_flattened_dim_matches_tracking_layout():
     m = SystemModel("unicycle")
     horizon = 7
     ds = generate_dataset(m, count=2, horizon=horizon, seed=15)
-    ref = make_reference("arc", horizon, m.dt, m.output_dim)
+    ref = make_reference("arc", horizon, m.dt, m.output_dim, amplitude=1.0)
     obj = TrackingObjective(ref, np.diag([10.0, 10.0, 0.0]), 0.01 * np.eye(2), horizon)
     assert ds.ambient_dim == obj.ambient_dim
     u, y = ds.split_point(ds.flatten()[0])

@@ -15,8 +15,8 @@ import pytest
 from msopt.cli import run_cli
 from msopt.manifolds import Circle
 from msopt.objectives import LinearObjective
-from msopt.optim import DlfConfig, DrgdConfig, dlf_run, drgd_run
-from msopt.score.dsm import DsmTrainConfig, dsm_train
+from msopt.optim import dlf_run, drgd_run
+from msopt.score.dsm import dsm_train
 from msopt.score.mlp import make_score_mlp
 from msopt.score.oracles import MlpScoreOracle
 
@@ -25,7 +25,8 @@ from msopt.score.oracles import MlpScoreOracle
 def circle_mlp():
     data = Circle().sample_uniform(512, seed=21)
     mlp = make_score_mlp(2, hidden=(128, 128, 128), seed=22)
-    dsm_train(data, mlp, DsmTrainConfig(epochs=6000, batch=256, seed=23))
+    dsm_train(data, mlp, epochs=6000, batch=256, t_max=3.0, t_min=1e-4, lr_hi=1e-3, lr_lo=5e-5,
+              seed=23)
     return mlp
 
 
@@ -35,9 +36,8 @@ def test_trained_score_drgd_optimizes_on_circle(circle_mlp):
     target = -a / np.linalg.norm(a)
     oracle = MlpScoreOracle(circle_mlp, sigma=0.1)
     x0 = np.array([np.cos(0.5), np.sin(0.5)])
-    record, xf = drgd_run(oracle, LinearObjective(a), x0,
-                          DrgdConfig(gamma=0.05, max_steps=400),
-                          baseline=circ, record_every=20)
+    record, xf = drgd_run(oracle, LinearObjective(a), x0, gamma=0.05, max_steps=400,
+                          stop_grad_tol=1e-8, record_every=20, baseline=circ)
     assert np.linalg.norm(xf - target) <= 0.25
     assert circ.feasibility(xf) <= 0.02
     assert record.objective[-1] < record.objective[0] - 1.0
@@ -49,9 +49,8 @@ def test_trained_score_dlf_optimizes_on_circle(circle_mlp):
     target = -a / np.linalg.norm(a)
     oracle = MlpScoreOracle(circle_mlp, sigma=0.1)
     x0 = np.array([np.cos(0.5), np.sin(0.5)])
-    record, xf = dlf_run(oracle, LinearObjective(a), x0,
-                         DlfConfig(t_step=5e-3, eta=5.0, max_steps=4000),
-                         baseline=circ, record_every=200)
+    record, xf = dlf_run(oracle, LinearObjective(a), x0, t_step=5e-3, eta=5.0, max_steps=4000,
+                         stop_grad_tol=1e-8, record_every=200, baseline=circ)
     assert np.linalg.norm(xf - target) <= 0.15
     assert circ.feasibility(xf) <= 0.08
 

@@ -3,8 +3,8 @@ import pytest
 
 from msopt.manifolds import Circle
 from msopt.objectives import LinearObjective
-from msopt.optim import DrgdConfig, drgd_run
-from msopt.score.dsm import DsmTrainConfig, dsm_train
+from msopt.optim import drgd_run
+from msopt.score.dsm import dsm_train
 from msopt.score.mlp import ScoreMlp, load_score_mlp, make_score_mlp
 from msopt.score.oracles import MlpScoreOracle
 
@@ -148,8 +148,8 @@ def test_mlp_drgd_matches_reference_loop_bitwise():
     # a forward plus full backward for the product
     # a briefly trained network pulls toward the circle, so the run is bounded
     mlp = make_score_mlp(2, hidden=(32, 32, 32), seed=4)
-    dsm_train(Circle().sample_uniform(200, seed=5), mlp,
-              DsmTrainConfig(epochs=300, batch=64, seed=6))
+    dsm_train(Circle().sample_uniform(200, seed=5), mlp, epochs=300, batch=64, t_max=3.0,
+              t_min=1e-4, lr_hi=1e-3, lr_lo=5e-5, seed=6)
     sigma, gamma, steps = 0.2, 0.01, 200
     obj = LinearObjective(np.array([1.0, -0.5]))
     x0 = np.array([0.9, 0.3])
@@ -172,8 +172,8 @@ def test_mlp_drgd_matches_reference_loop_bitwise():
         x = x_next
     ref = np.array(rows)
 
-    cfg = DrgdConfig(gamma=gamma, max_steps=steps, stop_grad_tol=0.0)
-    record, xf = drgd_run(MlpScoreOracle(mlp, sigma), obj, x0, cfg)
+    record, xf = drgd_run(MlpScoreOracle(mlp, sigma), obj, x0, gamma=gamma, max_steps=steps,
+                          stop_grad_tol=0.0, record_every=1)
     assert record.metadata["termination"] == "budget"
     assert np.array_equal(record.steps, ref[:, 0])
     assert np.array_equal(record.objective, ref[:, 1])
@@ -232,3 +232,7 @@ def test_shape_validation():
         ScoreMlp([(np.zeros((3, 2)), np.zeros(2))])
     with pytest.raises(ValueError):
         ScoreMlp([(np.zeros((3, 2)), np.zeros(3)), (np.zeros((2, 4)), np.zeros(2))])
+    # a zero width built a network whose output is its last bias alone
+    for ambient_dim, hidden in ((2, (8, 0)), (0, (8,))):
+        with pytest.raises(ValueError, match=r"need widths >= 1"):
+            make_score_mlp(ambient_dim, hidden=hidden, seed=0)

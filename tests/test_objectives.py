@@ -70,7 +70,7 @@ def test_brockett_optimum_vs_bruteforce():
     polished = np.inf
     for i in best_idx:
         _, xf = riemannian_gd_baseline(on, obj, samples[i].reshape(-1), gamma=5e-3,
-                                       max_steps=4000, stop_grad_tol=1e-12)
+                                       max_steps=4000, stop_grad_tol=1e-12, record_every=1)
         polished = min(polished, obj.value(xf))
     assert abs(polished - opt) <= 1e-3
     assert vals.min() >= opt - 1e-9
@@ -156,11 +156,19 @@ def test_affine_reparam_chain_rule():
 
 def test_make_reference_shapes_and_kinds():
     for kind in ("sinusoid", "arc", "figure_eight"):
-        ref = make_reference(kind, horizon=10, dt=0.1, output_dim=3)
+        ref = make_reference(kind, horizon=10, dt=0.1, output_dim=3, amplitude=1.0)
         assert ref.shape == (11, 3)
         assert np.abs(ref[:, 2]).max() == 0.0
     with pytest.raises(ValueError):
-        make_reference("spiral", 5, 0.1, 2)
+        make_reference("spiral", 5, 0.1, 2, amplitude=1.0)
+
+
+def test_make_reference_rejects_misspelt_keyword():
+    # an unknown keyword used to be ignored, drawing the reference at amplitude 1
+    with pytest.raises(TypeError, match="amplitde"):
+        make_reference("arc", 4, 0.5, 2, amplitde=2.0)
+    with pytest.raises(TypeError, match="amplitude"):
+        make_reference("arc", 4, 0.5, 2)
 
 
 def test_reference_csv_roundtrip(tmp_path):

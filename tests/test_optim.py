@@ -3,21 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from msopt.errors import MsoptError
 from msopt.linalg import scaled_norm
 from msopt.manifolds import Circle, Orthogonal, Sphere
 from msopt.objectives import LinearObjective, ZeroObjective, random_brockett, brockett_optimum
-from msopt.optim import (
-    DlfConfig,
-    DrgdConfig,
-    dlf_run,
-    drgd_run,
-    landing_descent_run,
-    load_run_record,
-    riemannian_gd_baseline,
-)
-from msopt.score.mlp import make_score_mlp
-from msopt.score.oracles import EmpiricalScoreOracle, ExactManifoldAdapter, MlpScoreOracle
+from msopt.optim import dlf_run, drgd_run, load_run_record, riemannian_gd_baseline
+from msopt.score.oracles import EmpiricalScoreOracle, ExactManifoldAdapter
 
 
 def _sphere_linear():
@@ -29,16 +19,16 @@ def _sphere_linear():
 def test_dlf_zero_gain_constant_objective_is_fixed_point():
     sph, _, _ = _sphere_linear()
     x0 = sph.sample_uniform(1, seed=1)[0]
-    cfg = DlfConfig(t_step=1e-3, eta=0.0, max_steps=50, stop_grad_tol=0.0)
-    record, xf = dlf_run(ExactManifoldAdapter(sph), ZeroObjective(3), x0, cfg, baseline=sph)
+    record, xf = dlf_run(ExactManifoldAdapter(sph), ZeroObjective(3), x0, t_step=1e-3, eta=0.0,
+                         max_steps=50, stop_grad_tol=0.0, record_every=1, baseline=sph)
     assert np.allclose(xf, x0, atol=1e-14)
 
 
 def test_dlf_sphere_linear_converges():
     sph, obj, target = _sphere_linear()
     x0 = np.array([1.2, 0.1, 0.1])
-    cfg = DlfConfig(t_step=1e-3, eta=300.0, max_steps=40000, stop_grad_tol=1e-9)
-    record, xf = dlf_run(ExactManifoldAdapter(sph), obj, x0, cfg, baseline=sph, record_every=500)
+    record, xf = dlf_run(ExactManifoldAdapter(sph), obj, x0, t_step=1e-3, eta=300.0,
+                         max_steps=40000, stop_grad_tol=1e-9, record_every=500, baseline=sph)
     assert np.linalg.norm(xf - target) <= 1e-6
     assert record.riem_grad_norm[-1] <= 1e-6
 
@@ -50,9 +40,8 @@ def test_dlf_exponential_distance_decay():
     x0 = np.array([1.3, 0.0, 0.0])
     step = 1e-5 / eta
     steps = int(10.0 / eta / step)
-    cfg = DlfConfig(t_step=step, eta=eta, max_steps=steps, stop_grad_tol=0.0)
-    record, _ = dlf_run(ExactManifoldAdapter(sph), ZeroObjective(3), x0, cfg,
-                        baseline=sph, record_every=10000)
+    record, _ = dlf_run(ExactManifoldAdapter(sph), ZeroObjective(3), x0, t_step=step, eta=eta,
+                        max_steps=steps, stop_grad_tol=0.0, record_every=10000, baseline=sph)
     d0 = 0.5 * 0.3**2
     times = record.steps * step
     measured = 0.5 * record.feasibility**2
@@ -74,32 +63,13 @@ def test_dlf_tangent_and_landing_terms_orthogonal():
             assert abs(tangent_term @ landing_term) <= 1e-8
 
 
-def test_landing_descent_matches_dlf_trajectory():
-    circ = Circle()
-    oracle = EmpiricalScoreOracle(circ.sample_uniform(64, seed=7), sigma=0.3)
-    obj = LinearObjective(np.array([0.7, -0.2]))
-    x0 = np.array([1.1, 0.4])
-    cfg = DlfConfig(t_step=2e-3, eta=5.0, max_steps=200, stop_grad_tol=0.0)
-    rec_a, xa = dlf_run(oracle, obj, x0, cfg, baseline=circ)
-    rec_b, xb = landing_descent_run(oracle, obj, x0, gamma=2e-3, eta=5.0,
-                                    max_steps=200, stop_grad_tol=0.0, baseline=circ)
-    assert np.linalg.norm(xa - xb) <= 1e-12
-    assert np.abs(rec_a.objective - rec_b.objective).max() <= 1e-12
-
-
-def test_landing_descent_rejects_linkless_oracle():
-    mlp_oracle = MlpScoreOracle(make_score_mlp(2, hidden=(8,), seed=1), sigma=0.3)
-    with pytest.raises(MsoptError):
-        landing_descent_run(mlp_oracle, ZeroObjective(2), np.zeros(2), gamma=1e-3,
-                            eta=1.0, max_steps=10)
-
-
-def test_landing_descent_pure_penalty_decreases_distance():
+def test_dlf_pure_penalty_decreases_distance():
+    # with f = 0 the DLF step descends eta * d_sigma(x) alone
     circ = Circle()
     oracle = EmpiricalScoreOracle(circ.sample_uniform(256, seed=9), sigma=0.1)
-    record, xf = landing_descent_run(oracle, ZeroObjective(2), np.array([1.45, 0.1]),
-                                     gamma=0.05, eta=1.0, max_steps=200,
-                                     stop_grad_tol=0.0, baseline=circ)
+    record, xf = dlf_run(oracle, ZeroObjective(2), np.array([1.45, 0.1]), t_step=0.05,
+                         eta=1.0, max_steps=200, stop_grad_tol=0.0, record_every=1,
+                         baseline=circ)
     feas = record.feasibility
     drops = np.diff(feas)
     floor = 0.02  # oracle bias floor at sigma = 0.1
@@ -107,13 +77,13 @@ def test_landing_descent_pure_penalty_decreases_distance():
     assert feas[-1] < 0.1 * feas[0]
 
 
-def test_landing_descent_divergent_step_aborts():
+def test_dlf_divergent_step_aborts():
     circ = Circle()
     adapter = ExactManifoldAdapter(circ)
     eta = 1.0
-    record, _ = landing_descent_run(adapter, ZeroObjective(2), np.array([1.3, 0.0]),
-                                    gamma=10.0 / eta, eta=eta, max_steps=100,
-                                    stop_grad_tol=0.0, baseline=circ)
+    record, _ = dlf_run(adapter, ZeroObjective(2), np.array([1.3, 0.0]), t_step=10.0 / eta,
+                        eta=eta, max_steps=100, stop_grad_tol=0.0, record_every=1,
+                        baseline=circ)
     assert record.metadata["termination"] == "diverged"
     assert int(record.metadata["diverged_at_step"]) <= 100
 
@@ -121,17 +91,17 @@ def test_landing_descent_divergent_step_aborts():
 def test_drgd_constant_objective_retracts_then_fixes():
     sph = Sphere(3)
     x0 = np.array([1.4, 0.2, -0.3])
-    cfg = DrgdConfig(gamma=0.5, max_steps=5, stop_grad_tol=0.0)
-    record, xf = drgd_run(ExactManifoldAdapter(sph), ZeroObjective(3), x0, cfg, baseline=sph)
+    record, xf = drgd_run(ExactManifoldAdapter(sph), ZeroObjective(3), x0, gamma=0.5,
+                          max_steps=5, stop_grad_tol=0.0, record_every=1, baseline=sph)
     assert np.allclose(xf, sph.project(x0), atol=1e-14)
     assert np.abs(record.feasibility[1:]).max() <= 1e-12
 
 
 def test_drgd_sphere_linear_converges_monotonically():
     sph, obj, target = _sphere_linear()
-    cfg = DrgdConfig(gamma=0.05, max_steps=3000, stop_grad_tol=1e-12)
     x0 = sph.sample_uniform(1, seed=11)[0]
-    record, xf = drgd_run(ExactManifoldAdapter(sph), obj, x0, cfg, baseline=sph)
+    record, xf = drgd_run(ExactManifoldAdapter(sph), obj, x0, gamma=0.05, max_steps=3000,
+                          stop_grad_tol=1e-12, record_every=1, baseline=sph)
     assert np.linalg.norm(xf - target) <= 1e-8
     assert np.all(np.diff(record.objective[1:]) <= 1e-12)
 
@@ -140,8 +110,8 @@ def test_drgd_exact_adapter_keeps_iterates_on_manifold():
     on = Orthogonal(3)
     obj = random_brockett(3, seed=2)
     x0 = on.sample_uniform(1, seed=3)[0]
-    cfg = DrgdConfig(gamma=5e-3, max_steps=300, stop_grad_tol=0.0)
-    record, _ = drgd_run(ExactManifoldAdapter(on), obj, x0, cfg, baseline=on)
+    record, _ = drgd_run(ExactManifoldAdapter(on), obj, x0, gamma=5e-3, max_steps=300,
+                         stop_grad_tol=0.0, record_every=1, baseline=on)
     assert np.nanmax(record.feasibility[1:]) <= 1e-9
 
 
@@ -153,7 +123,8 @@ def test_drgd_empirical_oracle_fixed_at_isolated_atom():
     oracle = EmpiricalScoreOracle(data, sigma=0.05)
     obj = random_brockett(5, seed=5)
     x0 = data[7]
-    record, xf = drgd_run(oracle, obj, x0, DrgdConfig(gamma=1e-3, max_steps=50), baseline=on)
+    record, xf = drgd_run(oracle, obj, x0, gamma=1e-3, max_steps=50, stop_grad_tol=1e-8,
+                          record_every=1, baseline=on)
     assert np.array_equal(xf, x0)
     assert record.metadata["termination"] == "grad_tol"
 
@@ -168,8 +139,8 @@ def test_drgd_empirical_oracle_optimizes_in_dense_regime():
     obj = LinearObjective(a)
     worst_atom = data[int(np.argmax(data @ a))]
     oracle = EmpiricalScoreOracle(data, sigma=0.05)
-    _, xf = drgd_run(oracle, obj, worst_atom, DrgdConfig(gamma=0.05, max_steps=800),
-                     baseline=circ, record_every=100)
+    _, xf = drgd_run(oracle, obj, worst_atom, gamma=0.05, max_steps=800, stop_grad_tol=1e-8,
+                     record_every=100, baseline=circ)
     target = -a / np.linalg.norm(a)
     assert np.linalg.norm(xf - target) <= 0.01
     assert circ.feasibility(xf) <= 0.005
@@ -205,7 +176,8 @@ def test_drgd_retraction_confines_iterates_to_oracle_error_floor():
 def test_riemannian_gd_sphere_and_brockett():
     sph, obj, target = _sphere_linear()
     x0 = sph.sample_uniform(1, seed=17)[0]
-    _, xf = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=3000, stop_grad_tol=1e-12)
+    _, xf = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=3000, stop_grad_tol=1e-12,
+                                   record_every=1)
     assert np.linalg.norm(xf - target) <= 1e-6
 
     on = Orthogonal(5)
@@ -221,7 +193,8 @@ def test_riemannian_gd_critical_point_is_fixed():
     sph = Sphere(3)
     obj = LinearObjective(np.array([0.0, 0.0, 1.0]))
     x0 = np.array([0.0, 0.0, -1.0])  # the minimizer: zero Riemannian gradient
-    record, xf = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=100)
+    record, xf = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=100,
+                                        stop_grad_tol=1e-8, record_every=1)
     assert np.array_equal(xf, x0)
     assert record.metadata["termination"] == "grad_tol"
 
@@ -234,7 +207,7 @@ def test_stop_test_does_not_underflow():
     x0 = sph.sample_uniform(1, seed=11)[0]
     for tol, termination in ((1e-200, "budget"), (1e-179, "grad_tol")):
         record, _ = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=3,
-                                           stop_grad_tol=tol)
+                                           stop_grad_tol=tol, record_every=1)
         assert record.metadata["termination"] == termination
 
 
@@ -246,7 +219,8 @@ def test_recorded_gradient_norm_does_not_underflow(scale):
     sph = Sphere(3)
     obj = LinearObjective(np.array([1.0, 2.0, -0.5]) * scale)
     x0 = sph.sample_uniform(1, seed=11)[0]
-    record, _ = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=0)
+    record, _ = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=0,
+                                       stop_grad_tol=1e-8, record_every=1)
     assert len(record) == 1
     p = sph.project(x0)
     expected = scaled_norm(sph.riemannian_grad(p, obj.gradient(p)))
@@ -258,7 +232,7 @@ def test_riemannian_gd_rejects_off_manifold_start():
     sph = Sphere(3)
     with pytest.raises(ValueError):
         riemannian_gd_baseline(sph, ZeroObjective(3), np.array([2.0, 0.0, 0.0]),
-                               gamma=0.1, max_steps=10)
+                               gamma=0.1, max_steps=10, stop_grad_tol=1e-8, record_every=1)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -273,31 +247,27 @@ def test_riemannian_gd_rejects_off_manifold_start():
     ({"tol": float("nan")}, "stop_grad_tol = nan (need finite >= 0)"),
     ({"tol": float("inf")}, "stop_grad_tol = inf (need finite >= 0)"),
     ({"tol": -1e-8}, "stop_grad_tol = -1e-08 (need finite >= 0)"),
+    ({"every": 0}, "record_every = 0 (need >= 1)"),
+    ({"every": -4}, "record_every = -4 (need >= 1)"),
 ], ids=["zero_step", "negative_step", "nan_step", "negative_max_steps", "negative_eta",
         "inf_step", "inf_eta", "nan_eta", "nan_stop_grad_tol", "inf_stop_grad_tol",
-        "negative_stop_grad_tol"])
+        "negative_stop_grad_tol", "zero_record_every", "negative_record_every"])
 def test_optimizers_share_one_parameter_check(bad, message):
     # a negative step would run an ascent, a negative budget an empty record,
     # an infinite step a non-finite iterate, a NaN or negative tolerance a run
-    # whose stop test never fires; all four optimizers reject them before the
-    # first step
+    # whose stop test never fires, a recording interval below 1 a record of
+    # every step; all three optimizers reject them before the first step
     sph, obj, _ = _sphere_linear()
     x0 = sph.sample_uniform(1, seed=2)[0]
     adapter = ExactManifoldAdapter(sph)
-    p = {"step": 1e-3, "max_steps": 10, "eta": 1.0, "tol": 1e-8, **bad}
-    runs = [
-        ("t_step", lambda: DlfConfig(t_step=p["step"], eta=p["eta"], max_steps=p["max_steps"],
-                                     stop_grad_tol=p["tol"])),
-        ("gamma", lambda: landing_descent_run(adapter, obj, x0, gamma=p["step"], eta=p["eta"],
-                                              max_steps=p["max_steps"], stop_grad_tol=p["tol"])),
-    ]
+    p = {"step": 1e-3, "max_steps": 10, "eta": 1.0, "tol": 1e-8, "every": 1, **bad}
+    loop = dict(max_steps=p["max_steps"], stop_grad_tol=p["tol"], record_every=p["every"])
+    runs = [("t_step", lambda: dlf_run(adapter, obj, x0, t_step=p["step"], eta=p["eta"],
+                                       baseline=sph, **loop))]
     if "eta" not in bad:
         runs += [
-            ("gamma", lambda: DrgdConfig(gamma=p["step"], max_steps=p["max_steps"],
-                                         stop_grad_tol=p["tol"])),
-            ("gamma", lambda: riemannian_gd_baseline(sph, obj, x0, gamma=p["step"],
-                                                     max_steps=p["max_steps"],
-                                                     stop_grad_tol=p["tol"])),
+            ("gamma", lambda: drgd_run(adapter, obj, x0, gamma=p["step"], baseline=sph, **loop)),
+            ("gamma", lambda: riemannian_gd_baseline(sph, obj, x0, gamma=p["step"], **loop)),
         ]
     for step_name, run in runs:
         with pytest.raises(ValueError, match=re.escape(message.replace("STEP", step_name))):
@@ -308,7 +278,7 @@ def test_running_average_sq_grad_norm_nonincreasing_for_tol_runs():
     sph, obj, _ = _sphere_linear()
     x0 = sph.sample_uniform(1, seed=23)[0]
     record, _ = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=5000,
-                                       stop_grad_tol=1e-10)
+                                       stop_grad_tol=1e-10, record_every=1)
     assert record.metadata["termination"] == "grad_tol"
     # gradient norms can rise before the decay sets in, so the Cesaro average
     # is non-increasing only past its peak; the tail must dominate
@@ -325,9 +295,9 @@ def test_bitwise_reproducibility():
     data = on.sample_uniform(200, seed=29)
     oracle = EmpiricalScoreOracle(data, sigma=0.5)
     obj = random_brockett(3, seed=31)
-    cfg = DrgdConfig(gamma=1e-3, max_steps=100, stop_grad_tol=0.0)
-    rec_a, xa = drgd_run(oracle, obj, data[0], cfg, baseline=on)
-    rec_b, xb = drgd_run(oracle, obj, data[0], cfg, baseline=on)
+    params = dict(gamma=1e-3, max_steps=100, stop_grad_tol=0.0, record_every=1, baseline=on)
+    rec_a, xa = drgd_run(oracle, obj, data[0], **params)
+    rec_b, xb = drgd_run(oracle, obj, data[0], **params)
     assert np.array_equal(xa, xb)
     for field in ("objective", "surrogate_objective", "feasibility", "riem_grad_norm", "step_norm"):
         assert np.array_equal(getattr(rec_a, field), getattr(rec_b, field))
@@ -336,7 +306,8 @@ def test_bitwise_reproducibility():
 def test_run_record_roundtrip(tmp_path):
     sph, obj, _ = _sphere_linear()
     x0 = sph.sample_uniform(1, seed=37)[0]
-    record, _ = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=50)
+    record, _ = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=50,
+                                       stop_grad_tol=1e-8, record_every=1)
     csv_path = tmp_path / "run.csv"
     meta_path = tmp_path / "run.meta.txt"
     record.save(csv_path, meta_path)
@@ -349,9 +320,9 @@ def test_run_record_roundtrip(tmp_path):
 
 def test_dlf_flags_runs_leaving_safe_tube():
     sph = Sphere(3)
-    cfg = DlfConfig(t_step=1e-3, eta=1.0, max_steps=5, stop_grad_tol=0.0)
-    record, _ = dlf_run(ExactManifoldAdapter(sph), ZeroObjective(3),
-                        np.array([2.5, 0.0, 0.0]), cfg, baseline=sph)
+    record, _ = dlf_run(ExactManifoldAdapter(sph), ZeroObjective(3), np.array([2.5, 0.0, 0.0]),
+                        t_step=1e-3, eta=1.0, max_steps=5, stop_grad_tol=0.0, record_every=1,
+                        baseline=sph)
     assert record.metadata["left_safe_tube"] == "true"
 
 
@@ -371,20 +342,21 @@ class _CountingOracle:
 
 
 def test_posterior_calls_per_step():
-    # DLF and landing descent: one posterior per iterate, the final one
-    # included; DRGD: one at x and one for the retraction, plus the final
-    # iterate, whose product the stop test still needs
+    # DLF: one posterior per iterate, the final one included, and none more
+    # for the baseline metrics of a recorded run; DRGD: one at x and one for
+    # the retraction, plus the final iterate, whose product the stop test
+    # still needs
     circ = Circle()
     obj = LinearObjective(np.array([0.7, -0.2]))
     x0 = np.array([1.1, 0.4])
     steps = 7
     counted = _CountingOracle(EmpiricalScoreOracle(circ.sample_uniform(64, seed=7), sigma=0.3))
-    dlf_run(counted, obj, x0, DlfConfig(t_step=2e-3, eta=5.0, max_steps=steps, stop_grad_tol=0.0))
+    loop = dict(max_steps=steps, stop_grad_tol=0.0, record_every=1)
+    dlf_run(counted, obj, x0, t_step=2e-3, eta=5.0, **loop)
     assert counted.calls == steps + 1
     counted.calls = 0
-    landing_descent_run(counted, obj, x0, gamma=2e-3, eta=5.0, max_steps=steps,
-                        stop_grad_tol=0.0)
+    dlf_run(counted, obj, x0, t_step=2e-3, eta=5.0, baseline=circ, **loop)
     assert counted.calls == steps + 1
     counted.calls = 0
-    drgd_run(counted, obj, x0, DrgdConfig(gamma=1e-3, max_steps=steps, stop_grad_tol=0.0))
+    drgd_run(counted, obj, x0, gamma=1e-3, **loop)
     assert counted.calls == 2 * steps + 1

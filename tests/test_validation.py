@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.special import ive
 
 from msopt.manifolds import Circle, Sphere
 from msopt.objectives import LinearObjective
-from msopt.optim import DrgdConfig, drgd_run, load_run_record, riemannian_gd_baseline
+from msopt.optim import drgd_run, load_run_record, riemannian_gd_baseline
 from msopt.score.oracles import EmpiricalScoreOracle, ExactManifoldAdapter, QuadratureScoreOracle
 from msopt.validation import feasibility_optimality_report, landing_check, rate_sweep
 
@@ -64,7 +66,7 @@ def test_rate_sweep_csv_and_summary(tmp_path):
 def test_landing_check_zero_gain_keeps_distance():
     sph = Sphere(3)
     report = landing_check(sph, eta=0.0, x0=np.array([1.3, 0.0, 0.0]),
-                           t_end=0.5, euler_step=1e-3)
+                           t_end=0.5, euler_step=1e-3, record_every=1)
     assert np.abs(report.measured - report.measured[0]).max() <= 1e-10
 
 
@@ -80,7 +82,8 @@ def test_landing_check_doubling_eta_halves_efold_time():
     x0 = np.array([0.7, 0.0, 0.0])
 
     def time_to_efold(eta):
-        rep = landing_check(sph, eta=eta, x0=x0, t_end=4.0 / eta, euler_step=1e-4 / eta)
+        rep = landing_check(sph, eta=eta, x0=x0, t_end=4.0 / eta, euler_step=1e-4 / eta,
+                            record_every=1)
         target = rep.measured[0] / np.e
         k = int(np.argmax(rep.measured <= target))
         t0, t1 = rep.times[k - 1], rep.times[k]
@@ -94,7 +97,23 @@ def test_landing_check_doubling_eta_halves_efold_time():
 def test_landing_check_rejects_outside_tube():
     with pytest.raises(ValueError):
         landing_check(Sphere(3), eta=1.0, x0=np.array([2.0, 0.0, 0.0]),
-                      t_end=1.0, euler_step=1e-3)
+                      t_end=1.0, euler_step=1e-3, record_every=1)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"record_every": 0}, "record_every = 0 (need >= 1)"),
+    ({"record_every": -4}, "record_every = -4 (need >= 1)"),
+    ({"euler_step": 0.0}, "euler_step = 0.0 (need finite > 0)"),
+    ({"t_end": float("inf")}, "t_end = inf (need finite >= 0)"),
+    ({"eta": float("nan")}, "eta = nan (need finite >= 0)"),
+])
+def test_landing_check_parameters_checked(bad, message):
+    # a zero interval or step divided by zero, an infinite end time overflowed
+    # the step count; each is a ValueError that names the parameter
+    params = dict(eta=1.0, x0=np.array([1.3, 0.0, 0.0]), t_end=0.5, euler_step=1e-3,
+                  record_every=1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        landing_check(Sphere(3), **{**params, **bad})
 
 
 def test_landing_measured_curve_monotone():
@@ -108,7 +127,8 @@ def test_report_exact_sphere_run():
     sph = Sphere(3)
     obj = LinearObjective(np.array([1.0, 2.0, -0.5]))
     record, _ = riemannian_gd_baseline(sph, obj, sph.sample_uniform(1, seed=7)[0],
-                                       gamma=0.1, max_steps=3000, stop_grad_tol=1e-8)
+                                       gamma=0.1, max_steps=3000, stop_grad_tol=1e-8,
+                                       record_every=1)
     summary = feasibility_optimality_report(record, baseline=sph)
     assert summary.final_feasibility <= 1e-9
     assert summary.final_riem_grad_norm <= 1e-6
@@ -119,8 +139,8 @@ def test_report_constant_objective_zero_improvement():
     oracle = ExactManifoldAdapter(sph)
     from msopt.objectives import ZeroObjective
 
-    record, _ = drgd_run(oracle, ZeroObjective(2), sph.sample_uniform(1, seed=8)[0],
-                         DrgdConfig(gamma=0.1, max_steps=20, stop_grad_tol=0.0), baseline=sph)
+    record, _ = drgd_run(oracle, ZeroObjective(2), sph.sample_uniform(1, seed=8)[0], gamma=0.1,
+                         max_steps=20, stop_grad_tol=0.0, record_every=1, baseline=sph)
     record.metadata["dataset_best_objective"] = "0"
     summary = feasibility_optimality_report(record, baseline=sph)
     assert summary.objective_improvement == 0.0
@@ -130,7 +150,8 @@ def test_report_reproducible_from_saved_record(tmp_path):
     sph = Sphere(3)
     obj = LinearObjective(np.array([0.3, -1.0, 0.2]))
     record, _ = riemannian_gd_baseline(sph, obj, sph.sample_uniform(1, seed=9)[0],
-                                       gamma=0.1, max_steps=200)
+                                       gamma=0.1, max_steps=200, stop_grad_tol=1e-8,
+                                       record_every=1)
     record.save(tmp_path / "r.csv", tmp_path / "r.meta.txt")
     loaded = load_run_record(tmp_path / "r.csv", tmp_path / "r.meta.txt")
     a = feasibility_optimality_report(record, baseline=sph)
