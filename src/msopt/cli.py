@@ -28,7 +28,7 @@ from msopt.objectives import (
     make_reference,
     random_brockett,
 )
-from msopt.optim import dlf_run, drgd_run, load_run_record, riemannian_gd_baseline
+from msopt.optim import dlf_run, drgd_run, riemannian_gd_baseline
 from msopt.score.dsm import dsm_train
 from msopt.score.mlp import load_score_mlp, make_score_mlp
 from msopt.score.oracles import (
@@ -38,30 +38,25 @@ from msopt.score.oracles import (
     QuadratureScoreOracle,
 )
 from msopt.score.sampler import ve_reverse_sample
+from msopt.textio import write_csv, write_key_values
 from msopt.validation import feasibility_optimality_report, landing_check, rate_sweep
 
 _SYSTEM_KINDS = ("unicycle", "double_pendulum")
 
 
-def _write_points_csv(path, points):
-    with open(path, "w") as fh:
-        for row in np.atleast_2d(points):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
 def _write_manifest(out_dir, cfg: ExperimentConfig, started, artifacts):
     with open(os.path.join(out_dir, "config_echo.cfg"), "w") as fh:
         fh.write(cfg.echo())
-    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
-        fh.write(f"msopt_version = {msopt.__version__}\n")
-        fh.write(f"numpy_version = {np.__version__}\n")
-        fh.write(f"python_version = {sys.version.split()[0]}\n")
-        fh.write(f"experiment_kind = {cfg.kind}\n")
-        fh.write(f"seed = {cfg.seed}\n")
-        fh.write(f"wall_time_s = {time.perf_counter() - started:.3f}\n")
-        fh.write("config_echo = config_echo.cfg\n")
-        for name in artifacts:
-            fh.write(f"artifact = {name}\n")
+    write_key_values(os.path.join(out_dir, "manifest.txt"), [
+        ("msopt_version", msopt.__version__),
+        ("numpy_version", np.__version__),
+        ("python_version", sys.version.split()[0]),
+        ("experiment_kind", cfg.kind),
+        ("seed", cfg.seed),
+        ("wall_time_s", f"{time.perf_counter() - started:.3f}"),
+        ("config_echo", "config_echo.cfg"),
+        *(("artifact", name) for name in artifacts),
+    ])
 
 
 def _build_manifold(cfg: ExperimentConfig):
@@ -81,9 +76,11 @@ def _oracle_family(cfg: ExperimentConfig, manifold, atoms=None):
 
     The points file is read, the sample drawn or the network loaded once,
     here; every sigma reuses them. `atoms` (the normalized trajectories of a
-    tracking run) take the place of the points file and the sample.
+    tracking run) take the place of the points file and the sample. The
+    oracle's dimension must be the manifold's, or else that of `atoms`.
     """
     kind = cfg.get("oracle", "kind")
+    want = manifold.ambient_dim if manifold is not None else None if atoms is None else atoms.shape[1]
     if kind in ("exact", "quadrature") and manifold is None:
         raise ConfigError(f"{kind} oracle needs a circle, sphere or orthogonal [manifold]")
     if kind == "exact":
@@ -99,14 +96,19 @@ def _oracle_family(cfg: ExperimentConfig, manifold, atoms=None):
                 atoms = manifold.sample_uniform(cfg.get("oracle", "sample_count"), seed=cfg.seed)
             else:
                 raise ConfigError("empirical oracle needs [oracle] dataset or a [manifold]")
-        return lambda sigma: EmpiricalScoreOracle(atoms, sigma)
-    if kind == "mlp":
+        dim, family = atoms.shape[1], lambda sigma: EmpiricalScoreOracle(atoms, sigma)
+    elif kind == "mlp":
         model = cfg.get("oracle", "model")
         if model is None:
             raise ConfigError("mlp oracle needs [oracle] model")
         mlp = load_score_mlp(model)
-        return lambda sigma: MlpScoreOracle(mlp, sigma)
-    raise ConfigError(f"unknown oracle kind {kind!r}")
+        dim, family = mlp.ambient_dim, lambda sigma: MlpScoreOracle(mlp, sigma)
+    else:
+        raise ConfigError(f"unknown oracle kind {kind!r}")
+    if want is not None and dim != want:
+        raise ConfigError(f"oracle dimension {dim} does not match the "
+                          f"{'dataset' if manifold is None else 'manifold'}'s {want}")
+    return family
 
 
 def _tracking_weights(cfg: ExperimentConfig, system: SystemModel):
@@ -209,7 +211,7 @@ def _cmd_generate_data(cfg: ExperimentConfig, out_dir: str):
         return ["meta.txt", "data.csv"]
     manifold = _build_manifold(cfg)
     points = manifold.sample_uniform(count, cfg.seed)
-    _write_points_csv(os.path.join(out_dir, "points.csv"), points)
+    write_csv(os.path.join(out_dir, "points.csv"), None, points)
     return ["points.csv"]
 
 
@@ -226,18 +228,17 @@ def _cmd_train_score(cfg: ExperimentConfig, out_dir: str):
         **_algorithm_params(cfg, "epochs", "batch", "t_max", "t_min", "lr_hi", "lr_lo"),
     )
     mlp.save(os.path.join(out_dir, "model.msopt"))
-    with open(os.path.join(out_dir, "loss_trace.csv"), "w") as fh:
-        fh.write("epoch,loss\n")
-        for i, loss in enumerate(trace):
-            fh.write(f"{i},{loss:.17g}\n")
+    write_csv(os.path.join(out_dir, "loss_trace.csv"), "epoch,loss",
+              np.column_stack([np.arange(len(trace)), trace]))
     return ["model.msopt", "loss_trace.csv"]
 
 
-def _resolve_x0(cfg, manifold, atoms, atom_values, data_atoms):
+def _resolve_x0(cfg, dim, manifold, atoms, atom_values, data_atoms):
     """Start point and, when it is the best of `atoms`, its objective value.
 
     `atom_values()` gives the objective at the atoms; data atoms (not
-    quadrature nodes) are the auto start.
+    quadrature nodes) are the auto start. An explicit start must be `dim`
+    finite floats.
     """
     spec = cfg.get("algorithm", "x0")
     if spec == "auto":
@@ -253,7 +254,14 @@ def _resolve_x0(cfg, manifold, atoms, atom_values, data_atoms):
         if manifold is None:
             raise ConfigError("x0 = sample needs a circle, sphere or orthogonal [manifold]")
         return manifold.sample_uniform(1, _rng.stream(cfg.seed, "x0").integers(2**31))[0], None
-    return np.array([float(v) for v in spec.split(",")]), None
+    try:
+        x0 = np.array([float(v) for v in spec.split(",")])
+    except ValueError:
+        x0 = None
+    if x0 is None or x0.size != dim or not np.all(np.isfinite(x0)):
+        raise ConfigError(f"x0 = {spec} is not auto, dataset_argmin, sample or "
+                          f"{dim} finite comma-separated floats (the oracle's dimension)")
+    return x0, None
 
 
 def _cmd_optimize(cfg: ExperimentConfig, out_dir: str):
@@ -264,9 +272,6 @@ def _cmd_optimize(cfg: ExperimentConfig, out_dir: str):
         manifold, flat = None, dataset.flatten()
         atoms = dataset.normalize(flat)
         oracle = _oracle_family(cfg, None, atoms)(sigma)
-        if oracle.ambient_dim != dataset.ambient_dim:
-            raise ConfigError(f"oracle dimension {oracle.ambient_dim} does not match the "
-                              f"dataset's {dataset.ambient_dim}")
         objective = AffineReparamObjective(tracking, dataset.norm_shift, dataset.norm_scale)
         atom_values = lambda: [tracking.value(p) for p in flat]
     else:
@@ -276,15 +281,15 @@ def _cmd_optimize(cfg: ExperimentConfig, out_dir: str):
         objective = _manifold_objective(cfg, manifold, oracle.ambient_dim)
         atoms = getattr(oracle, "points", None)
         atom_values = lambda: [objective.value(p) for p in atoms]
-    x0, best = _resolve_x0(cfg, manifold, atoms, atom_values,
+    x0, best = _resolve_x0(cfg, oracle.ambient_dim, manifold, atoms, atom_values,
                            dataset is not None or isinstance(oracle, EmpiricalScoreOracle))
 
     record, x_final = _run_algorithm(cfg, oracle, objective, x0, manifold)
-    record.metadata["seed"] = str(cfg.seed)
+    record.metadata["seed"] = cfg.seed
     if dataset is not None:
         record.metadata["space"] = "normalized"
     if best is not None:
-        record.metadata["dataset_best_objective"] = f"{best:.17g}"
+        record.metadata["dataset_best_objective"] = best
     record.save(os.path.join(out_dir, "run.csv"), os.path.join(out_dir, "run.meta.txt"))
     summary = feasibility_optimality_report(record, baseline=manifold, dataset=dataset,
                                             objective=tracking)
@@ -292,69 +297,50 @@ def _cmd_optimize(cfg: ExperimentConfig, out_dir: str):
         fh.write(summary.to_text())
     artifacts = ["run.csv", "run.meta.txt", "summary.txt"]
     if dataset is not None:
-        _write_points_csv(os.path.join(out_dir, "optimized_point.csv"),
-                          dataset.denormalize(x_final)[None, :])
+        write_csv(os.path.join(out_dir, "optimized_point.csv"), None,
+                  dataset.denormalize(x_final)[None, :])
         artifacts.append("optimized_point.csv")
     return artifacts, record.metadata.get("termination") == "diverged"
 
 
 def _cmd_validate(cfg: ExperimentConfig, out_dir: str, do_assert: bool):
     check = cfg.get("algorithm", "check")
+    if check not in ("rate", "landing"):
+        raise ConfigError(f"unknown validate check {check!r}")
+    manifold = _build_manifold(cfg)
+    if manifold is None:
+        raise ConfigError(f"{check} check needs a [manifold] section")
     violations = []
-    artifacts = []
     if check == "rate":
-        manifold = _build_manifold(cfg)
-        if manifold is None:
-            raise ConfigError("rate check needs a [manifold] section")
         report = rate_sweep(
             _oracle_family(cfg, manifold), manifold, cfg.get("algorithm", "offsets"),
             cfg.get("algorithm", "sigmas"), cfg.get("algorithm", "n_points"), cfg.seed,
         )
-        report.save_csv(os.path.join(out_dir, "rate_report.csv"))
-        with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-            fh.write(report.summary_text())
-        artifacts += ["rate_report.csv", "summary.txt"]
         lo, hi = cfg.get("algorithm", "slope_min"), cfg.get("algorithm", "slope_max")
         for name, slope in (("mean", report.slope_mean), ("jacobian", report.slope_jacobian)):
             if not (lo <= slope <= hi):
                 violations.append(f"{name} slope {slope:.3f} outside [{lo}, {hi}]")
         if not report.monotone_decreasing():
             violations.append("errors not monotone decreasing in sigma")
-    elif check == "landing":
-        manifold = _build_manifold(cfg)
-        if manifold is None:
-            raise ConfigError("landing check needs a [manifold] section")
+    else:
         base = manifold.sample_uniform(1, cfg.seed)[0]
         x0 = base + cfg.get("algorithm", "x0_distance") * manifold.unit_normal(base, seed=cfg.seed)
         report = landing_check(
             manifold, x0=x0,
             **_algorithm_params(cfg, "eta", "t_end", "euler_step", "record_every"),
         )
-        report.save_csv(os.path.join(out_dir, "landing_report.csv"))
-        with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-            fh.write(report.summary_text())
-        artifacts += ["landing_report.csv", "summary.txt"]
         budget = cfg.get("algorithm", "max_rel_dev")
         if report.max_rel_deviation > budget:
             violations.append(
                 f"max relative deviation {report.max_rel_deviation:.4g} > {budget}"
             )
-    elif check == "report":
-        csv_path = cfg.get("algorithm", "run_csv")
-        if csv_path is None:
-            raise ConfigError("report check needs [algorithm] run_csv")
-        record = load_run_record(csv_path, cfg.get("algorithm", "run_meta"))
-        manifold = _build_manifold(cfg)
-        summary = feasibility_optimality_report(record, baseline=manifold)
-        with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-            fh.write(summary.to_text())
-        artifacts.append("summary.txt")
-    else:
-        raise ConfigError(f"unknown validate check {check!r}")
+    report.save_csv(os.path.join(out_dir, f"{check}_report.csv"))
+    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
+        fh.write(report.summary_text())
 
     for v in violations:
         print(f"assertion violated: {v}", file=sys.stderr)
-    return artifacts, bool(violations) and do_assert
+    return [f"{check}_report.csv", "summary.txt"], bool(violations) and do_assert
 
 
 def _cmd_sample(cfg: ExperimentConfig, out_dir: str):
@@ -362,7 +348,7 @@ def _cmd_sample(cfg: ExperimentConfig, out_dir: str):
     samples = ve_reverse_sample(
         mlp, seed=cfg.seed, **_algorithm_params(cfg, "count", "steps", "t_max", "t_min"),
     )
-    _write_points_csv(os.path.join(out_dir, "samples.csv"), samples)
+    write_csv(os.path.join(out_dir, "samples.csv"), None, samples)
     return ["samples.csv"]
 
 
@@ -437,3 +423,7 @@ def run_cli(argv=None) -> int:
 
 def main():
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

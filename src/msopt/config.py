@@ -9,6 +9,7 @@ the per-subcommand help text.
 from dataclasses import dataclass, field
 
 from msopt.errors import ConfigError
+from msopt.textio import _render, key_values
 
 KINDS = ("generate-data", "train-score", "optimize", "validate", "sample")
 
@@ -105,7 +106,7 @@ SCHEMA = {
         "record_every": Key("int", ("optimize", "validate"), default=1),
         "x0": Key("str", ("optimize",), default="auto",
                   help="auto | dataset_argmin | sample | comma-separated floats"),
-        "check": Key("str", ("validate",), help="rate | landing | report"),
+        "check": Key("str", ("validate",), help="rate | landing"),
         "sigmas": Key("floats", ("validate",), default=(0.2, 0.1, 0.05, 0.025, 0.0125)),
         "offsets": Key("floats", ("validate",), default=(0.3,),
                        help="tube offsets as fractions of the safe tube radius"),
@@ -117,8 +118,6 @@ SCHEMA = {
         "slope_min": Key("float", ("validate",), default=1.9),
         "slope_max": Key("float", ("validate",), default=2.1),
         "max_rel_dev": Key("float", ("validate",), default=0.05),
-        "run_csv": Key("str", ("validate",), help="run record CSV (report check)"),
-        "run_meta": Key("str", ("validate",), help="run metadata sidecar (report check)"),
         "epochs": Key("int", ("train-score",)),
         "batch": Key("int", ("train-score",), default=128),
         "hidden": Key("ints", ("train-score",), default=(128, 128, 128)),
@@ -170,26 +169,13 @@ class ExperimentConfig:
 
     def echo(self) -> str:
         """Canonical config text; reloads to an identical ExperimentConfig."""
-        lines = []
+        blocks = []
         for section in SCHEMA:
             keys = sorted(k for (s, k) in self.values if s == section)
-            if not keys:
-                continue
-            lines.append(f"[{section}]")
-            for key in keys:
-                lines.append(f"{key} = {_render(self.values[(section, key)])}")
-            lines.append("")
-        return "\n".join(lines)
-
-
-def _render(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in value)
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+            if keys:
+                blocks.append(f"[{section}]\n"
+                              + key_values((key, self.values[(section, key)]) for key in keys))
+        return "\n".join(blocks)
 
 
 def parse_config_text(text, source="<config>") -> ExperimentConfig:

@@ -14,6 +14,7 @@ import numpy as np
 from msopt import rng as _rng
 from msopt.errors import DivergenceError, MsoptError
 from msopt.linalg import rk4_step
+from msopt.textio import read_key_values, write_csv, write_key_values
 
 
 @dataclass(frozen=True)
@@ -180,29 +181,23 @@ class TrajectoryDataset:
 
     def save(self, directory):
         os.makedirs(directory, exist_ok=True)
-        with open(os.path.join(directory, "meta.txt"), "w") as fh:
-            fh.write(f"system = {self.system.kind}\n")
-            fh.write(f"dt = {self.system.dt:.17g}\n")
-            fh.write(f"horizon = {self.horizon}\n")
-            fh.write(f"count = {self.count}\n")
-            fh.write(f"seed = {self.seed}\n")
-            fh.write(f"input_dim = {self.system.input_dim}\n")
-            fh.write(f"output_dim = {self.system.output_dim}\n")
-            fh.write("norm_shift = " + ",".join(f"{v:.17g}" for v in self.norm_shift) + "\n")
-            fh.write("norm_scale = " + ",".join(f"{v:.17g}" for v in self.norm_scale) + "\n")
-        flat = self.flatten()
-        with open(os.path.join(directory, "data.csv"), "w") as fh:
-            for row in flat:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_key_values(os.path.join(directory, "meta.txt"), [
+            ("system", self.system.kind),
+            ("dt", self.system.dt),
+            ("horizon", self.horizon),
+            ("count", self.count),
+            ("seed", self.seed),
+            ("input_dim", self.system.input_dim),
+            ("output_dim", self.system.output_dim),
+            ("norm_shift", self.norm_shift),
+            ("norm_scale", self.norm_scale),
+        ])
+        write_csv(os.path.join(directory, "data.csv"), None, self.flatten())
 
     @staticmethod
     def load(directory) -> "TrajectoryDataset":
-        meta = {}
         meta_path = os.path.join(directory, "meta.txt")
-        with open(meta_path) as fh:
-            for line in fh:
-                key, _, value = line.partition("=")
-                meta[key.strip()] = value.strip()
+        meta = read_key_values(meta_path)
         missing = [k for k in ("system", "dt", "horizon", "count", "seed", "norm_shift",
                                "norm_scale") if k not in meta]
         if missing:

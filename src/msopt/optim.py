@@ -35,6 +35,7 @@ import numpy as np
 
 from msopt.errors import ProjectionError
 from msopt.linalg import scaled_norm
+from msopt.textio import write_csv, write_key_values
 
 _RUNAWAY_FACTOR = 1e9
 
@@ -43,7 +44,8 @@ CSV_HEADER = "step,objective,surrogate_objective,feasibility,riem_grad_norm,step
 
 @dataclass
 class RunRecord:
-    """Per-iteration trace plus run metadata and the final iterate."""
+    """Per-iteration trace plus run metadata and the final iterate; `save`
+    renders the metadata values (strings, numbers, flags) through `textio`."""
 
     steps: np.ndarray
     objective: np.ndarray
@@ -57,7 +59,7 @@ class RunRecord:
     def __len__(self):
         return len(self.steps)
 
-    def save(self, csv_path, meta_path=None):
+    def save(self, csv_path, meta_path):
         rows = np.column_stack(
             [
                 self.steps,
@@ -68,45 +70,11 @@ class RunRecord:
                 self.step_norm,
             ]
         )
-        with open(csv_path, "w") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for row in rows:
-                fh.write(f"{int(row[0])}," + ",".join(f"{v:.17g}" for v in row[1:]) + "\n")
-        if meta_path is not None:
-            with open(meta_path, "w") as fh:
-                for key in sorted(self.metadata):
-                    fh.write(f"{key} = {self.metadata[key]}\n")
-                if self.final_point is not None:
-                    fh.write(
-                        "final_point = "
-                        + ",".join(f"{v:.17g}" for v in self.final_point)
-                        + "\n"
-                    )
-
-
-def load_run_record(csv_path, meta_path=None) -> RunRecord:
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    metadata = {}
-    final_point = None
-    if meta_path is not None:
-        with open(meta_path) as fh:
-            for line in fh:
-                key, _, value = line.partition("=")
-                key, value = key.strip(), value.strip()
-                if key == "final_point":
-                    final_point = np.array([float(v) for v in value.split(",")])
-                elif key:
-                    metadata[key] = value
-    return RunRecord(
-        steps=data[:, 0].astype(int),
-        objective=data[:, 1],
-        surrogate_objective=data[:, 2],
-        feasibility=data[:, 3],
-        riem_grad_norm=data[:, 4],
-        step_norm=data[:, 5],
-        metadata=metadata,
-        final_point=final_point,
-    )
+        write_csv(csv_path, CSV_HEADER, rows)
+        pairs = sorted(self.metadata.items())
+        if self.final_point is not None:
+            pairs.append(("final_point", self.final_point))
+        write_key_values(meta_path, pairs)
 
 
 def _check_params(step_name: str, step: float, max_steps: int, stop_grad_tol: float,
@@ -171,8 +139,8 @@ class _Recorder:
         if self.baseline is not None:
             tube = self.baseline.safe_tube_radius
             metadata["feasibility_metric"] = type(self.baseline).__name__.lower()
-            metadata["max_manifold_distance"] = f"{self.max_dist:.17g}"
-            metadata["left_safe_tube"] = str(self.max_dist > tube).lower()
+            metadata["max_manifold_distance"] = self.max_dist
+            metadata["left_safe_tube"] = bool(self.max_dist > tube)
         return RunRecord(
             steps=rows[:, 0].astype(int),
             objective=rows[:, 1],
@@ -201,7 +169,7 @@ def _drive(step, objective, x0, max_steps, stop_tol, baseline, record_every, met
     x = np.array(x0, dtype=float)
     x0_scale = 1.0 + np.linalg.norm(x)
     rec = _Recorder(objective, baseline, record_every)
-    meta.update(max_steps=str(max_steps), termination="budget")
+    meta.update(max_steps=max_steps, termination="budget")
     prev_step_norm = 0.0
     for k in range(max_steps + 1):
         surrogate, stop_vec, advance = step(x)
@@ -215,7 +183,7 @@ def _drive(step, objective, x0, max_steps, stop_tol, baseline, record_every, met
         if _runaway(x_next, x0_scale):
             rec.add(k, x, surrogate, prev_step_norm, force=True)
             meta["termination"] = "diverged"
-            meta["diverged_at_step"] = str(k + 1)
+            meta["diverged_at_step"] = k + 1
             break
         prev_step_norm = float(np.linalg.norm(x_next - x))
         x = x_next
@@ -235,10 +203,10 @@ def dlf_run(score, objective, x0, *, t_step, eta, max_steps, stop_grad_tol, reco
 
     meta = {
         "algorithm": "dlf",
-        "step_size": f"{t_step:.17g}",
-        "eta": f"{eta:.17g}",
+        "step_size": t_step,
+        "eta": eta,
         "oracle": type(score).__name__,
-        "sigma": f"{score.sigma:.17g}",
+        "sigma": score.sigma,
     }
     return _drive(step, objective, x0, max_steps, stop_grad_tol, baseline, record_every, meta)
 
@@ -255,9 +223,9 @@ def drgd_run(score, objective, x0, *, gamma, max_steps, stop_grad_tol, record_ev
 
     meta = {
         "algorithm": "drgd",
-        "gamma": f"{gamma:.17g}",
+        "gamma": gamma,
         "oracle": type(score).__name__,
-        "sigma": f"{score.sigma:.17g}",
+        "sigma": score.sigma,
     }
     return _drive(step, objective, x0, max_steps, stop_grad_tol, baseline, record_every, meta)
 
@@ -276,8 +244,8 @@ def riemannian_gd_baseline(manifold, objective, x0, *, gamma, max_steps, stop_gr
 
     meta = {
         "algorithm": "riemannian_gd",
-        "gamma": f"{gamma:.17g}",
+        "gamma": gamma,
         "oracle": "exact",
-        "sigma": "0",
+        "sigma": 0.0,
     }
     return _drive(step, objective, x, max_steps, stop_grad_tol, manifold, record_every, meta)

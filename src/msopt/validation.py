@@ -17,6 +17,7 @@ from msopt.control import TrajectoryDataset, backtest
 from msopt.errors import MsoptError
 from msopt.optim import RunRecord
 from msopt.score.oracles import ExactManifoldAdapter
+from msopt.textio import key_values, write_csv
 
 
 @dataclass
@@ -39,10 +40,8 @@ class RateSweepReport:
         return ok
 
     def save_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("sigma,mean_error,jacobian_error\n")
-            for s, em, ej in zip(self.sigmas, self.mean_errors, self.jacobian_errors):
-                fh.write(f"{s:.17g},{em:.17g},{ej:.17g}\n")
+        write_csv(path, "sigma,mean_error,jacobian_error",
+                  np.column_stack([self.sigmas, self.mean_errors, self.jacobian_errors]))
 
     def summary_text(self) -> str:
         lines = [
@@ -131,10 +130,8 @@ class LandingReport:
         return float(dev.max())
 
     def save_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("time,measured,predicted\n")
-            for t, m, p in zip(self.times, self.measured, self.predicted):
-                fh.write(f"{t:.17g},{m:.17g},{p:.17g}\n")
+        write_csv(path, "time,measured,predicted",
+                  np.column_stack([self.times, self.measured, self.predicted]))
 
     def summary_text(self) -> str:
         return (
@@ -197,11 +194,8 @@ class RunSummary:
     objective_improvement: float = None
 
     def to_text(self) -> str:
-        lines = ["run summary"]
-        for name, value in self.__dict__.items():
-            if value is not None:
-                lines.append(f"{name} = {value:.17g}")
-        return "\n".join(lines) + "\n"
+        return "run summary\n" + key_values(
+            (name, value) for name, value in self.__dict__.items() if value is not None)
 
 
 def feasibility_optimality_report(record: RunRecord, baseline=None,

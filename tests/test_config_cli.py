@@ -1,11 +1,14 @@
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from msopt.cli import run_cli
 from msopt.config import ConfigError, describe_keys, load_config, parse_config_text
+from msopt.objectives import LinearObjective
 
 OPTIMIZE_CFG = """\
 [experiment]
@@ -465,20 +468,98 @@ def test_cli_tracking_honours_x0(tmp_path, capsys, unicycle_data):
     assert "x0 = sample needs a circle, sphere or orthogonal [manifold]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["sample_model", "tracking_reference", "report_run_csv"])
+@pytest.mark.parametrize("case", ["sample_model", "tracking_reference"])
 def test_cli_missing_input_file_exits_2(tmp_path, capsys, unicycle_data, case):
     gone = str(tmp_path / "gone.csv")
     command, text = {
         "sample_model": ("sample", f"[experiment]\nkind = sample\n\n[oracle]\nmodel = {gone}\n"),
         "tracking_reference": ("optimize", _tracking_cfg(unicycle_data).replace(
             "reference = arc", f"reference = {gone}")),
-        "report_run_csv": ("validate", "[experiment]\nkind = validate\n\n"
-                                       f"[algorithm]\ncheck = report\nrun_csv = {gone}\n"),
     }[case]
     path = _write(tmp_path, text)
     assert run_cli([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert gone in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("algorithm, message", [
+    ("check = report", "unknown validate check 'report'"),
+    ("check = rate\nrun_csv = run.csv", "unknown key 'run_csv' in [algorithm]"),
+    ("check = rate\nrun_meta = run.meta.txt", "unknown key 'run_meta' in [algorithm]"),
+], ids=["check_report", "run_csv", "run_meta"])
+def test_validate_has_no_report_check(tmp_path, capsys, algorithm, message):
+    # optimize writes the run summary itself, beside the run.csv it summarizes
+    path = _write(tmp_path, f"[experiment]\nkind = validate\n\n[manifold]\nkind = circle\n\n"
+                            f"[algorithm]\n{algorithm}\n")
+    out = tmp_path / "o"
+    assert run_cli(["validate", "--config", path, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("command, oracle", [
+    ("optimize", "empirical"), ("optimize", "mlp"), ("validate", "empirical"),
+])
+def test_cli_oracle_dimension_checked_against_manifold(tmp_path, capsys, command, oracle):
+    # 3-D points or a 3-D network on a circle: the run reported circle
+    # feasibility for 3-D iterates and exited 0
+    from msopt.score.mlp import make_score_mlp
+
+    gen = _write(tmp_path, "[experiment]\nkind = generate-data\n\n"
+                           "[manifold]\nkind = sphere\ndim = 3\ncount = 40\n", "gen.cfg")
+    assert run_cli(["generate-data", "--config", gen, "--out", str(tmp_path / "d")]) == 0
+    model = tmp_path / "m.msopt"
+    make_score_mlp(3, hidden=(4,), seed=0).save(model)
+    source = (f"dataset = {tmp_path / 'd' / 'points.csv'}" if oracle == "empirical"
+              else f"model = {model}")
+    if command == "optimize":
+        body = ("[objective]\nkind = linear\na = 1,0,0\n\n"
+                "[algorithm]\nkind = drgd\nmax_steps = 5\n")
+    else:
+        body = "[algorithm]\ncheck = rate\nn_points = 4\n"
+    path = _write(tmp_path, f"[experiment]\nkind = {command}\n\n[oracle]\nkind = {oracle}\n"
+                            f"{source}\n\n[manifold]\nkind = circle\n\n{body}")
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", path, "--out", str(out)]) == 2
+    assert "oracle dimension 3 does not match the manifold's 2" in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("oracle, x0", [
+    ("exact", "nan,1"), ("quadrature", "nan,1"), ("exact", "1,inf"),
+    ("exact", "1,0,0"), ("quadrature", "1,0,0"), ("exact", "1"), ("exact", "one,zero"),
+])
+def test_cli_explicit_x0_checked(tmp_path, capsys, oracle, x0):
+    # nan,1 ran to a numerical abort (exit 1) and wrote run.csv; 1,0,0 ended
+    # in numpy's matmul shape error
+    cfg = OPTIMIZE_CFG.replace("kind = exact", f"kind = {oracle}").replace(
+        "kind = sphere\ndim = 3", "kind = circle").replace("a = 1.0,2.0,-0.5", "a = 1.0,2.0")
+    path = _write(tmp_path, cfg.replace("max_steps = 400", f"max_steps = 5\nx0 = {x0}"))
+    out = tmp_path / "o"
+    assert run_cli(["optimize", "--config", path, "--out", str(out)]) == 2
+    assert (f"x0 = {x0} is not auto, dataset_argmin, sample or 2 finite comma-separated floats"
+            in capsys.readouterr().err)
+    assert not (out / "run.csv").exists()
+
+
+def test_cli_explicit_x0_accepted(tmp_path):
+    cfg = OPTIMIZE_CFG.replace("max_steps = 400", "max_steps = 0\nx0 = 0.6, 0, 0.8")
+    out = tmp_path / "o"
+    assert run_cli(["optimize", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    assert np.array_equal(np.loadtxt(out / "run.csv", delimiter=",", skiprows=1)[1],
+                          LinearObjective(np.array([1.0, 2.0, -0.5])).value([0.6, 0.0, 0.8]))
+
+
+def test_python_m_msopt_cli_runs_the_cli(tmp_path):
+    # without the __main__ guard this ran nothing and exited 0
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.abspath(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "msopt.cli", "validate", "--config", str(tmp_path / "nope.cfg"),
+         "--assert"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "cannot read config" in proc.stderr
 
 
 def test_cli_x0_dataset_argmin_needs_atoms(tmp_path, capsys):

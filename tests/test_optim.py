@@ -6,8 +6,9 @@ import pytest
 from msopt.linalg import scaled_norm
 from msopt.manifolds import Circle, Orthogonal, Sphere
 from msopt.objectives import LinearObjective, ZeroObjective, random_brockett, brockett_optimum
-from msopt.optim import dlf_run, drgd_run, load_run_record, riemannian_gd_baseline
+from msopt.optim import CSV_HEADER, dlf_run, drgd_run, riemannian_gd_baseline
 from msopt.score.oracles import EmpiricalScoreOracle, ExactManifoldAdapter
+from msopt.textio import read_key_values
 
 
 def _sphere_linear():
@@ -311,11 +312,14 @@ def test_run_record_roundtrip(tmp_path):
     csv_path = tmp_path / "run.csv"
     meta_path = tmp_path / "run.meta.txt"
     record.save(csv_path, meta_path)
-    loaded = load_run_record(csv_path, meta_path)
-    assert np.array_equal(loaded.steps, record.steps)
-    assert np.array_equal(loaded.objective, record.objective)
-    assert np.array_equal(loaded.final_point, record.final_point)
-    assert loaded.metadata["algorithm"] == "riemannian_gd"
+    assert csv_path.read_text().splitlines()[0] == CSV_HEADER
+    table = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(table[:, 0], record.steps)
+    assert np.array_equal(table[:, 1], record.objective)
+    meta = read_key_values(meta_path)
+    final_point = np.array([float(v) for v in meta["final_point"].split(",")])
+    assert np.array_equal(final_point, record.final_point)
+    assert meta["algorithm"] == "riemannian_gd"
 
 
 def test_dlf_flags_runs_leaving_safe_tube():
@@ -323,7 +327,7 @@ def test_dlf_flags_runs_leaving_safe_tube():
     record, _ = dlf_run(ExactManifoldAdapter(sph), ZeroObjective(3), np.array([2.5, 0.0, 0.0]),
                         t_step=1e-3, eta=1.0, max_steps=5, stop_grad_tol=0.0, record_every=1,
                         baseline=sph)
-    assert record.metadata["left_safe_tube"] == "true"
+    assert record.metadata["left_safe_tube"] is True
 
 
 class _CountingOracle:

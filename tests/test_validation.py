@@ -6,8 +6,9 @@ from scipy.special import ive
 
 from msopt.manifolds import Circle, Sphere
 from msopt.objectives import LinearObjective
-from msopt.optim import drgd_run, load_run_record, riemannian_gd_baseline
+from msopt.optim import RunRecord, drgd_run, riemannian_gd_baseline
 from msopt.score.oracles import EmpiricalScoreOracle, ExactManifoldAdapter, QuadratureScoreOracle
+from msopt.textio import read_key_values
 from msopt.validation import feasibility_optimality_report, landing_check, rate_sweep
 
 SIGMAS = (0.2, 0.1, 0.05, 0.025, 0.0125)
@@ -153,15 +154,14 @@ def test_report_reproducible_from_saved_record(tmp_path):
                                        gamma=0.1, max_steps=200, stop_grad_tol=1e-8,
                                        record_every=1)
     record.save(tmp_path / "r.csv", tmp_path / "r.meta.txt")
-    loaded = load_run_record(tmp_path / "r.csv", tmp_path / "r.meta.txt")
+    table = np.loadtxt(tmp_path / "r.csv", delimiter=",", skiprows=1, ndmin=2)
+    loaded = RunRecord(*table.T, metadata=read_key_values(tmp_path / "r.meta.txt"))
     a = feasibility_optimality_report(record, baseline=sph)
     b = feasibility_optimality_report(loaded, baseline=sph)
     assert a == b
 
 
 def test_report_rejects_empty_record():
-    from msopt.optim import RunRecord
-
     empty = RunRecord(*(np.zeros(0),) * 6)
     with pytest.raises(ValueError):
         feasibility_optimality_report(empty)
