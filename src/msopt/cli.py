@@ -154,10 +154,10 @@ def _load_tracking(cfg: ExperimentConfig):
     else:
         ref = load_reference_csv(ref_spec)
     tracking = TrackingObjective(ref, q, r, dataset.horizon)
-    if tracking.ambient_dim != dataset.ambient_dim:
+    if tracking.layout != dataset.layout:
         raise ConfigError(
-            f"objective layout {tracking.ambient_dim} does not match dataset "
-            f"ambient dim {dataset.ambient_dim}"
+            f"objective layout {tracking.layout} ([objective] r_weight sets the inputs, "
+            f"q_weight the outputs) does not match the dataset's {dataset.layout}"
         )
     return dataset, tracking
 
@@ -168,6 +168,9 @@ def _manifold_objective(cfg: ExperimentConfig, manifold, ambient_dim):
         a = cfg.get("objective", "a")
         if a is None:
             raise ConfigError("linear objective needs [objective] a")
+        if len(a) != ambient_dim:
+            raise ConfigError(f"[objective] a has {len(a)} entries, but the oracle's "
+                              f"dimension is {ambient_dim}")
         return LinearObjective(np.array(a))
     if obj_kind == "brockett":
         if manifold is None or not hasattr(manifold, "n"):
@@ -219,7 +222,7 @@ def _cmd_train_score(cfg: ExperimentConfig, out_dir: str):
     path = cfg.get("oracle", "dataset")
     if os.path.isdir(path):
         ds = TrajectoryDataset.load(path)
-        data = ds.normalize(ds.flatten())
+        data = ds.normalize(ds.data)
     else:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
     mlp = make_score_mlp(data.shape[1], hidden=cfg.get("algorithm", "hidden"), seed=cfg.seed)
@@ -269,11 +272,10 @@ def _cmd_optimize(cfg: ExperimentConfig, out_dir: str):
     if cfg.get("objective", "kind") == "tracking" or cfg.get("manifold", "kind") in _SYSTEM_KINDS:
         # a trajectory dataset: optimize in its normalized coordinates
         dataset, tracking = _load_tracking(cfg)
-        manifold, flat = None, dataset.flatten()
-        atoms = dataset.normalize(flat)
+        manifold, atoms = None, dataset.normalize(dataset.data)
         oracle = _oracle_family(cfg, None, atoms)(sigma)
         objective = AffineReparamObjective(tracking, dataset.norm_shift, dataset.norm_scale)
-        atom_values = lambda: [tracking.value(p) for p in flat]
+        atom_values = lambda: [tracking.value(p) for p in dataset.data]
     else:
         dataset = tracking = None
         manifold = _build_manifold(cfg)

@@ -2,8 +2,8 @@
 
 Discrete-time systems are RK4 discretizations of the continuous dynamics.
 Datasets of input-output pairs sampled under persistently exciting inputs
-form the training measure on the system-behavior manifold; flattened points
-are (u blocks, then y blocks), matching the tracking objective layout.
+form the training measure on the system-behavior manifold; each is one flat
+row in the order of `TrajectoryLayout`, which the tracking objective shares.
 """
 
 import os
@@ -130,48 +130,62 @@ def backtest(model: SystemModel, u_star, y_star):
     return y_true, float(np.linalg.norm(y_star - y_true))
 
 
+@dataclass(frozen=True)
+class TrajectoryLayout:
+    """The order of a flattened trajectory point: the inputs u_0..u_{N-1},
+    then the outputs y_0..y_N, each block row-major."""
+
+    horizon: int
+    input_dim: int
+    output_dim: int
+
+    def __str__(self):
+        return (f"{self.horizon}*{self.input_dim} + "
+                f"{self.horizon + 1}*{self.output_dim} = {self.dim}")
+
+    @property
+    def dim(self) -> int:
+        return self.horizon * self.input_dim + (self.horizon + 1) * self.output_dim
+
+    def split(self, z):
+        """One point -> views (u (N, nu), y (N+1, ny))."""
+        z = np.asarray(z, dtype=float)
+        if z.shape != (self.dim,):
+            raise ValueError(f"point of shape {z.shape} does not match layout {self}")
+        cut = self.horizon * self.input_dim
+        return (z[:cut].reshape(self.horizon, self.input_dim),
+                z[cut:].reshape(self.horizon + 1, self.output_dim))
+
+    def join(self, u, y) -> np.ndarray:
+        return np.concatenate([u.reshape(-1), y.reshape(-1)])
+
+
 @dataclass
 class TrajectoryDataset:
     """Input-output pairs on the behavior manifold, plus generation metadata."""
 
     system: SystemModel
     horizon: int
-    inputs: np.ndarray  # (count, horizon, nu)
-    outputs: np.ndarray  # (count, horizon + 1, ny)
+    data: np.ndarray  # (count, layout.dim), one flattened trajectory per row
     seed: int
     norm_shift: np.ndarray = None
     norm_scale: np.ndarray = None
 
     def __post_init__(self):
         if self.norm_shift is None:
-            flat = self.flatten()
-            shift = flat.mean(axis=0)
-            scale = flat.std(axis=0)
+            shift = self.data.mean(axis=0)
+            scale = self.data.std(axis=0)
             scale[scale < 1e-12] = 1.0
             self.norm_shift = shift
             self.norm_scale = scale
 
     @property
     def count(self) -> int:
-        return self.inputs.shape[0]
+        return self.data.shape[0]
 
     @property
-    def ambient_dim(self) -> int:
-        return self.horizon * self.system.input_dim + (self.horizon + 1) * self.system.output_dim
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate(
-            [self.inputs.reshape(self.count, -1), self.outputs.reshape(self.count, -1)],
-            axis=1,
-        )
-
-    def split_point(self, z):
-        """Flattened point -> (u (horizon, nu), y (horizon+1, ny))."""
-        z = np.asarray(z, dtype=float)
-        nu_total = self.horizon * self.system.input_dim
-        u = z[:nu_total].reshape(self.horizon, self.system.input_dim)
-        y = z[nu_total:].reshape(self.horizon + 1, self.system.output_dim)
-        return u, y
+    def layout(self) -> TrajectoryLayout:
+        return TrajectoryLayout(self.horizon, self.system.input_dim, self.system.output_dim)
 
     def normalize(self, flat) -> np.ndarray:
         return (np.asarray(flat, dtype=float) - self.norm_shift) / self.norm_scale
@@ -192,7 +206,7 @@ class TrajectoryDataset:
             ("norm_shift", self.norm_shift),
             ("norm_scale", self.norm_scale),
         ])
-        write_csv(os.path.join(directory, "data.csv"), None, self.flatten())
+        write_csv(os.path.join(directory, "data.csv"), None, self.data)
 
     @staticmethod
     def load(directory) -> "TrajectoryDataset":
@@ -206,35 +220,27 @@ class TrajectoryDataset:
         horizon = int(meta["horizon"])
         count = int(meta["count"])
         data_path = os.path.join(directory, "data.csv")
-        flat = np.loadtxt(data_path, delimiter=",", ndmin=2)
-        nu_total = horizon * system.input_dim
-        width = nu_total + (horizon + 1) * system.output_dim
-        if flat.shape[0] != count:
+        data = np.loadtxt(data_path, delimiter=",", ndmin=2)
+        layout = TrajectoryLayout(horizon, system.input_dim, system.output_dim)
+        if data.shape[0] != count:
             raise ValueError(
-                f"{data_path}: {flat.shape[0]} rows, but meta.txt declares count = {count}"
+                f"{data_path}: {data.shape[0]} rows, but meta.txt declares count = {count}"
             )
-        if flat.shape[1] != width:
+        if data.shape[1] != layout.dim:
             raise ValueError(
-                f"{data_path}: {flat.shape[1]} columns, but horizon {horizon} of "
-                f"{system.kind} needs {horizon}*{system.input_dim} + "
-                f"{horizon + 1}*{system.output_dim} = {width}"
+                f"{data_path}: {data.shape[1]} columns, but horizon {horizon} of "
+                f"{system.kind} needs {layout}"
             )
         norm = {}
         for key in ("norm_shift", "norm_scale"):
             norm[key] = np.array([float(v) for v in meta[key].split(",")])
-            if norm[key].size != width:
+            if norm[key].size != layout.dim:
                 raise ValueError(
                     f"{meta_path}: {key} has {norm[key].size} entries, "
-                    f"but the rows of {data_path} have {width}"
+                    f"but the rows of {data_path} have {layout.dim}"
                 )
-        return TrajectoryDataset(
-            system=system,
-            horizon=horizon,
-            inputs=flat[:, :nu_total].reshape(count, horizon, system.input_dim),
-            outputs=flat[:, nu_total:].reshape(count, horizon + 1, system.output_dim),
-            seed=int(meta["seed"]),
-            **norm,
-        )
+        return TrajectoryDataset(system=system, horizon=horizon, data=data,
+                                 seed=int(meta["seed"]), **norm)
 
 
 def generate_dataset(model: SystemModel, count: int, horizon: int, seed: int) -> TrajectoryDataset:
@@ -242,14 +248,9 @@ def generate_dataset(model: SystemModel, count: int, horizon: int, seed: int) ->
     the finite range raises DivergenceError."""
     if count < 1 or horizon < 1:
         raise ValueError("need count >= 1 and horizon >= 1")
-    inputs = np.empty((count, horizon, model.input_dim))
-    outputs = np.empty((count, horizon + 1, model.output_dim))
+    layout = TrajectoryLayout(horizon, model.input_dim, model.output_dim)
+    data = np.empty((count, layout.dim))
     for i in range(count):
-        gen = _rng.substream(seed, "trajectory", i)
-        u = model.sample_inputs(horizon, gen)
-        y, _ = rollout(model, u)
-        inputs[i] = u
-        outputs[i] = y
-    return TrajectoryDataset(
-        system=model, horizon=horizon, inputs=inputs, outputs=outputs, seed=seed
-    )
+        u = model.sample_inputs(horizon, _rng.substream(seed, "trajectory", i))
+        data[i] = layout.join(u, rollout(model, u)[0])
+    return TrajectoryDataset(system=model, horizon=horizon, data=data, seed=seed)

@@ -245,16 +245,13 @@ class Orthogonal(_Manifold):
         return (N / np.linalg.norm(N)).reshape(-1)
 
 
-def make_manifold(kind: str, **params) -> _Manifold:
-    """Build a manifold from config parameters."""
+def make_manifold(kind: str, *, radius, dim, n) -> _Manifold:
+    """Build a manifold: a circle reads radius, a sphere dim and radius, O(n) n."""
     kind = kind.lower()
     if kind == "circle":
-        return Circle(radius=float(params.get("radius", 1.0)))
+        return Circle(radius=float(radius))
     if kind == "sphere":
-        return Sphere(
-            ambient_dim=int(params.get("dim", 3)),
-            radius=float(params.get("radius", 1.0)),
-        )
+        return Sphere(ambient_dim=int(dim), radius=float(radius))
     if kind == "orthogonal":
-        return Orthogonal(n=int(params.get("n", 3)))
+        return Orthogonal(n=int(n))
     raise ValueError(f"unknown manifold kind: {kind!r}")

@@ -1,6 +1,7 @@
 """Objective functions with analytic gradients and ground-truth oracles.
 
-An objective exposes value(x) and gradient(x) on flattened ambient points.
+An objective exposes value(x) and gradient(x) on flattened ambient points;
+the tracking objective's points are in the order of `control.TrajectoryLayout`.
 Every analytic gradient is checked against central differences by the
 test suite (tests/finite_differences.py); the package itself never
 differentiates numerically. The Brockett eigenvalue pairing provides
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from msopt import rng as _rng
+from msopt.control import TrajectoryLayout
 
 
 class Objective:
@@ -109,9 +111,10 @@ def brockett_optimum(obj: BrockettObjective) -> float:
 
 
 class TrackingObjective(Objective):
-    """Finite-horizon tracking cost on concatenated (inputs, outputs).
+    """Finite-horizon tracking cost on points in the `TrajectoryLayout` order.
 
-    Layout: (u_0..u_{N-1}, y_0..y_N) flattened row-major. The cost sums
+    The layout comes from the horizon and the sizes of R (inputs) and Q
+    (outputs); a dataset's trajectories share it. The cost sums
     u_k^T R u_k + (y_k - r_k)^T Q (y_k - r_k) for k < N plus a terminal
     (y_N - r_N)^T Q (y_N - r_N) term. R must be positive definite; Q may be
     positive semidefinite (outputs can be excluded with zero rows).
@@ -139,25 +142,10 @@ class TrackingObjective(Objective):
         self.reference = reference
         self.q = q
         self.r = r
-        self.horizon = int(horizon)
-        self.input_dim = nu
-        self.output_dim = ny
-        self.ambient_dim = horizon * nu + (horizon + 1) * ny
-
-    def _split(self, z):
-        z = np.asarray(z, dtype=float)
-        if z.size != self.ambient_dim:
-            raise ValueError(
-                f"point of size {z.size} does not match layout "
-                f"{self.horizon}*{self.input_dim} + {self.horizon + 1}*{self.output_dim}"
-            )
-        nu_total = self.horizon * self.input_dim
-        u = z[:nu_total].reshape(self.horizon, self.input_dim)
-        y = z[nu_total:].reshape(self.horizon + 1, self.output_dim)
-        return u, y
+        self.layout = TrajectoryLayout(int(horizon), nu, ny)
 
     def value(self, z) -> float:
-        u, y = self._split(z)
+        u, y = self.layout.split(z)
         dy = y - self.reference
         val = np.einsum("ki,ij,kj->", u, self.r, u)
         val += np.einsum("ki,ij,kj->", dy[:-1], self.q, dy[:-1])
@@ -165,11 +153,8 @@ class TrackingObjective(Objective):
         return float(val)
 
     def gradient(self, z) -> np.ndarray:
-        u, y = self._split(z)
-        dy = y - self.reference
-        gu = 2.0 * u @ self.r
-        gy = 2.0 * dy @ self.q
-        return np.concatenate([gu.reshape(-1), gy.reshape(-1)])
+        u, y = self.layout.split(z)
+        return self.layout.join(2.0 * u @ self.r, 2.0 * (y - self.reference) @ self.q)
 
 
 class AffineReparamObjective(Objective):

@@ -205,8 +205,8 @@ def feasibility_optimality_report(record: RunRecord, baseline=None,
 
     With a manifold baseline the record's own feasibility and Riemannian
     gradient columns are summarized; with a trajectory dataset the final
-    point is de-normalized (when the run was in normalized coordinates),
-    back-tested through the true system, and re-costed.
+    point is de-normalized, back-tested through the true system, and
+    re-costed.
     """
     if len(record) == 0:
         raise ValueError("empty run record")
@@ -225,13 +225,10 @@ def feasibility_optimality_report(record: RunRecord, baseline=None,
             summary.avg_sq_riem_grad_norm = float(np.mean(g[finite] ** 2))
 
     if dataset is not None:
-        z = record.final_point
-        if record.metadata.get("space", "physical") == "normalized":
-            z = dataset.denormalize(z)
-        u_star, y_star = dataset.split_point(z)
+        layout = dataset.layout
+        u_star, y_star = layout.split(dataset.denormalize(record.final_point))
         y_true, gap = backtest(dataset.system, u_star, y_star)
         summary.backtest_gap = gap
         if objective is not None:
-            z_true = np.concatenate([u_star.reshape(-1), y_true.reshape(-1)])
-            summary.backtest_true_objective = objective.value(z_true)
+            summary.backtest_true_objective = objective.value(layout.join(u_star, y_true))
     return summary

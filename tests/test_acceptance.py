@@ -289,7 +289,7 @@ def test_criterion_08_tracking_desk_scale():
     ref = make_reference("arc", horizon, system.dt, system.output_dim, amplitude=0.5)
     tracking = TrackingObjective(ref, np.diag([10.0, 10.0, 0.0]), 0.01 * np.eye(2), horizon)
 
-    flat = dataset.flatten()
+    flat = dataset.data
     vals = np.array([tracking.value(p) for p in flat])
     i0 = int(np.argmin(vals))
     best = float(vals[i0])
@@ -304,9 +304,9 @@ def test_criterion_08_tracking_desk_scale():
         oracle.posterior(normalized[i0]).vjp(objective.gradient(normalized[i0]))
     )
 
-    u_star, y_star = dataset.split_point(dataset.denormalize(zf))
+    u_star, y_star = dataset.layout.split(dataset.denormalize(zf))
     y_true, gap = backtest(system, u_star, y_star)
-    f_true = tracking.value(np.concatenate([u_star.reshape(-1), y_true.reshape(-1)]))
+    f_true = tracking.value(dataset.layout.join(u_star, y_true))
     rel_gap = gap / max(float(np.linalg.norm(y_star)), 1e-30)
     ok = f_true <= 0.7 * best and rel_gap <= 0.10
     _verdict(
@@ -329,7 +329,7 @@ def test_criterion_09_gradient_checks():
     )
     linear = LinearObjective(np.array([0.4, -1.0, 2.0]))
     worst_b = grad_check(brockett, rng.standard_normal((50, 16)))
-    worst_t = grad_check(tracking, rng.standard_normal((50, tracking.ambient_dim)))
+    worst_t = grad_check(tracking, rng.standard_normal((50, tracking.layout.dim)))
     worst_l = grad_check(linear, rng.standard_normal((50, 3)))
     ok = worst_b <= 1e-6 and worst_t <= 1e-6 and worst_l <= 1e-10
     _verdict(

@@ -284,6 +284,7 @@ def test_config_set_parameters_have_no_default_outside_the_schema():
     import inspect
 
     from msopt.config import SCHEMA
+    from msopt.manifolds import make_manifold
     from msopt.optim import dlf_run, drgd_run, riemannian_gd_baseline
     from msopt.score.dsm import dsm_train
     from msopt.score.mlp import make_score_mlp
@@ -291,10 +292,10 @@ def test_config_set_parameters_have_no_default_outside_the_schema():
     from msopt.validation import landing_check
 
     keys = {key for section in SCHEMA.values() for key in section}
-    problem_inputs = ("x0", "dataset")  # positional, like the oracle and the objective
+    problem_inputs = ("x0", "dataset", "kind")  # positional, like the oracle and the objective
     checked = 0
     for fn in (dlf_run, drgd_run, riemannian_gd_baseline, dsm_train, ve_reverse_sample,
-               make_score_mlp, landing_check):
+               make_score_mlp, landing_check, make_manifold):
         for name, param in inspect.signature(fn).parameters.items():
             if name not in keys:
                 continue
@@ -303,7 +304,7 @@ def test_config_set_parameters_have_no_default_outside_the_schema():
             assert param.default is inspect.Parameter.empty, where
             if name not in problem_inputs:
                 assert param.kind is inspect.Parameter.KEYWORD_ONLY, where
-    assert checked == 36
+    assert checked == 40
 
 
 def test_cli_generate_and_train_and_sample(tmp_path, capsys):
@@ -453,6 +454,26 @@ def test_cli_tracking_manifold_keys_must_match_dataset(tmp_path, capsys, unicycl
     assert re.search(message, capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("objective, reference_columns, tracking", [
+    ("r_weight = 0.01", None, "6*1 + 7*3 = 27"),
+    ("q_weight = 10,10", 2, "6*2 + 7*2 = 26"),
+], ids=["r_weight", "q_weight"])
+def test_cli_tracking_layout_must_match_dataset(tmp_path, capsys, unicycle_data, objective,
+                                                reference_columns, tracking):
+    # the sizes of R and Q set the objective's input and output blocks
+    cfg = _tracking_cfg(unicycle_data).replace("amplitude = 0.3", f"amplitude = 0.3\n{objective}")
+    if reference_columns is not None:
+        reference = tmp_path / "ref.csv"
+        np.savetxt(reference, np.zeros((7, reference_columns)), delimiter=",")
+        cfg = cfg.replace("reference = arc", f"reference = {reference}")
+    out = tmp_path / "o"
+    assert run_cli(["optimize", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"objective layout {tracking}" in err
+    assert "does not match the dataset's 6*2 + 7*3 = 33" in err
+    assert not (out / "run.csv").exists()
+
+
 @pytest.mark.parametrize("kind", ["exact", "quadrature"])
 def test_cli_tracking_rejects_manifold_oracles(tmp_path, capsys, unicycle_data, kind):
     path = _write(tmp_path, _tracking_cfg(unicycle_data, oracle=f"kind = {kind}"))
@@ -497,12 +518,17 @@ def test_validate_has_no_report_check(tmp_path, capsys, algorithm, message):
     assert not (out / "summary.txt").exists()
 
 
-@pytest.mark.parametrize("command, oracle", [
-    ("optimize", "empirical"), ("optimize", "mlp"), ("validate", "empirical"),
-])
-def test_cli_oracle_dimension_checked_against_manifold(tmp_path, capsys, command, oracle):
+@pytest.mark.parametrize("command, oracle, message", [
+    ("optimize", "empirical", "oracle dimension 3 does not match the manifold's 2"),
+    ("optimize", "mlp", "oracle dimension 3 does not match the manifold's 2"),
+    ("validate", "empirical", "oracle dimension 3 does not match the manifold's 2"),
+    ("optimize", "exact", "[objective] a has 3 entries, but the oracle's dimension is 2"),
+], ids=["optimize-empirical", "optimize-mlp", "validate-empirical", "optimize-exact"])
+def test_cli_oracle_dimension_checked_against_manifold(tmp_path, capsys, command, oracle,
+                                                       message):
     # 3-D points or a 3-D network on a circle: the run reported circle
-    # feasibility for 3-D iterates and exited 0
+    # feasibility for 3-D iterates and exited 0; a 3-D linear objective on
+    # the circle's exact oracle ended in numpy's matmul shape error
     from msopt.score.mlp import make_score_mlp
 
     gen = _write(tmp_path, "[experiment]\nkind = generate-data\n\n"
@@ -510,8 +536,8 @@ def test_cli_oracle_dimension_checked_against_manifold(tmp_path, capsys, command
     assert run_cli(["generate-data", "--config", gen, "--out", str(tmp_path / "d")]) == 0
     model = tmp_path / "m.msopt"
     make_score_mlp(3, hidden=(4,), seed=0).save(model)
-    source = (f"dataset = {tmp_path / 'd' / 'points.csv'}" if oracle == "empirical"
-              else f"model = {model}")
+    source = {"empirical": f"dataset = {tmp_path / 'd' / 'points.csv'}",
+              "mlp": f"model = {model}", "exact": ""}[oracle]
     if command == "optimize":
         body = ("[objective]\nkind = linear\na = 1,0,0\n\n"
                 "[algorithm]\nkind = drgd\nmax_steps = 5\n")
@@ -521,7 +547,7 @@ def test_cli_oracle_dimension_checked_against_manifold(tmp_path, capsys, command
                             f"{source}\n\n[manifold]\nkind = circle\n\n{body}")
     out = tmp_path / "o"
     assert run_cli([command, "--config", path, "--out", str(out)]) == 2
-    assert "oracle dimension 3 does not match the manifold's 2" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists() or not os.listdir(out)
 
 

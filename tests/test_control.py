@@ -1,10 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.stats import kstest
 
 from msopt import rng as _rng
-from msopt.control import SystemModel, TrajectoryDataset, backtest, generate_dataset, rollout
+from msopt.control import (
+    SystemModel,
+    TrajectoryDataset,
+    TrajectoryLayout,
+    backtest,
+    generate_dataset,
+    rollout,
+)
 from msopt.objectives import TrackingObjective, make_reference
 
 
@@ -93,16 +102,17 @@ def test_generated_trajectories_resimulate_exactly():
     for kind in ("unicycle", "double_pendulum"):
         m = SystemModel(kind)
         ds = generate_dataset(m, count=20, horizon=15, seed=3)
-        for i in range(ds.count):
-            y, _ = rollout(m, ds.inputs[i])
-            assert np.abs(y - ds.outputs[i]).max() <= 1e-10
+        for row in ds.data:
+            u, y_row = ds.layout.split(row)
+            y, _ = rollout(m, u)
+            assert np.abs(y - y_row).max() <= 1e-10
 
 
 def test_generation_deterministic():
     m = SystemModel("unicycle")
     a = generate_dataset(m, count=5, horizon=10, seed=9)
     b = generate_dataset(m, count=5, horizon=10, seed=9)
-    assert np.array_equal(a.flatten(), b.flatten())
+    assert np.array_equal(a.data, b.data)
 
 
 def test_pendulum_inputs_uniform():
@@ -126,11 +136,12 @@ def test_unicycle_input_moments():
 def test_backtest_gap():
     m = SystemModel("unicycle")
     ds = generate_dataset(m, count=3, horizon=8, seed=5)
-    y_true, gap = backtest(m, ds.inputs[1], ds.outputs[1])
+    u, y = ds.layout.split(ds.data[1])
+    y_true, gap = backtest(m, u, y)
     assert gap <= 1e-10
-    perturbed = ds.outputs[1].copy()
+    perturbed = y.copy()
     perturbed[3, 1] += 0.1
-    _, gap2 = backtest(m, ds.inputs[1], perturbed)
+    _, gap2 = backtest(m, u, perturbed)
     assert gap2 == pytest.approx(0.1, abs=1e-12)
 
 
@@ -138,7 +149,7 @@ def test_dataset_roundtrip(tmp_path):
     ds = generate_dataset(SystemModel("double_pendulum"), count=4, horizon=6, seed=11)
     ds.save(tmp_path / "ds")
     loaded = TrajectoryDataset.load(tmp_path / "ds")
-    assert np.array_equal(loaded.flatten(), ds.flatten())
+    assert np.array_equal(loaded.data, ds.data)
     assert np.array_equal(loaded.norm_shift, ds.norm_shift)
     assert np.array_equal(loaded.norm_scale, ds.norm_scale)
     assert loaded.system.kind == "double_pendulum"
@@ -182,7 +193,7 @@ def test_dataset_load_rejects_inconsistent_meta(tmp_path):
 
 def test_normalization_roundtrip():
     ds = generate_dataset(SystemModel("unicycle"), count=10, horizon=5, seed=13)
-    flat = ds.flatten()
+    flat = ds.data
     z = ds.normalize(flat)
     assert np.abs(z.mean(axis=0)).max() <= 1e-12
     assert np.allclose(ds.denormalize(z), flat, atol=1e-12)
@@ -194,7 +205,21 @@ def test_flattened_dim_matches_tracking_layout():
     ds = generate_dataset(m, count=2, horizon=horizon, seed=15)
     ref = make_reference("arc", horizon, m.dt, m.output_dim, amplitude=1.0)
     obj = TrackingObjective(ref, np.diag([10.0, 10.0, 0.0]), 0.01 * np.eye(2), horizon)
-    assert ds.ambient_dim == obj.ambient_dim
-    u, y = ds.split_point(ds.flatten()[0])
-    assert np.array_equal(u, ds.inputs[0])
-    assert np.array_equal(y, ds.outputs[0])
+    assert ds.layout == obj.layout
+    assert ds.data.shape == (2, obj.layout.dim)
+    u, y = obj.layout.split(ds.data[0])
+    assert np.array_equal(y, rollout(m, u)[0])
+
+
+def test_trajectory_layout_split_and_join():
+    layout = TrajectoryLayout(horizon=4, input_dim=2, output_dim=3)
+    assert layout.dim == 4 * 2 + 5 * 3
+    z = np.random.default_rng(17).standard_normal(layout.dim)
+    u, y = layout.split(z)
+    assert u.shape == (4, 2) and y.shape == (5, 3)
+    assert np.shares_memory(u, z) and np.shares_memory(y, z)
+    assert np.array_equal(u[1], z[2:4]) and np.array_equal(y[0], z[8:11])
+    assert np.array_equal(layout.join(*layout.split(z)), z)
+    for bad in (z[:-1], np.append(z, 0.0), z.reshape(1, -1)):
+        with pytest.raises(ValueError, match=re.escape("does not match layout 4*2 + 5*3 = 23")):
+            layout.split(bad)

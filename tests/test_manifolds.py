@@ -245,8 +245,10 @@ def test_sampling_deterministic_per_seed():
 
 
 def test_make_manifold_factory():
-    assert make_manifold("circle", radius=2.0).radius == 2.0
-    assert make_manifold("sphere", dim=5).ambient_dim == 5
-    assert make_manifold("orthogonal", n=4).ambient_dim == 16
+    assert make_manifold("circle", radius=2.0, dim=5, n=4).radius == 2.0
+    assert make_manifold("sphere", radius=1.0, dim=5, n=4).ambient_dim == 5
+    assert make_manifold("orthogonal", radius=1.0, dim=5, n=4).ambient_dim == 16
     with pytest.raises(ValueError):
-        make_manifold("torus")
+        make_manifold("torus", radius=1.0, dim=3, n=3)
+    with pytest.raises(TypeError):  # a misspelled parameter is not dropped
+        make_manifold("circle", raduis=2.0, dim=3, n=3)

@@ -108,7 +108,7 @@ def test_tracking_gradient_finite_differences():
     ref = rng.standard_normal((6, 2))
     obj = TrackingObjective(ref, q_weight=np.diag([10.0, 0.0]), r_weight=np.diag([0.01, 0.5]),
                             horizon=5)
-    pts = rng.standard_normal((10, obj.ambient_dim))
+    pts = rng.standard_normal((10, obj.layout.dim))
     assert grad_check(obj, pts) <= 1e-6
 
 
@@ -117,7 +117,7 @@ def test_tracking_nonnegative_quadratic():
     ref = rng.standard_normal((4, 2))
     obj = TrackingObjective(ref, q_weight=np.eye(2), r_weight=np.eye(1), horizon=3)
     for _ in range(50):
-        assert obj.value(rng.standard_normal(obj.ambient_dim)) >= 0.0
+        assert obj.value(rng.standard_normal(obj.layout.dim)) >= 0.0
     perfect = np.concatenate([np.zeros(3), ref.reshape(-1)])
     assert obj.value(perfect) == 0.0
 
