@@ -312,26 +312,33 @@ def _cmd_validate(cfg: ExperimentConfig, out_dir: str, do_assert: bool):
     manifold = _build_manifold(cfg)
     if manifold is None:
         raise ConfigError(f"{check} check needs a [manifold] section")
+    # each check's thresholds are checked before it runs: a NaN one would
+    # pass every comparison below
     violations = []
     if check == "rate":
+        lo, hi = cfg.get("algorithm", "slope_min"), cfg.get("algorithm", "slope_max")
+        if not -np.inf < lo <= hi < np.inf:
+            raise ConfigError(f"[algorithm] slope_min = {lo!r} and slope_max = {hi!r} "
+                              "must be finite with slope_min <= slope_max")
         report = rate_sweep(
             _oracle_family(cfg, manifold), manifold, cfg.get("algorithm", "offsets"),
             cfg.get("algorithm", "sigmas"), cfg.get("algorithm", "n_points"), cfg.seed,
         )
-        lo, hi = cfg.get("algorithm", "slope_min"), cfg.get("algorithm", "slope_max")
         for name, slope in (("mean", report.slope_mean), ("jacobian", report.slope_jacobian)):
             if not (lo <= slope <= hi):
                 violations.append(f"{name} slope {slope:.3f} outside [{lo}, {hi}]")
         if not report.monotone_decreasing():
             violations.append("errors not monotone decreasing in sigma")
     else:
+        budget = cfg.get("algorithm", "max_rel_dev")
+        if not np.isfinite(budget):
+            raise ConfigError(f"[algorithm] max_rel_dev = {budget!r} must be finite")
         base = manifold.sample_uniform(1, cfg.seed)[0]
         x0 = base + cfg.get("algorithm", "x0_distance") * manifold.unit_normal(base, seed=cfg.seed)
         report = landing_check(
             manifold, x0=x0,
             **_algorithm_params(cfg, "eta", "t_end", "euler_step", "record_every"),
         )
-        budget = cfg.get("algorithm", "max_rel_dev")
         if report.max_rel_deviation > budget:
             violations.append(
                 f"max relative deviation {report.max_rel_deviation:.4g} > {budget}"

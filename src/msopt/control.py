@@ -37,8 +37,9 @@ class SystemModel:
             raise ValueError(f"unknown system kind: {self.kind!r}")
         if self.dt is None:
             object.__setattr__(self, "dt", 0.05 if self.kind == "unicycle" else 0.1)
-        if self.dt <= 0:
-            raise ValueError("need dt > 0")
+        # a plain `dt <= 0` test lets NaN and inf through
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"need finite dt > 0, got dt = {self.dt!r}")
 
     @property
     def state_dim(self) -> int:

@@ -22,8 +22,8 @@ def scaled_norm(v) -> float:
 
 def rk4_step(f, x: np.ndarray, u, dt: float) -> np.ndarray:
     """One classical Runge-Kutta step of dx/dt = f(x, u) with frozen input."""
-    if dt <= 0:
-        raise ValueError("rk4_step requires dt > 0")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"rk4_step requires finite dt > 0, got dt = {dt!r}")
     x = np.asarray(x, dtype=float)
     k1 = np.asarray(f(x, u))
     k2 = np.asarray(f(x + 0.5 * dt * k1, u))

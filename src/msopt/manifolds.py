@@ -1,6 +1,6 @@
 """Exactly-known embedded manifolds: circle, sphere, orthogonal group.
 
-These provide the ground-truth projection pi, tangent projection, uniform
+These provide the ground-truth projection pi, Riemannian gradient, uniform
 sampling and distance against which the score surrogates are validated.
 Matrix manifolds flatten to ambient vectors row-major.
 
@@ -17,8 +17,10 @@ derivative:
           (Higham, Functions of Matrices, 2008; Absil, Mahony and
           Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008)
 
-`projection_vjp(x, v)` is that product and `projection_jacobian(x)` the
-matrix; on O(n) both, like `project`, come from one SVD of X.
+`projection_vjp(x, v)` is that product. It also takes a stack of row
+directions V, shape (k, d), and returns the rows pi'(x) v_i, so the Jacobian
+is `projection_vjp(x, np.eye(d))`; on O(n) the stack, like `project`, comes
+from one SVD of X.
 """
 
 from dataclasses import dataclass
@@ -37,12 +39,9 @@ class _Manifold:
     def project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def tangent_project(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def riemannian_grad(self, p: np.ndarray, euclid_grad: np.ndarray) -> np.ndarray:
         """Tangent-space projection of the Euclidean gradient at p."""
-        return self.tangent_project(p, euclid_grad)
+        raise NotImplementedError
 
     def dist_to_manifold(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(np.asarray(x, dtype=float) - self.project(x)))
@@ -51,12 +50,9 @@ class _Manifold:
         """Constraint residual reported in run records (see subclasses)."""
         return self.dist_to_manifold(x)
 
-    def projection_jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Jacobian pi'(x) of the closest-point projection (symmetric)."""
-        raise NotImplementedError
-
     def projection_vjp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """pi'(x)^T v = pi'(x) v, without building the Jacobian."""
+        """pi'(x)^T v = pi'(x) v, without building the Jacobian; for a stack
+        of row directions, one row per direction."""
         raise NotImplementedError
 
     def _check_on_manifold(self, p: np.ndarray):
@@ -75,8 +71,10 @@ class Sphere(_Manifold):
     radius: float = 1.0
 
     def __post_init__(self):
-        if self.radius <= 0 or self.ambient_dim < 1:
-            raise ValueError("sphere needs radius > 0 and ambient_dim >= 1")
+        # a plain `radius <= 0` test lets NaN and inf through
+        if not 0.0 < self.radius < np.inf or self.ambient_dim < 1:
+            raise ValueError("sphere needs finite radius > 0 and ambient_dim >= 1, "
+                             f"got radius = {self.radius!r}")
 
     @property
     def safe_tube_radius(self) -> float:
@@ -97,25 +95,20 @@ class Sphere(_Manifold):
         x = np.asarray(x, dtype=float)
         return (self.radius / self._norm(x)) * x
 
-    def tangent_project(self, p, v):
+    def riemannian_grad(self, p, euclid_grad):
         p = np.asarray(p, dtype=float)
-        v = np.asarray(v, dtype=float)
+        v = np.asarray(euclid_grad, dtype=float)
         self._check_on_manifold(p)
         u = p / np.linalg.norm(p)
         return v - (v @ u) * u
-
-    def projection_jacobian(self, x):
-        x = np.asarray(x, dtype=float)
-        n = self._norm(x)
-        u = x / n
-        return (self.radius / n) * (np.eye(x.size) - np.outer(u, u))
 
     def projection_vjp(self, x, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         n = self._norm(x)
         u = x / n
-        return (self.radius / n) * (v - (u @ v) * u)
+        # u.v by one dot product per row, as for a lone direction
+        return (self.radius / n) * (v - (u @ v[..., None]) * u)
 
     def sample_uniform(self, count: int, seed: int) -> np.ndarray:
         g = _rng.stream(seed, f"sphere{self.ambient_dim}").standard_normal(
@@ -197,25 +190,20 @@ class Orthogonal(_Manifold):
         f = u.T @ e @ vt.T
         return u @ ((f - np.swapaxes(f, -1, -2)) / (s[:, None] + s[None, :])) @ vt
 
-    def projection_jacobian(self, x):
-        svd = self._svd(x)
-        if svd is None:
-            return np.full((self.ambient_dim, self.ambient_dim), np.nan)
-        # row k is the derivative along the k-th basis direction, i.e. column
-        # k of the Jacobian
-        basis = np.eye(self.ambient_dim).reshape(self.ambient_dim, self.n, self.n)
-        return self._polar_derivative(*svd, basis).reshape(self.ambient_dim, -1).T
-
     def projection_vjp(self, x, v):
+        v = np.asarray(v, dtype=float)
         svd = self._svd(x)
         if svd is None:
-            return np.full(self.ambient_dim, np.nan)
-        return self._polar_derivative(*svd, self._as_matrix(v)).reshape(-1)
+            return np.full(v.shape, np.nan)
+        # a lone direction stays one (n, n) matrix: the stacked matmul of a
+        # (1, n, n) stack is another code path
+        e = v.reshape(v.shape[:-1] + (self.n, self.n))
+        return self._polar_derivative(*svd, e).reshape(v.shape)
 
-    def tangent_project(self, p, v):
+    def riemannian_grad(self, p, euclid_grad):
         self._check_on_manifold(p)
         X = self._as_matrix(p)
-        V = self._as_matrix(v)
+        V = self._as_matrix(euclid_grad)
         M = X.T @ V
         return (X @ (M - M.T) / 2.0).reshape(-1)
 

@@ -90,7 +90,8 @@ class ScoreMlp:
         """Rows dout^T d(s_tilde)/d(x, sigma) of a cached forward pass.
 
         The same masked chain as `backward` (ReLU masks pres > 0) with no
-        parameter gradients; the last column is the sigma input's.
+        parameter gradients; the last column is the sigma input's. dout may
+        carry leading stack axes, shape (..., rows, d).
         """
         delta = np.asarray(dout, dtype=float)
         for i in range(len(self.layers) - 1, 0, -1):

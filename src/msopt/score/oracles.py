@@ -6,11 +6,13 @@ the noise posterior at x:
   .mean       Tweedie mean s(x) = x + sigma^2 grad log p_sigma(x); posterior
               mean of the clean point, approximate projection. Computed on
               construction.
-  .vjp(v)     s'(x)^T v without materializing the Jacobian.
-  .jacobian() the Jacobian s'(x).
+  .vjp(v)     s'(x)^T v without materializing the Jacobian; for a stack V
+              of row directions, shape (k, d), the rows V s'(x), each
+              bitwise equal to the product with that row alone. The
+              Jacobian is vjp(np.eye(d)).
   .link       the link value ell_sigma(x), or None when the oracle has none.
 
-The last three are evaluated on request from the same state (for a mixture,
+The last two are evaluated on request from the same state (for a mixture,
 the same posterior weights; for the network, the ReLU masks of the forward
 pass that gave the mean), so a mean and a product at one x cost one weight
 computation or one network forward. The network's products then run only
@@ -18,11 +20,11 @@ the input end of backprop, `ScoreMlp.input_backward`.
 
 A mixture posterior costs one matrix-vector product over all N atoms for
 the logits (p.x - ||p||^2/2) / sigma^2, with ||p||^2 cached by the oracle;
-the mean, the products and the Jacobian then run over the surviving atoms
-only, those whose logit is within 746 of the largest (exp of anything lower
-is exactly 0.0 in float64, so a dropped atom adds exactly nothing). The
-logits carry a rounding error of about eps (||p||^2 + ||p|| ||x||) / sigma^2
-in absolute terms, which is the relative error of each weight.
+the mean and the products then run over the surviving atoms only, those
+whose logit is within 746 of the largest (exp of anything lower is exactly
+0.0 in float64, so a dropped atom adds exactly nothing). The logits carry a
+rounding error of about eps (||p||^2 + ||p|| ||x||) / sigma^2 in absolute
+terms, which is the relative error of each weight.
 
 For the exact mixture oracles the Jacobian equals Cov(posterior)/sigma^2
 (symmetric PSD), and the link value ell_sigma satisfies grad ell = mean and
@@ -88,13 +90,11 @@ class _MixturePosterior:
         if not v.any():
             return np.zeros_like(v)
         centered = self.points - self.mean
-        t = centered @ v
-        t *= self.weights
-        return centered.T @ t / self.sigma**2
-
-    def jacobian(self) -> np.ndarray:
-        centered = self.points - self.mean
-        return (self.weights[:, None] * centered).T @ centered / self.sigma**2
+        # one matrix-vector product per direction, also in a stack: a
+        # matrix-matrix product would sum in another order than a lone row
+        t = centered @ v[..., None]
+        t *= self.weights[:, None]
+        return (centered.T @ t)[..., 0] / self.sigma**2
 
 
 class _MixtureOracle:
@@ -147,7 +147,7 @@ class QuadratureScoreOracle(_MixtureOracle):
 
 
 class _ExactPosterior:
-    """sigma = 0 limit at one point: mean pi(x), Jacobian pi'(x)."""
+    """sigma = 0 limit at one point: mean pi(x), products with pi'(x)."""
 
     def __init__(self, manifold, x):
         self.manifold = manifold
@@ -164,12 +164,9 @@ class _ExactPosterior:
             return np.zeros_like(v)
         return self.manifold.projection_vjp(self.x, v)
 
-    def jacobian(self) -> np.ndarray:
-        return self.manifold.projection_jacobian(self.x)
-
 
 class ExactManifoldAdapter:
-    """sigma = 0 oracle: mean = pi(x), Jacobian = pi'(x), link from d(x)."""
+    """sigma = 0 oracle: mean = pi(x), derivative pi'(x), link from d(x)."""
 
     sigma = 0.0
 
@@ -187,8 +184,8 @@ class ExactManifoldAdapter:
 class _MlpPosterior:
     """Network Tweedie mean at one point from one cached forward pass; no link.
 
-    The pre-activations of that pass are kept, so `vjp` and `jacobian` run
-    only the input end of backprop over its ReLU masks.
+    The pre-activations of that pass are kept, so `vjp` runs only the input
+    end of backprop over its ReLU masks.
     """
 
     link = None
@@ -203,11 +200,10 @@ class _MlpPosterior:
     def vjp(self, v) -> np.ndarray:
         # s'(x)^T v = v + sigma * (d s_tilde/dx)^T v; the sigma column is dropped
         v = np.asarray(v, dtype=float)
-        return v + self.sigma * self.mlp.input_backward(self._pres, v[None, :])[0, :-1]
-
-    def jacobian(self) -> np.ndarray:
-        eye = np.eye(self.mean.size)
-        return eye + self.sigma * self.mlp.input_backward(self._pres, eye)[:, :-1]
+        # each direction is a (1, d) row of its own, also in a stack: rows of
+        # one (k, d) matrix would sum in another order than a lone row
+        back = self.mlp.input_backward(self._pres, v[..., None, :])[..., 0, :-1]
+        return v + self.sigma * back
 
 
 class MlpScoreOracle:

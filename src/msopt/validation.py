@@ -65,18 +65,20 @@ def rate_sweep(oracle_family, manifold, offsets, sigmas, n_points: int, seed: in
 
     Test points sit at offset * safe_tube_radius along manifold normals of
     uniformly sampled base points; ground truth is the exact projection and
-    its closed-form Jacobian `manifold.projection_jacobian`.
+    its closed-form derivative. Both Jacobians are products with the
+    identity, `posterior.vjp(eye)` and `manifold.projection_vjp(x, eye)`.
     """
     sigmas = np.asarray(sorted(sigmas, reverse=True), dtype=float)
     offsets = tuple(float(o) for o in offsets)
     base = manifold.sample_uniform(n_points, seed)
+    eye = np.eye(manifold.ambient_dim)
     tests, truths = [], []
     for i, p in enumerate(base):
         for off in offsets:
             normal = manifold.unit_normal(p, seed=seed, index=i)
             x = p + off * manifold.safe_tube_radius * normal
             tests.append(x)
-            truths.append((manifold.project(x), manifold.projection_jacobian(x)))
+            truths.append((manifold.project(x), manifold.projection_vjp(x, eye)))
 
     mean_errors, jac_errors = [], []
     excluded = 0
@@ -86,7 +88,7 @@ def rate_sweep(oracle_family, manifold, offsets, sigmas, n_points: int, seed: in
         for x, (pi_x, dpi_x) in zip(tests, truths):
             try:
                 post = oracle.posterior(x)
-                jac = post.jacobian()
+                jac = post.vjp(eye)
             except MsoptError:
                 excluded += 1
                 continue
@@ -158,7 +160,8 @@ def landing_check(manifold, *, eta, x0, t_end, euler_step, record_every) -> Land
         raise ValueError("bad landing check parameters: " + ", ".join(bad))
     x = np.array(x0, dtype=float)
     dist0 = manifold.dist_to_manifold(x)
-    if dist0 > manifold.safe_tube_radius:
+    # written so that a NaN distance (a non-finite x0) fails it too
+    if not dist0 <= manifold.safe_tube_radius:
         raise ValueError(
             f"x0 at distance {dist0:.4g} is outside the safe tube "
             f"(radius {manifold.safe_tube_radius:.4g})"

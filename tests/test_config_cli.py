@@ -769,3 +769,61 @@ def test_tracking_with_trained_score(tmp_path, monkeypatch, key_reads):
     assert "oracle = MlpScoreOracle" in meta and "sigma = 0.10000000000000001" in meta
     assert "backtest_gap" in (tmp_path / "run" / "summary.txt").read_text()
     assert (tmp_path / "run" / "optimized_point.csv").exists()
+
+
+def _shipped_config(name):
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs", name)) as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("config, old, new, message", [
+    ("landing_sphere.cfg", "max_rel_dev = 0.05\n", "max_rel_dev = nan\n",
+     "[algorithm] max_rel_dev = nan must be finite"),
+    ("landing_sphere.cfg", "max_rel_dev = 0.05\n", "max_rel_dev = inf\n",
+     "[algorithm] max_rel_dev = inf must be finite"),
+    ("landing_sphere.cfg", "x0_distance = 0.3\n", "x0_distance = nan\n",
+     "x0 at distance nan is outside the safe tube"),
+    ("rate_circle.cfg", "n_points = 100\n", "n_points = 100\nslope_min = nan\n",
+     "[algorithm] slope_min = nan and slope_max = 2.1 must be finite with slope_min <= slope_max"),
+    ("rate_circle.cfg", "n_points = 100\n", "n_points = 100\nslope_max = inf\n",
+     "[algorithm] slope_min = 1.9 and slope_max = inf must be finite"),
+    ("rate_circle.cfg", "n_points = 100\n", "n_points = 100\nslope_min = -inf\n",
+     "[algorithm] slope_min = -inf and slope_max = 2.1 must be finite"),
+    ("rate_circle.cfg", "n_points = 100\n", "n_points = 100\nslope_min = 2.5\n",
+     "[algorithm] slope_min = 2.5 and slope_max = 2.1 must be finite with slope_min <= slope_max"),
+], ids=["max_rel_dev_nan", "max_rel_dev_inf", "x0_distance_nan", "slope_min_nan", "slope_max_inf",
+        "slope_min_minus_inf", "slope_min_above_slope_max"])
+def test_cli_validate_parameters_checked(tmp_path, capsys, config, old, new, message):
+    # `deviation > nan` is False, so a NaN budget passed every landing check
+    # under --assert with exit 0; a NaN start distance passed the tube guard
+    # and ended in numpy's "zero-size array to reduction operation maximum"
+    cfg = _shipped_config(config)
+    assert old in cfg
+    path = _write(tmp_path, cfg.replace(old, new))
+    out = tmp_path / "o"
+    assert run_cli(["validate", "--config", path, "--out", str(out), "--assert"]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("generate-data", _shipped_config("unicycle_data.cfg").replace("horizon = 20\n",
+                                                                   "horizon = 20\ndt = nan\n"),
+     "need finite dt > 0, got dt = nan"),
+    ("generate-data", _shipped_config("unicycle_data.cfg").replace("horizon = 20\n",
+                                                                   "horizon = 20\ndt = inf\n"),
+     "need finite dt > 0, got dt = inf"),
+    ("optimize", OPTIMIZE_CFG.replace("dim = 3\n", "dim = 3\nradius = nan\n"),
+     "sphere needs finite radius > 0 and ambient_dim >= 1, got radius = nan"),
+    ("optimize", OPTIMIZE_CFG.replace("dim = 3\n", "dim = 3\nradius = inf\n"),
+     "sphere needs finite radius > 0 and ambient_dim >= 1, got radius = inf"),
+], ids=["dt_nan", "dt_inf", "radius_nan", "radius_inf"])
+def test_cli_non_finite_manifold_parameter_exits_2(tmp_path, capsys, command, cfg, message):
+    # each passed a plain `<= 0` test: a NaN dt failed the rollout at step 1
+    # and a NaN radius wrote an all-NaN run.csv, both with exit 1
+    assert "= nan\n" in cfg or "= inf\n" in cfg
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", path, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.iterdir())

@@ -38,6 +38,13 @@ def test_dimension_checks():
         SystemModel("rocket")
 
 
+@pytest.mark.parametrize("dt", [0.0, float("nan"), float("inf")])
+def test_system_model_rejects_bad_dt(dt):
+    # NaN and inf pass a plain `dt <= 0` test
+    with pytest.raises(ValueError, match=re.escape(f"need finite dt > 0, got dt = {dt!r}")):
+        SystemModel("unicycle", dt=dt)
+
+
 def test_rollout_zero_inputs_stays_at_origin():
     m = SystemModel("unicycle")
     y, xs = rollout(m, np.zeros((8, 2)))

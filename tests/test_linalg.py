@@ -37,3 +37,7 @@ def test_rk4_decay_example():
 def test_rk4_rejects_nonpositive_dt():
     with pytest.raises(ValueError):
         rk4_step(lambda x, u: x, np.array([1.0]), None, 0.0)
+    # NaN and inf pass a plain `dt <= 0` test
+    for dt in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(ValueError, match=f"rk4_step requires finite dt > 0, got dt = {dt!r}"):
+            rk4_step(lambda x, u: x, np.array([1.0]), None, dt)

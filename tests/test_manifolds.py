@@ -18,6 +18,13 @@ def _reflection(theta):
     return np.array([[c, s], [s, -c]])
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), float("inf")])
+def test_sphere_rejects_bad_radius(radius):
+    # NaN and inf pass a plain `radius <= 0` test
+    with pytest.raises(ValueError, match=f"finite radius > 0 .* got radius = {radius!r}"):
+        Sphere(3, radius=radius)
+
+
 def test_sphere_radial_projection():
     sph = Sphere(3)
     assert np.allclose(sph.project([2.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
@@ -44,9 +51,11 @@ def test_orthogonal_projection_vs_bruteforce():
 
 
 def _projection_and_derivatives(manifold, x):
-    """pi(x), pi'(x) and pi'(x)^T v for a fixed v, each as a callable."""
+    """pi(x), pi'(x) (the product with the identity) and pi'(x)^T v for a
+    fixed v, each as a callable."""
     v = np.linspace(-1.0, 1.0, manifold.ambient_dim)
-    return (lambda: manifold.project(x), lambda: manifold.projection_jacobian(x),
+    eye = np.eye(manifold.ambient_dim)
+    return (lambda: manifold.project(x), lambda: manifold.projection_vjp(x, eye),
             lambda: manifold.projection_vjp(x, v))
 
 
@@ -81,20 +90,20 @@ def test_projection_of_non_finite_points_is_nan(monkeypatch):
 
 def test_sphere_tangent_project_examples():
     circ = Circle()
-    assert np.allclose(circ.tangent_project([1.0, 0.0], [0.0, 3.0]), [0.0, 3.0])
-    assert np.allclose(circ.tangent_project([1.0, 0.0], [5.0, 0.0]), [0.0, 0.0])
+    assert np.allclose(circ.riemannian_grad([1.0, 0.0], [0.0, 3.0]), [0.0, 3.0])
+    assert np.allclose(circ.riemannian_grad([1.0, 0.0], [5.0, 0.0]), [0.0, 0.0])
 
 
 def test_orthogonal_tangent_project_is_skew_part():
     on = Orthogonal(2)
     v = np.array([[1.0, 1.0], [-1.0, 1.0]]).reshape(-1)
-    out = on.tangent_project(np.eye(2).reshape(-1), v)
+    out = on.riemannian_grad(np.eye(2).reshape(-1), v)
     assert np.allclose(out, np.array([[0.0, 1.0], [-1.0, 0.0]]).reshape(-1))
 
 
 def test_tangent_project_rejects_off_manifold_point():
     with pytest.raises(ValueError):
-        Sphere(3).tangent_project([2.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        Sphere(3).riemannian_grad([2.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 
 
 def test_riemannian_grad():
@@ -122,7 +131,7 @@ def test_projection_idempotent_and_orthogonal(manifold):
             for j in range(d):
                 e = np.zeros(d)
                 e[j] = 1.0
-                t = manifold.tangent_project(pi_x, e)
+                t = manifold.riemannian_grad(pi_x, e)
                 assert abs(residual @ t) <= 1e-9
 
 
@@ -130,7 +139,7 @@ def test_projection_idempotent_and_orthogonal(manifold):
 def test_tangent_projector_matrix_idempotent_selfadjoint(manifold):
     p = manifold.sample_uniform(1, seed=5)[0]
     d = manifold.ambient_dim
-    proj = np.column_stack([manifold.tangent_project(p, e) for e in np.eye(d)])
+    proj = np.column_stack([manifold.riemannian_grad(p, e) for e in np.eye(d)])
     assert np.abs(proj - proj.T).max() <= 1e-10
     assert np.abs(proj @ proj - proj).max() <= 1e-10
 
@@ -145,7 +154,7 @@ def test_sphere_projection_jacobian_identity():
         u = x / np.linalg.norm(x)
         expected = (sph.radius / np.linalg.norm(x)) * (np.eye(3) - np.outer(u, u))
         assert np.abs(fd_jacobian(sph.project, x) - expected).max() <= 1e-6
-        assert np.abs(sph.projection_jacobian(x) - expected).max() <= 1e-12
+        assert np.abs(sph.projection_vjp(x, np.eye(3)) - expected).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -158,7 +167,7 @@ def test_orthogonal_projection_derivatives_closed_form(n):
     for i, p in enumerate(on.sample_uniform(5, seed=13)):
         x = p + 0.1 * on.unit_normal(p, seed=13, index=i)
         jac_fd = fd_jacobian(on.project, x)
-        jac = on.projection_jacobian(x)
+        jac = on.projection_vjp(x, np.eye(n * n))
         assert np.abs(jac - jac_fd).max() <= 1e-7
         assert np.abs(jac - jac.T).max() <= 1e-14
         for v in rng.standard_normal((3, n * n)):
@@ -174,7 +183,8 @@ def test_sphere_projection_vjp_matches_jacobian(sph):
         x = rng.standard_normal(sph.ambient_dim)
         x *= rng.uniform(0.8, 2.0) / np.linalg.norm(x)
         v = rng.standard_normal(sph.ambient_dim)
-        assert np.abs(sph.projection_vjp(x, v) - sph.projection_jacobian(x).T @ v).max() <= 1e-15
+        jac = sph.projection_vjp(x, np.eye(sph.ambient_dim))
+        assert np.abs(sph.projection_vjp(x, v) - jac.T @ v).max() <= 1e-15
 
 
 def test_circle_samples_on_constraint():

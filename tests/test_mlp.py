@@ -19,7 +19,7 @@ def test_zero_network_is_identity_oracle():
     x = np.array([0.4, -1.0, 2.0])
     post = MlpScoreOracle(mlp, sigma=0.5).posterior(x)
     assert np.allclose(post.mean, x)
-    assert np.allclose(post.jacobian(), np.eye(3))
+    assert np.allclose(post.vjp(np.eye(3)), np.eye(3))
     assert post.link is None
 
 
@@ -36,7 +36,7 @@ def test_linear_network_affine_jacobian():
     w = np.array([[0.5, -1.0, 0.2], [2.0, 0.3, -0.7]])
     mlp = ScoreMlp([(w, np.array([0.1, -0.2]))])
     sigma = 0.4
-    jac = MlpScoreOracle(mlp, sigma).posterior(np.array([1.0, 2.0])).jacobian()
+    jac = MlpScoreOracle(mlp, sigma).posterior(np.array([1.0, 2.0])).vjp(np.eye(2))
     assert np.allclose(jac, np.eye(2) + sigma * w[:, :2], atol=1e-15)
 
 
@@ -50,7 +50,7 @@ def test_input_jacobian_matches_finite_differences():
     worst = 0.0
     for _ in range(50):
         x = rng.uniform(-1.5, 1.5, 3)
-        jac = oracle.posterior(x).jacobian()
+        jac = oracle.posterior(x).vjp(np.eye(3))
         jac_fd = fd_jacobian(lambda p: oracle.posterior(p).mean, x)
         worst = max(worst, np.linalg.norm(jac - jac_fd, 2))
     assert worst <= 1e-4
@@ -63,7 +63,7 @@ def test_vjp_matches_jacobian_transpose():
     oracle = MlpScoreOracle(mlp, 0.7)
     x, v = rng.standard_normal(4), rng.standard_normal(4)
     post = oracle.posterior(x)
-    assert np.allclose(post.vjp(v), post.jacobian().T @ v, atol=1e-12)
+    assert np.allclose(post.vjp(v), post.vjp(np.eye(4)).T @ v, atol=1e-12)
 
 
 def test_relu_tie_takes_zero_derivative():
@@ -77,7 +77,7 @@ def test_relu_tie_takes_zero_derivative():
         jac = mlp.input_backward(pres, np.eye(1))[:, :-1]
         assert jac[0, 0] == raw
         # Tweedie Jacobian 1 + sigma * raw through the posterior
-        assert oracle.posterior(np.array([x])).jacobian()[0, 0] == 1.0 + 0.5 * raw
+        assert oracle.posterior(np.array([x])).vjp(np.eye(1))[0, 0] == 1.0 + 0.5 * raw
 
 
 def _full_backward(mlp, acts, pres, dout):
@@ -111,7 +111,7 @@ def test_posterior_runs_one_network_forward():
     post = MlpScoreOracle(mlp, 0.3).posterior(np.array([0.4, -0.2]))
     assert calls == ["forward_cached"]
     post.vjp(np.array([1.0, 2.0]))
-    post.jacobian()
+    post.vjp(np.eye(2))
     post.vjp(np.array([-0.5, 0.0]))
     assert calls == ["forward_cached"]
 

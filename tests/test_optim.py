@@ -59,7 +59,7 @@ def test_dlf_tangent_and_landing_terms_orthogonal():
         for i, p in enumerate(base):
             x = p + 0.2 * manifold.safe_tube_radius * manifold.unit_normal(p, seed=5, index=i)
             post = adapter.posterior(x)
-            tangent_term = post.jacobian().T @ obj.gradient(post.mean)
+            tangent_term = post.vjp(np.eye(x.size)).T @ obj.gradient(post.mean)
             landing_term = post.mean - x
             assert abs(tangent_term @ landing_term) <= 1e-8
 

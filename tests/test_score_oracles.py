@@ -29,7 +29,7 @@ def test_single_point_posterior():
     for x in ([0.0, 0.0], [3.0, 5.0]):
         post = oracle.posterior(np.array(x))
         assert np.allclose(post.mean, y)
-        assert np.abs(post.jacobian()).max() <= 1e-12
+        assert np.abs(post.vjp(np.eye(2))).max() <= 1e-12
 
 
 def test_two_atom_symmetry_and_closed_form():
@@ -74,14 +74,14 @@ def test_mean_jacobian_consistency():
     for _ in range(25):
         x = rng.uniform(-1.5, 1.5, 3)
         jac_fd = fd_jacobian(lambda p: oracle.posterior(p).mean, x)
-        assert np.abs(jac_fd - oracle.posterior(x).jacobian()).max() <= 1e-4
+        assert np.abs(jac_fd - oracle.posterior(x).vjp(np.eye(3))).max() <= 1e-4
 
 
 def test_jacobian_symmetric_psd():
     rng = np.random.default_rng(2)
     oracle = EmpiricalScoreOracle(rng.standard_normal((40, 4)), sigma=0.9)
     for _ in range(20):
-        jac = oracle.posterior(rng.uniform(-2, 2, 4)).jacobian()
+        jac = oracle.posterior(rng.uniform(-2, 2, 4)).vjp(np.eye(4))
         assert np.abs(jac - jac.T).max() <= 1e-12
         assert np.linalg.eigvalsh(jac).min() >= -1e-9
 
@@ -98,7 +98,7 @@ def test_jacobian_eigenvalues_near_manifold_in_unit_range():
         th = rng.uniform(0, 2 * np.pi)
         r = 1.0 + 0.005 * (i % 3)
         x = r * np.array([np.cos(th), np.sin(th)])
-        eig = np.linalg.eigvalsh(oracle.posterior(x).jacobian())
+        eig = np.linalg.eigvalsh(oracle.posterior(x).vjp(np.eye(2)))
         assert eig.min() >= -1e-9
         assert eig.max() <= 1.0 + 1e-9
 
@@ -111,7 +111,7 @@ def test_translation_equivariance():
     a = EmpiricalScoreOracle(data, sigma=0.7).posterior(x)
     b = EmpiricalScoreOracle(data + c, sigma=0.7).posterior(x + c)
     assert np.allclose(b.mean, a.mean + c, atol=1e-12)
-    assert np.allclose(b.jacobian(), a.jacobian(), atol=1e-12)
+    assert np.allclose(b.vjp(np.eye(3)), a.vjp(np.eye(3)), atol=1e-12)
 
 
 def test_mean_and_vjp_matches_jacobian():
@@ -125,8 +125,53 @@ def test_mean_and_vjp_matches_jacobian():
     cases = ((emp, x, v), (ExactManifoldAdapter(on), x_on, rng.standard_normal(9)))
     for oracle, x, v in cases:
         post = oracle.posterior(x)
-        assert np.allclose(post.vjp(v), post.jacobian().T @ v, atol=1e-12)
+        assert np.allclose(post.vjp(v), post.vjp(np.eye(v.size)).T @ v, atol=1e-12)
         assert not post.vjp(np.zeros_like(v)).any()
+
+
+def _stack_case(name):
+    """(oracle, x) for one posterior kind of the stacked-product test."""
+    on5 = Orthogonal(5)
+    atoms = on5.sample_uniform(4000, seed=0)
+    if name in ("mixture-dense", "mixture-collapsed"):
+        # the bench shape: N=4000 Haar atoms at d=25, a tube point of atom 0
+        sigma = 0.5 if name == "mixture-dense" else 0.05
+        x = atoms[0] + 0.2 * on5.unit_normal(atoms[0], seed=1)
+        return EmpiricalScoreOracle(atoms, sigma), x
+    if name == "mixture-gathered":
+        circle = Circle().sample_uniform(2000, seed=3)
+        return EmpiricalScoreOracle(circle, 0.02), np.array([1.05, 0.48])
+    if name == "exact-s2":
+        return ExactManifoldAdapter(Sphere(3)), np.array([1.3, -0.2, 0.4])
+    if name == "exact-o5":
+        return ExactManifoldAdapter(on5), atoms[0] + 0.1 * on5.unit_normal(atoms[0], seed=2)
+    mlp = make_score_mlp(3, hidden=(32, 32, 32), seed=4)
+    rng = np.random.default_rng(4)
+    for w, b in mlp.layers:
+        w += rng.standard_normal(w.shape) * 0.3
+    return MlpScoreOracle(mlp, 0.3), np.array([0.4, -0.2, 0.9])
+
+
+@pytest.mark.parametrize("name", ["mixture-dense", "mixture-collapsed", "mixture-gathered",
+                                  "exact-s2", "exact-o5", "mlp"])
+def test_vjp_stack_rows_equal_single_products(name):
+    # a stack of directions runs one product per row in the same arithmetic as
+    # a lone direction, so the Jacobian vjp(eye) is bitwise the rows vjp(e_i)
+    oracle, x = _stack_case(name)
+    post = oracle.posterior(x)
+    d = oracle.ambient_dim
+    if name == "mixture-dense":
+        assert post.weights.size == 4000
+    if name == "mixture-collapsed":
+        assert post.weights.max() == 1.0
+    if name == "mixture-gathered":
+        assert 1 < post.weights.size < 1000
+    rng = np.random.default_rng(12)
+    for stack in (rng.standard_normal((7, d)), np.eye(d), rng.standard_normal((1, d))):
+        rows = post.vjp(stack)
+        assert rows.shape == stack.shape
+        for i, v in enumerate(stack):
+            assert np.array_equal(rows[i], post.vjp(v))
 
 
 def _difference_posterior(points, sigma, x):
@@ -176,7 +221,7 @@ def test_mixture_kernel_matches_difference_formula():
         assert np.allclose(weights, w_ref, rtol=1e-10, atol=1e-300)
         assert _rel_err(post.mean, mean_ref) <= 1e-12
         assert abs(post.link - link_ref) <= 1e-12 * abs(link_ref)
-        assert _rel_err(post.jacobian(), jac_ref) <= 1e-10
+        assert _rel_err(post.vjp(np.eye(x.size)), jac_ref) <= 1e-10
         v = rng.standard_normal(x.size)
         assert _rel_err(post.vjp(v), jac_ref @ v) <= 1e-10
 
@@ -213,7 +258,7 @@ def test_quadrature_jacobian_near_tangent_projector():
     oracle = QuadratureScoreOracle(Circle(), 4096, sigma=0.05)
     x = np.array([np.cos(0.7), np.sin(0.7)])
     projector = np.eye(2) - np.outer(x, x)
-    jac = oracle.posterior(x).jacobian()
+    jac = oracle.posterior(x).vjp(np.eye(2))
     assert np.linalg.norm(jac - projector, 2) <= 5e-2
 
 
@@ -255,7 +300,7 @@ def test_exact_adapter_realizes_projection_operators():
     x = np.array([1.3, -0.2, 0.4])
     post = adapter.posterior(x)
     assert np.allclose(post.mean, sph.project(x))
-    assert np.abs(post.jacobian() - sph.projection_jacobian(x)).max() <= 1e-12
+    assert np.abs(post.vjp(np.eye(3)) - sph.projection_vjp(x, np.eye(3))).max() <= 1e-12
     # link derivative identity carries over to sigma = 0
     assert link_grad_consistency(adapter, x) <= 1e-6
     # d_sigma = ||x||^2/2 - link equals the half squared distance
@@ -281,13 +326,14 @@ def test_exact_adapter_products_build_no_jacobian(manifold):
     p = manifold.sample_uniform(1, seed=9)[0]
     x = p + 0.1 * manifold.unit_normal(p, seed=9)
     v = np.random.default_rng(9).standard_normal(manifold.ambient_dim)
-    jacobians = _count_calls(manifold, "projection_jacobian")
     products = _count_calls(manifold, "projection_vjp")
     post = ExactManifoldAdapter(manifold).posterior(x)
     vjp = post.vjp(v)
-    assert (len(jacobians), len(products)) == (0, 1)
-    assert np.abs(vjp - post.jacobian().T @ v).max() <= 1e-13
-    assert len(jacobians) == 1
+    assert len(products) == 1
+    # the Jacobian is one product with a stack of directions
+    jac = post.vjp(np.eye(manifold.ambient_dim))
+    assert len(products) == 2
+    assert np.abs(vjp - jac.T @ v).max() <= 1e-13
 
 
 @pytest.mark.parametrize("manifold", [Sphere(3), Orthogonal(5)])

@@ -99,6 +99,11 @@ def test_landing_check_rejects_outside_tube():
     with pytest.raises(ValueError):
         landing_check(Sphere(3), eta=1.0, x0=np.array([2.0, 0.0, 0.0]),
                       t_end=1.0, euler_step=1e-3, record_every=1)
+    # the distance of a non-finite start is NaN, which passed `dist0 > radius`
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="x0 at distance nan is outside the safe tube"):
+            landing_check(Sphere(3), eta=1.0, x0=np.array([1.2, bad, 0.0]),
+                          t_end=1.0, euler_step=1e-3, record_every=1)
 
 
 @pytest.mark.parametrize("bad, message", [
