@@ -57,7 +57,8 @@ class _Manifold:
 
     def _check_on_manifold(self, p: np.ndarray):
         res = self.constraint_residual(p)
-        if res > _ON_MANIFOLD_TOL:
+        # NaN fails the comparison, so a non-finite point is off the manifold
+        if not res <= _ON_MANIFOLD_TOL:
             raise ValueError(
                 f"point is off the manifold (constraint residual {res:.3e})"
             )

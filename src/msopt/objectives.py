@@ -16,6 +16,12 @@ from msopt import rng as _rng
 from msopt.control import TrajectoryLayout
 
 
+def _check_finite(name, m):
+    # the symmetry and definiteness tests below are False for NaN entries
+    if not np.isfinite(m).all():
+        raise ValueError(f"objective coefficient {name} has non-finite entries")
+
+
 class Objective:
     def value(self, x) -> float:
         raise NotImplementedError
@@ -45,6 +51,7 @@ class LinearObjective(Objective):
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
+        _check_finite("a", a)
         if not a.any():
             raise ValueError("linear objective needs a != 0")
         object.__setattr__(self, "a", a)
@@ -66,6 +73,7 @@ class BrockettObjective(Objective):
         n = a.shape[0]
         q = np.diag(np.arange(1.0, n + 1.0)) if q is None else np.asarray(q, dtype=float)
         for name, m in (("A", a), ("Q", q)):
+            _check_finite(name, m)
             if m.shape != (n, n) or np.abs(m - m.T).max() > 1e-12:
                 raise ValueError(f"{name} must be symmetric {n}x{n}")
         self.a = a
@@ -128,6 +136,8 @@ class TrackingObjective(Objective):
             raise ValueError(
                 f"reference has {reference.shape[0]} rows, expected horizon+1 = {horizon + 1}"
             )
+        for name, m in (("reference", reference), ("Q", q), ("R", r)):
+            _check_finite(name, m)
         ny, nu = q.shape[0], r.shape[0]
         if q.shape != (ny, ny) or np.abs(q - q.T).max() > 1e-12:
             raise ValueError("Q must be symmetric")

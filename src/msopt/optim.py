@@ -102,10 +102,9 @@ def _check_params(step_name: str, step: float, max_steps: int, stop_grad_tol: fl
 class _Recorder:
     """Accumulates rows and the baseline-derived optimality metrics."""
 
-    def __init__(self, objective, baseline, every):
+    def __init__(self, objective, baseline):
         self.objective = objective
         self.baseline = baseline
-        self.every = every
         self.rows = []
         self.max_dist = 0.0
         self.start = time.perf_counter()
@@ -122,14 +121,11 @@ class _Recorder:
             feas, g = np.nan, np.nan
         return feas, g
 
-    def add(self, k, x, surrogate, step_norm, force=False):
-        if not force and k % self.every != 0:
-            return
-        if self.rows and self.rows[-1][0] == k:
-            return
+    def add(self, k, x, x_prev, surrogate):
+        """Record iterate k; its step norm is the distance from `x_prev`."""
         feas, g = self.metrics(x)
         self.rows.append(
-            (k, self.objective.value(x), surrogate, feas, g, step_norm)
+            (k, self.objective.value(x), surrogate, feas, g, float(np.linalg.norm(x - x_prev)))
         )
 
     def finish(self, x_final, metadata):
@@ -153,10 +149,6 @@ class _Recorder:
         )
 
 
-def _runaway(x, x0_scale):
-    return not np.all(np.isfinite(x)) or np.linalg.norm(x) > _RUNAWAY_FACTOR * x0_scale
-
-
 def _drive(step, objective, x0, max_steps, stop_tol, baseline, record_every, meta):
     """The one iteration loop: stop test, recording, runaway check, metadata.
 
@@ -164,29 +156,34 @@ def _drive(step, objective, x0, max_steps, stop_tol, baseline, record_every, met
     `advance()` computes the next iterate. The run stops on the budget, on a
     stop vector shorter than `stop_tol` (grad_tol; measured with
     `scaled_norm`, so a tiny tolerance is not met by underflow), or on a
-    runaway iterate (diverged, which keeps the last finite iterate).
+    runaway iterate (diverged, which keeps the last finite iterate): one
+    whose norm exceeds 1e9 (1 + ||x0||), compared squared, so that NaN fails
+    the test and inf or an overflowing square exceeds the bound. The step
+    norm is computed only for the steps that are recorded.
     """
     x = np.array(x0, dtype=float)
-    x0_scale = 1.0 + np.linalg.norm(x)
-    rec = _Recorder(objective, baseline, record_every)
+    bound_sq = (_RUNAWAY_FACTOR * (1.0 + np.linalg.norm(x))) ** 2
+    rec = _Recorder(objective, baseline)
     meta.update(max_steps=max_steps, termination="budget")
-    prev_step_norm = 0.0
+    x_prev = x
     for k in range(max_steps + 1):
         surrogate, stop_vec, advance = step(x)
         stop = k == max_steps or scaled_norm(stop_vec) < stop_tol
-        rec.add(k, x, surrogate, prev_step_norm, force=stop)
+        recorded = stop or k % record_every == 0
+        if recorded:
+            rec.add(k, x, x_prev, surrogate)
         if stop:
             if k < max_steps:
                 meta["termination"] = "grad_tol"
             break
         x_next = advance()
-        if _runaway(x_next, x0_scale):
-            rec.add(k, x, surrogate, prev_step_norm, force=True)
+        if not float(x_next @ x_next) <= bound_sq:
+            if not recorded:
+                rec.add(k, x, x_prev, surrogate)
             meta["termination"] = "diverged"
             meta["diverged_at_step"] = k + 1
             break
-        prev_step_norm = float(np.linalg.norm(x_next - x))
-        x = x_next
+        x_prev, x = x, x_next
     return rec.finish(x, meta), x
 
 
@@ -235,7 +232,8 @@ def riemannian_gd_baseline(manifold, objective, x0, *, gamma, max_steps, stop_gr
     """Exact projected Riemannian gradient descent on a known manifold."""
     _check_params("gamma", gamma, max_steps, stop_grad_tol, record_every)
     x = manifold.project(np.array(x0, dtype=float))
-    if np.linalg.norm(x - np.asarray(x0, dtype=float)) > 1e-9:
+    # NaN fails the comparison, so a non-finite start is rejected too
+    if not np.linalg.norm(x - np.asarray(x0, dtype=float)) <= 1e-9:
         raise ValueError("riemannian_gd_baseline requires an on-manifold start")
 
     def step(x):

@@ -827,3 +827,28 @@ def test_cli_non_finite_manifold_parameter_exits_2(tmp_path, capsys, command, cf
     assert run_cli([command, "--config", path, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("case, message", [
+    ("linear_a_nan", "objective coefficient a has non-finite entries"),
+    ("q_weight_nan", "objective coefficient Q has non-finite entries"),
+    ("q_weight_inf", "objective coefficient Q has non-finite entries"),
+    ("amplitude_nan", "objective coefficient reference has non-finite entries"),
+], ids=["linear_a_nan", "q_weight_nan", "q_weight_inf", "amplitude_nan"])
+def test_cli_non_finite_objective_coefficient_exits_2(tmp_path, capsys, unicycle_data, case,
+                                                     message):
+    # the symmetry and definiteness tests are False for NaN: each of these ran
+    # to the end, wrote an all-NaN run and exited 1
+    circle = OPTIMIZE_CFG.replace("kind = sphere\ndim = 3", "kind = circle")
+    tracking = _tracking_cfg(unicycle_data)
+    cfg = {
+        "linear_a_nan": circle.replace("a = 1.0,2.0,-0.5", "a = nan,1"),
+        "q_weight_nan": tracking.replace("amplitude = 0.3", "amplitude = 0.3\nq_weight = nan,1,1"),
+        "q_weight_inf": tracking.replace("amplitude = 0.3", "amplitude = 0.3\nq_weight = inf,1,1"),
+        "amplitude_nan": tracking.replace("amplitude = 0.3", "amplitude = nan"),
+    }[case]
+    assert "nan" in cfg or "inf" in cfg
+    out = tmp_path / "o"
+    assert run_cli(["optimize", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.iterdir())

@@ -102,8 +102,11 @@ def test_orthogonal_tangent_project_is_skew_part():
 
 
 def test_tangent_project_rejects_off_manifold_point():
-    with pytest.raises(ValueError):
-        Sphere(3).riemannian_grad([2.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    # a NaN residual fails `<= tol`; a plain `res > tol` test passed it through
+    for manifold, p in ((Sphere(3), [2.0, 0.0, 0.0]), (Sphere(3), [np.nan, 0.0, 0.0]),
+                        (Sphere(3), [np.inf, 0.0, 0.0]), (Orthogonal(2), [np.nan, 0.0, 0.0, 1.0])):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="off the manifold"):
+            manifold.riemannian_grad(np.array(p), np.ones(manifold.ambient_dim))
 
 
 def test_riemannian_grad():

@@ -137,6 +137,28 @@ def test_tracking_requires_pd_r_psd_q():
         TrackingObjective(ref, [[1.0]], [[0.0]], horizon=1)
 
 
+_DIAG2 = np.eye(2)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda bad: LinearObjective(np.array([bad, 1.0])), "a"),
+    (lambda bad: BrockettObjective(np.array([[bad, 0.0], [0.0, 1.0]])), "A"),
+    (lambda bad: BrockettObjective(_DIAG2, np.array([[1.0, 0.0], [0.0, bad]])), "Q"),
+    (lambda bad: TrackingObjective(np.array([[0.0], [bad]]), [[1.0]], [[1.0]], horizon=1),
+     "reference"),
+    (lambda bad: TrackingObjective(np.zeros((2, 1)), [[bad]], [[1.0]], horizon=1), "Q"),
+    (lambda bad: TrackingObjective(np.zeros((2, 1)), [[1.0]], [[bad]], horizon=1), "R"),
+], ids=["linear_a", "brockett_a", "brockett_q", "tracking_reference", "tracking_q",
+        "tracking_r"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_objectives_reject_non_finite_coefficients(build, name, bad):
+    # the symmetry and definiteness tests are False for NaN, so a NaN
+    # coefficient built an objective whose every value was NaN
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=f"objective coefficient {name} has non-finite entries"):
+        build(bad)
+
+
 def test_linear_objective_constant_gradient():
     obj = LinearObjective(np.array([1.0, -2.0]))
     pts = np.random.default_rng(6).standard_normal((5, 2))

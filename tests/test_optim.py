@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -87,6 +88,74 @@ def test_dlf_divergent_step_aborts():
                         baseline=circ)
     assert record.metadata["termination"] == "diverged"
     assert int(record.metadata["diverged_at_step"]) <= 100
+
+
+class _JumpOracle:
+    """Mean x + 1 in every coordinate while x[0] < 3, then `jump`. With
+    f = 0, t_step = 1 and eta = 1, DLF steps x <- mean: 0, 1, 2, 3, jump."""
+
+    sigma = 0.0
+
+    def __init__(self, jump):
+        self.jump = np.asarray(jump, dtype=float)
+
+    def posterior(self, x):
+        mean = x + 1.0 if x[0] < 3.0 else self.jump
+        return SimpleNamespace(mean=mean, link=None, vjp=np.zeros_like)
+
+
+@pytest.mark.parametrize("every", [1, 3, 7])
+@pytest.mark.parametrize("jump", [[np.nan, 0.0], [np.inf, 0.0], [-np.inf, 1.0], [1e200, 1e200],
+                                  [1e12, 0.0]],
+                         ids=["nan", "inf", "minus_inf", "square_overflows", "beyond_bound"])
+def test_runaway_iterate_diverges_after_last_finite_step(jump, every):
+    # the bound is 1e9 (1 + ||x0||) = 1e9; the run keeps x_3 = (3, 3) and
+    # records it once, with the step norm ||x_3 - x_2|| = sqrt(2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        record, xf = dlf_run(_JumpOracle(jump), ZeroObjective(2), np.zeros(2), t_step=1.0,
+                             eta=1.0, max_steps=20, stop_grad_tol=0.0, record_every=every)
+    assert record.metadata["termination"] == "diverged"
+    assert record.metadata["diverged_at_step"] == 4
+    assert np.array_equal(xf, [3.0, 3.0])
+    assert list(record.steps) == sorted({0, 3} | set(range(0, 4, every)))
+    last = [record.objective[-1], record.surrogate_objective[-1], record.step_norm[-1]]
+    assert last == [0.0, 0.0, np.sqrt(2.0)]
+    assert np.isnan(record.feasibility[-1]) and np.isnan(record.riem_grad_norm[-1])
+
+
+def test_iterate_within_runaway_bound_runs_on():
+    record, xf = dlf_run(_JumpOracle([5e8, 0.0]), ZeroObjective(2), np.zeros(2), t_step=1.0,
+                         eta=1.0, max_steps=20, stop_grad_tol=0.0, record_every=1)
+    assert record.metadata["termination"] == "budget"
+    assert np.array_equal(xf, [5e8, 0.0])
+
+
+@pytest.mark.parametrize("algorithm", ["dlf", "drgd"])
+def test_sparse_recording_rows_equal_every_step_rows(tmp_path, algorithm):
+    # a recorded step's norm is taken from the kept previous iterate, so a
+    # run.csv row does not depend on which other steps are recorded
+    loop = dict(max_steps=60, stop_grad_tol=0.0)
+    if algorithm == "dlf":
+        sph, obj, _ = _sphere_linear()
+        runs = [dlf_run(ExactManifoldAdapter(sph), obj, np.array([1.2, 0.1, 0.1]), t_step=1e-2,
+                        eta=5.0, record_every=e, baseline=sph, **loop) for e in (7, 1)]
+    else:
+        circ = Circle()
+        oracle = EmpiricalScoreOracle(circ.sample_uniform(256, seed=5), sigma=0.2)
+        obj = LinearObjective(np.array([0.7, -0.2]))
+        runs = [drgd_run(oracle, obj, np.array([1.1, 0.4]), gamma=1e-2, record_every=e,
+                         baseline=circ, **loop) for e in (7, 1)]
+    (sparse, _), (full, _) = runs
+    assert list(sparse.steps) == list(range(0, 60, 7)) + [60]
+    lines = {}
+    for name, record in (("sparse", sparse), ("full", full)):
+        record.save(tmp_path / f"{name}.csv", tmp_path / f"{name}.meta.txt")
+        lines[name] = (tmp_path / f"{name}.csv").read_text().splitlines()[1:]
+    assert lines["sparse"] == [lines["full"][k] for k in sparse.steps]
+    for column in ("objective", "surrogate_objective", "feasibility", "riem_grad_norm",
+                   "step_norm"):
+        assert np.array_equal(getattr(sparse, column), getattr(full, column)[sparse.steps])
+    assert np.all(full.step_norm[1:] > 0.0)
 
 
 def test_drgd_constant_objective_retracts_then_fixes():
@@ -230,10 +299,13 @@ def test_recorded_gradient_norm_does_not_underflow(scale):
 
 
 def test_riemannian_gd_rejects_off_manifold_start():
-    sph = Sphere(3)
-    with pytest.raises(ValueError):
-        riemannian_gd_baseline(sph, ZeroObjective(3), np.array([2.0, 0.0, 0.0]),
-                               gamma=0.1, max_steps=10, stop_grad_tol=1e-8, record_every=1)
+    # a NaN distance to the projection fails `<= 1e-9`; a plain `> 1e-9`
+    # test let a NaN start run and end as diverged
+    for manifold, x0 in ((Sphere(3), [2.0, 0.0, 0.0]), (Sphere(3), [np.nan, 0.0, 0.0]),
+                         (Sphere(3), [np.inf, 0.0, 0.0]), (Orthogonal(2), [np.nan, 0.0, 0.0, 1.0])):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="on-manifold start"):
+            riemannian_gd_baseline(manifold, ZeroObjective(manifold.ambient_dim), np.array(x0),
+                                   gamma=0.1, max_steps=10, stop_grad_tol=1e-8, record_every=1)
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -226,6 +226,53 @@ def test_mixture_kernel_matches_difference_formula():
         assert _rel_err(post.vjp(v), jac_ref @ v) <= 1e-10
 
 
+def _unfloored_posterior(points, sigma, x):
+    """The mixture kernel's arithmetic without the e^-700 weight floor: the
+    same logits, 746 window and gather, then exp of every kept logit. Returns
+    (rows, shifted kept logits, weights, mean, link, vjp(eye))."""
+    logits = (points @ x - 0.5 * np.einsum("nd,nd->n", points, points)) / (sigma * sigma)
+    m = logits.max()
+    keep = logits > m - 746.0
+    rows = slice(None)
+    if 0 < 2 * np.count_nonzero(keep) < keep.size:
+        rows = keep
+        points, logits = points[keep], logits[keep]
+    shifted = logits - m
+    w = np.exp(shifted)
+    z = w.sum()
+    w /= z
+    mean = w @ points
+    centered = points - mean
+    t = centered @ np.eye(x.size)[..., None]
+    t *= w[:, None]
+    jac = (centered.T @ t)[..., 0] / sigma**2
+    return rows, shifted, w, mean, sigma**2 * float(m + np.log(z)), jac
+
+
+@pytest.mark.parametrize("count, sigma, gathered", [(100000, 0.05, False), (2000, 0.02, True)],
+                         ids=["dense", "gathered"])
+def test_mixture_weights_below_floor_are_zero_and_change_nothing(count, sigma, gathered):
+    # weights under e^-700 are set to 0.0 so that no exp returns a subnormal;
+    # against exp of every kept logit, no result moves by a bit
+    points = Circle().sample_uniform(count, seed=3)
+    x = 1.15 * np.array([np.cos(0.4), np.sin(0.4)])
+    post = EmpiricalScoreOracle(points, sigma).posterior(x)
+    rows, shifted, w_ref, mean_ref, link_ref, jac_ref = _unfloored_posterior(points, sigma, x)
+    band = (shifted > -746.0) & (shifted <= -700.0)
+    assert np.count_nonzero(band) > 0
+    assert w_ref[band].min() < np.finfo(float).tiny
+    if gathered:
+        assert isinstance(rows, np.ndarray) and np.array_equal(post.rows, rows)
+    else:
+        assert rows == slice(None) and post.rows == slice(None)
+    kept = post.weights[post.weights != 0.0]
+    assert kept.min() >= np.finfo(float).tiny
+    assert not post.weights[shifted <= -700.0].any()
+    assert np.array_equal(post.mean, mean_ref)
+    assert post.link == link_ref
+    assert np.array_equal(post.vjp(np.eye(2)), jac_ref)
+
+
 def test_mixture_kernel_propagates_non_finite_points():
     oracle = EmpiricalScoreOracle(Circle().sample_uniform(64, seed=1), 0.1)
     with np.errstate(invalid="ignore"):
