@@ -207,6 +207,8 @@ def _run_algorithm(cfg, oracle, objective, x0, baseline):
 def _cmd_generate_data(cfg: ExperimentConfig, out_dir: str):
     kind = cfg.get("manifold", "kind")
     count = cfg.get("manifold", "count")
+    if count < 1:
+        raise ConfigError(f"[manifold] count = {count}: need count >= 1")
     if kind in _SYSTEM_KINDS:
         system = SystemModel(kind=kind, dt=cfg.get("manifold", "dt"))
         ds = generate_dataset(system, count, cfg.get("manifold", "horizon"), cfg.seed)
@@ -286,21 +288,20 @@ def _cmd_optimize(cfg: ExperimentConfig, out_dir: str):
     x0, best = _resolve_x0(cfg, oracle.ambient_dim, manifold, atoms, atom_values,
                            dataset is not None or isinstance(oracle, EmpiricalScoreOracle))
 
-    record, x_final = _run_algorithm(cfg, oracle, objective, x0, manifold)
+    record = _run_algorithm(cfg, oracle, objective, x0, manifold)
     record.metadata["seed"] = cfg.seed
     if dataset is not None:
         record.metadata["space"] = "normalized"
     if best is not None:
         record.metadata["dataset_best_objective"] = best
     record.save(os.path.join(out_dir, "run.csv"), os.path.join(out_dir, "run.meta.txt"))
-    summary = feasibility_optimality_report(record, baseline=manifold, dataset=dataset,
-                                            objective=tracking)
+    summary = feasibility_optimality_report(record, dataset=dataset, objective=tracking)
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write(summary.to_text())
     artifacts = ["run.csv", "run.meta.txt", "summary.txt"]
     if dataset is not None:
         write_csv(os.path.join(out_dir, "optimized_point.csv"), None,
-                  dataset.denormalize(x_final)[None, :])
+                  dataset.denormalize(record.final_point)[None, :])
         artifacts.append("optimized_point.csv")
     return artifacts, record.metadata.get("termination") == "diverged"
 
@@ -320,9 +321,13 @@ def _cmd_validate(cfg: ExperimentConfig, out_dir: str, do_assert: bool):
         if not -np.inf < lo <= hi < np.inf:
             raise ConfigError(f"[algorithm] slope_min = {lo!r} and slope_max = {hi!r} "
                               "must be finite with slope_min <= slope_max")
+        sigmas = cfg.get("algorithm", "sigmas")
+        if len(set(sigmas)) < 2:
+            raise ConfigError(f"[algorithm] sigmas = {','.join(map(str, sigmas))} "
+                              "needs at least two distinct values to fit a slope")
         report = rate_sweep(
             _oracle_family(cfg, manifold), manifold, cfg.get("algorithm", "offsets"),
-            cfg.get("algorithm", "sigmas"), cfg.get("algorithm", "n_points"), cfg.seed,
+            sigmas, cfg.get("algorithm", "n_points"), cfg.seed,
         )
         for name, slope in (("mean", report.slope_mean), ("jacobian", report.slope_jacobian)):
             if not (lo <= slope <= hi):

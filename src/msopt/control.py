@@ -13,8 +13,19 @@ import numpy as np
 
 from msopt import rng as _rng
 from msopt.errors import DivergenceError, MsoptError
-from msopt.linalg import rk4_step
 from msopt.textio import read_key_values, write_csv, write_key_values
+
+
+def rk4_step(f, x: np.ndarray, u, dt: float) -> np.ndarray:
+    """One classical Runge-Kutta step of dx/dt = f(x, u) with frozen input."""
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"rk4_step requires finite dt > 0, got dt = {dt!r}")
+    x = np.asarray(x, dtype=float)
+    k1 = np.asarray(f(x, u))
+    k2 = np.asarray(f(x + 0.5 * dt * k1, u))
+    k3 = np.asarray(f(x + 0.5 * dt * k2, u))
+    k4 = np.asarray(f(x + dt * k3, u))
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,12 @@ A parameter that a config key sets is keyword-only and has no default here;
 `config.SCHEMA` holds the defaults. Each method checks its parameters on
 entry with `_check_params`, then runs its step function under one private
 driver, `_drive`, which owns the stop test, the recording, the runaway check
-and the termination metadata. The surrogate methods read the oracle only
-through `score.posterior(x)`: DLF makes one call per iterate, DRGD two (at
-x, and at x - gamma s'(x)^T grad f(x) for the retraction) and one at the
-final iterate, where the stop test still needs the product.
+and the termination metadata. A run's one result is its `RunRecord`: the
+recorded rows, the metadata and the final iterate. The surrogate methods
+read the oracle only through `score.posterior(x)`: DLF makes one call per
+iterate, DRGD two (at x, and at x - gamma s'(x)^T grad f(x) for the
+retraction) and one at the final iterate, where the stop test still needs
+the product.
 
 Jacobian contractions are vector-Jacobian products: for exact oracles the
 Jacobian is symmetric so this equals the forward product; for the network
@@ -29,12 +31,11 @@ backward.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from msopt.errors import ProjectionError
-from msopt.linalg import scaled_norm
 from msopt.textio import write_csv, write_key_values
 
 _RUNAWAY_FACTOR = 1e9
@@ -44,37 +45,39 @@ CSV_HEADER = "step,objective,surrogate_objective,feasibility,riem_grad_norm,step
 
 @dataclass
 class RunRecord:
-    """Per-iteration trace plus run metadata and the final iterate; `save`
-    renders the metadata values (strings, numbers, flags) through `textio`."""
+    """The result of a run: the recorded rows as one `(rows, 6)` float table
+    in `CSV_HEADER` order, the run metadata and the final iterate; `save`
+    writes the table as `run.csv` and renders the metadata values (strings,
+    numbers, flags) and the final point through `textio`."""
 
-    steps: np.ndarray
-    objective: np.ndarray
-    surrogate_objective: np.ndarray
-    feasibility: np.ndarray
-    riem_grad_norm: np.ndarray
-    step_norm: np.ndarray
-    metadata: dict = field(default_factory=dict)
-    final_point: np.ndarray | None = None
+    table: np.ndarray
+    metadata: dict
+    final_point: np.ndarray
 
     def __len__(self):
-        return len(self.steps)
+        return len(self.table)
+
+    steps = property(lambda self: self.table[:, 0].astype(int))
+    objective = property(lambda self: self.table[:, 1])
+    surrogate_objective = property(lambda self: self.table[:, 2])
+    feasibility = property(lambda self: self.table[:, 3])
+    riem_grad_norm = property(lambda self: self.table[:, 4])
+    step_norm = property(lambda self: self.table[:, 5])
 
     def save(self, csv_path, meta_path):
-        rows = np.column_stack(
-            [
-                self.steps,
-                self.objective,
-                self.surrogate_objective,
-                self.feasibility,
-                self.riem_grad_norm,
-                self.step_norm,
-            ]
-        )
-        write_csv(csv_path, CSV_HEADER, rows)
-        pairs = sorted(self.metadata.items())
-        if self.final_point is not None:
-            pairs.append(("final_point", self.final_point))
-        write_key_values(meta_path, pairs)
+        write_csv(csv_path, CSV_HEADER, self.table)
+        write_key_values(meta_path, [*sorted(self.metadata.items()),
+                                     ("final_point", self.final_point)])
+
+
+def scaled_norm(v) -> float:
+    """2-norm that neither underflows nor overflows.
+
+    np.linalg.norm squares the entries, so it reads a vector of 1e-180
+    entries as 0; math.hypot scales them first. For the short vectors of
+    the optimizer loops it is also the cheaper call.
+    """
+    return math.hypot(*np.ravel(v).tolist())
 
 
 def _check_params(step_name: str, step: float, max_steps: int, stop_grad_tol: float,
@@ -129,7 +132,6 @@ class _Recorder:
         )
 
     def finish(self, x_final, metadata):
-        rows = np.array(self.rows, dtype=float) if self.rows else np.zeros((0, 6))
         metadata = dict(metadata)
         metadata["wall_time_s"] = f"{time.perf_counter() - self.start:.3f}"
         if self.baseline is not None:
@@ -137,16 +139,8 @@ class _Recorder:
             metadata["feasibility_metric"] = type(self.baseline).__name__.lower()
             metadata["max_manifold_distance"] = self.max_dist
             metadata["left_safe_tube"] = bool(self.max_dist > tube)
-        return RunRecord(
-            steps=rows[:, 0].astype(int),
-            objective=rows[:, 1],
-            surrogate_objective=rows[:, 2],
-            feasibility=rows[:, 3],
-            riem_grad_norm=rows[:, 4],
-            step_norm=rows[:, 5],
-            metadata=metadata,
-            final_point=np.array(x_final, dtype=float),
-        )
+        return RunRecord(np.array(self.rows, dtype=float).reshape(-1, 6), metadata,
+                         np.array(x_final, dtype=float))
 
 
 def _drive(step, objective, x0, max_steps, stop_tol, baseline, record_every, meta):
@@ -184,12 +178,12 @@ def _drive(step, objective, x0, max_steps, stop_tol, baseline, record_every, met
             meta["diverged_at_step"] = k + 1
             break
         x_prev, x = x, x_next
-    return rec.finish(x, meta), x
+    return rec.finish(x, meta)
 
 
 def dlf_run(score, objective, x0, *, t_step, eta, max_steps, stop_grad_tol, record_every,
             baseline=None):
-    """Euler-discretized denoising landing flow; returns (RunRecord, final x)."""
+    """Euler-discretized denoising landing flow; returns the RunRecord."""
     _check_params("t_step", t_step, max_steps, stop_grad_tol, record_every, eta)
 
     def step(x):
@@ -210,7 +204,7 @@ def dlf_run(score, objective, x0, *, t_step, eta, max_steps, stop_grad_tol, reco
 
 def drgd_run(score, objective, x0, *, gamma, max_steps, stop_grad_tol, record_every,
              baseline=None):
-    """Denoising Riemannian gradient descent; returns (RunRecord, final x)."""
+    """Denoising Riemannian gradient descent; returns the RunRecord."""
     _check_params("gamma", gamma, max_steps, stop_grad_tol, record_every)
 
     def step(x):
@@ -229,7 +223,8 @@ def drgd_run(score, objective, x0, *, gamma, max_steps, stop_grad_tol, record_ev
 
 def riemannian_gd_baseline(manifold, objective, x0, *, gamma, max_steps, stop_grad_tol,
                            record_every):
-    """Exact projected Riemannian gradient descent on a known manifold."""
+    """Exact projected Riemannian gradient descent on a known manifold; returns
+    the RunRecord."""
     _check_params("gamma", gamma, max_steps, stop_grad_tol, record_every)
     x = manifold.project(np.array(x0, dtype=float))
     # NaN fails the comparison, so a non-finite start is rejected too

@@ -55,7 +55,7 @@ class RateSweepReport:
         lines.append(f"log-log slope (mean):     {self.slope_mean:.4f}")
         lines.append(f"log-log slope (jacobian): {self.slope_jacobian:.4f}")
         lines.append(f"monotone decreasing: {self.monotone_decreasing()}")
-        if self.mean_errors[-1] > self.mean_errors[-2]:
+        if len(self.mean_errors) >= 2 and self.mean_errors[-1] > self.mean_errors[-2]:
             lines.append("note: smallest sigma shows resolution saturation")
         return "\n".join(lines) + "\n"
 
@@ -68,6 +68,8 @@ def rate_sweep(oracle_family, manifold, offsets, sigmas, n_points: int, seed: in
     its closed-form derivative. Both Jacobians are products with the
     identity, `posterior.vjp(eye)` and `manifold.projection_vjp(x, eye)`.
     """
+    if n_points < 1:
+        raise ValueError(f"rate_sweep needs n_points >= 1, got n_points = {n_points!r}")
     sigmas = np.asarray(sorted(sigmas, reverse=True), dtype=float)
     offsets = tuple(float(o) for o in offsets)
     base = manifold.sample_uniform(n_points, seed)
@@ -166,6 +168,9 @@ def landing_check(manifold, *, eta, x0, t_end, euler_step, record_every) -> Land
             f"x0 at distance {dist0:.4g} is outside the safe tube "
             f"(radius {manifold.safe_tube_radius:.4g})"
         )
+    if dist0 == 0.0:
+        raise ValueError("x0 at distance 0 is on the manifold: the landing law "
+                         "needs a start distance > 0")
     adapter = ExactManifoldAdapter(manifold)
     n_steps = int(round(t_end / euler_step))
     d0 = 0.5 * dist0**2
@@ -201,12 +206,12 @@ class RunSummary:
             (name, value) for name, value in self.__dict__.items() if value is not None)
 
 
-def feasibility_optimality_report(record: RunRecord, baseline=None,
-                                  dataset: TrajectoryDataset = None,
+def feasibility_optimality_report(record: RunRecord, dataset: TrajectoryDataset = None,
                                   objective=None) -> RunSummary:
     """Summarize a finished run against a manifold or a control system.
 
-    With a manifold baseline the record's own feasibility and Riemannian
+    When the run measured a manifold baseline (its metadata names a
+    `feasibility_metric`), the record's own feasibility and Riemannian
     gradient columns are summarized; with a trajectory dataset the final
     point is de-normalized, back-tested through the true system, and
     re-costed.
@@ -219,7 +224,7 @@ def feasibility_optimality_report(record: RunRecord, baseline=None,
         summary.dataset_best_objective = float(best)
         summary.objective_improvement = float(best) - summary.final_objective
 
-    if baseline is not None:
+    if "feasibility_metric" in record.metadata:
         summary.final_feasibility = float(record.feasibility[-1])
         g = record.riem_grad_norm
         finite = np.isfinite(g)

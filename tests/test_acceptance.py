@@ -17,7 +17,6 @@ from scipy.special import ive
 
 from msopt.cli import run_cli
 from msopt.control import SystemModel, generate_dataset, backtest
-from msopt.linalg import scaled_norm
 from msopt.manifolds import Circle, Orthogonal, Sphere
 from msopt.objectives import (
     AffineReparamObjective,
@@ -27,7 +26,7 @@ from msopt.objectives import (
     make_reference,
     random_brockett,
 )
-from msopt.optim import drgd_run, riemannian_gd_baseline
+from msopt.optim import drgd_run, riemannian_gd_baseline, scaled_norm
 from msopt.score.dsm import dsm_train
 from msopt.score.mlp import make_score_mlp
 from msopt.score.oracles import (
@@ -169,22 +168,22 @@ def test_criterion_04_riemannian_gd_baseline_exactness():
     started = time.perf_counter()
     sph = Sphere(3)
     a = np.array([1.0, 2.0, -0.5])
-    _, xf = riemannian_gd_baseline(sph, LinearObjective(a), sph.sample_uniform(1, seed=4)[0],
-                                   gamma=0.1, max_steps=5000, stop_grad_tol=1e-12,
-                                   record_every=1)
+    xf = riemannian_gd_baseline(sph, LinearObjective(a), sph.sample_uniform(1, seed=4)[0],
+                                gamma=0.1, max_steps=5000, stop_grad_tol=1e-12,
+                                record_every=1).final_point
     sphere_err = float(np.linalg.norm(xf + a / np.linalg.norm(a)))
 
     on = Orthogonal(5)
     obj = random_brockett(5, seed=11)
     x0 = on.sample_uniform(1, seed=5)[0]
-    _, xb = riemannian_gd_baseline(on, obj, x0, gamma=1e-2, max_steps=20000,
-                                   stop_grad_tol=1e-10, record_every=1)
+    xb = riemannian_gd_baseline(on, obj, x0, gamma=1e-2, max_steps=20000,
+                                stop_grad_tol=1e-10, record_every=1).final_point
     gap = float(obj.value(xb) - brockett_optimum(obj))
     # same optimum through the sigma = 0 oracle driving the denoising descent
     from msopt.score.oracles import ExactManifoldAdapter
 
-    _, xa = drgd_run(ExactManifoldAdapter(on), obj, x0, gamma=1e-2, max_steps=4000,
-                     stop_grad_tol=1e-10, record_every=1)
+    xa = drgd_run(ExactManifoldAdapter(on), obj, x0, gamma=1e-2, max_steps=4000,
+                  stop_grad_tol=1e-10, record_every=1).final_point
     gap_adapter = float(obj.value(xa) - brockett_optimum(obj))
     ok = sphere_err <= 1e-6 and abs(gap) <= 1e-6 and abs(gap_adapter) <= 1e-6
     _verdict(
@@ -206,8 +205,9 @@ def test_criterion_05_drgd_brockett_with_empirical_score():
     optimum = brockett_optimum(obj)
 
     oracle = EmpiricalScoreOracle(data, sigma=0.05)
-    record, xf = drgd_run(oracle, obj, data[i0], gamma=1e-3, max_steps=5000,
-                          stop_grad_tol=1e-8, record_every=1, baseline=on)
+    record = drgd_run(oracle, obj, data[i0], gamma=1e-3, max_steps=5000,
+                      stop_grad_tol=1e-8, record_every=1, baseline=on)
+    xf = record.final_point
     final = float(obj.value(xf))
     surrogate_grad = scaled_norm(oracle.posterior(data[i0]).vjp(obj.gradient(data[i0])))
     feas = on.feasibility(xf)
@@ -297,8 +297,9 @@ def test_criterion_08_tracking_desk_scale():
     normalized = dataset.normalize(flat)
     oracle = EmpiricalScoreOracle(normalized, sigma=0.05)
     objective = AffineReparamObjective(tracking, dataset.norm_shift, dataset.norm_scale)
-    record, zf = drgd_run(oracle, objective, normalized[i0], gamma=1e-3, max_steps=2000,
-                          stop_grad_tol=1e-8, record_every=1)
+    record = drgd_run(oracle, objective, normalized[i0], gamma=1e-3, max_steps=2000,
+                      stop_grad_tol=1e-8, record_every=1)
+    zf = record.final_point
 
     surrogate_grad = scaled_norm(
         oracle.posterior(normalized[i0]).vjp(objective.gradient(normalized[i0]))

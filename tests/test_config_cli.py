@@ -791,18 +791,44 @@ def _shipped_config(name):
      "[algorithm] slope_min = -inf and slope_max = 2.1 must be finite"),
     ("rate_circle.cfg", "n_points = 100\n", "n_points = 100\nslope_min = 2.5\n",
      "[algorithm] slope_min = 2.5 and slope_max = 2.1 must be finite with slope_min <= slope_max"),
+    ("landing_sphere.cfg", "x0_distance = 0.3\n", "x0_distance = 0\n",
+     "x0 at distance 0 is on the manifold"),
+    ("rate_circle.cfg", "sigmas = 0.2,0.1,0.05,0.025,0.0125\n", "sigmas = 0.1\n",
+     "[algorithm] sigmas = 0.1 needs at least two distinct values"),
+    ("rate_circle.cfg", "sigmas = 0.2,0.1,0.05,0.025,0.0125\n", "sigmas = 0.1,0.1\n",
+     "[algorithm] sigmas = 0.1,0.1 needs at least two distinct values"),
+    ("rate_circle.cfg", "n_points = 100\n", "n_points = 0\n",
+     "rate_sweep needs n_points >= 1, got n_points = 0"),
 ], ids=["max_rel_dev_nan", "max_rel_dev_inf", "x0_distance_nan", "slope_min_nan", "slope_max_inf",
-        "slope_min_minus_inf", "slope_min_above_slope_max"])
+        "slope_min_minus_inf", "slope_min_above_slope_max", "x0_distance_zero", "one_sigma",
+        "repeated_sigma", "no_points"])
 def test_cli_validate_parameters_checked(tmp_path, capsys, config, old, new, message):
     # `deviation > nan` is False, so a NaN budget passed every landing check
     # under --assert with exit 0; a NaN start distance passed the tube guard
-    # and ended in numpy's "zero-size array to reduction operation maximum"
+    # and ended in numpy's "zero-size array to reduction operation maximum",
+    # as did a start on the manifold; one sigma crashed the rate summary, a
+    # repeated one fitted a slope to noise and no test points gave slopes of 0
     cfg = _shipped_config(config)
     assert old in cfg
     path = _write(tmp_path, cfg.replace(old, new))
     out = tmp_path / "o"
     assert run_cli(["validate", "--config", path, "--out", str(out), "--assert"]) == 2
     assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("cfg", [
+    _shipped_config("unicycle_data.cfg"),
+    "[experiment]\nkind = generate-data\n\n[manifold]\nkind = circle\ncount = 2000\n",
+], ids=["unicycle", "circle"])
+@pytest.mark.parametrize("count", [0, -3])
+def test_cli_generate_data_needs_a_point(tmp_path, capsys, cfg, count):
+    # on a manifold, count = 0 wrote an empty points.csv with exit 0 and
+    # count = -3 ended in numpy's "negative dimensions are not allowed"
+    path = _write(tmp_path, cfg.replace("count = 2000\n", f"count = {count}\n"))
+    out = tmp_path / "o"
+    assert run_cli(["generate-data", "--config", path, "--out", str(out)]) == 2
+    assert f"[manifold] count = {count}: need count >= 1" in capsys.readouterr().err
     assert not any(out.iterdir())
 
 

@@ -36,8 +36,9 @@ def test_trained_score_drgd_optimizes_on_circle(circle_mlp):
     target = -a / np.linalg.norm(a)
     oracle = MlpScoreOracle(circle_mlp, sigma=0.1)
     x0 = np.array([np.cos(0.5), np.sin(0.5)])
-    record, xf = drgd_run(oracle, LinearObjective(a), x0, gamma=0.05, max_steps=400,
-                          stop_grad_tol=1e-8, record_every=20, baseline=circ)
+    record = drgd_run(oracle, LinearObjective(a), x0, gamma=0.05, max_steps=400,
+                      stop_grad_tol=1e-8, record_every=20, baseline=circ)
+    xf = record.final_point
     assert np.linalg.norm(xf - target) <= 0.25
     assert circ.feasibility(xf) <= 0.02
     assert record.objective[-1] < record.objective[0] - 1.0
@@ -49,8 +50,9 @@ def test_trained_score_dlf_optimizes_on_circle(circle_mlp):
     target = -a / np.linalg.norm(a)
     oracle = MlpScoreOracle(circle_mlp, sigma=0.1)
     x0 = np.array([np.cos(0.5), np.sin(0.5)])
-    record, xf = dlf_run(oracle, LinearObjective(a), x0, t_step=5e-3, eta=5.0, max_steps=4000,
-                         stop_grad_tol=1e-8, record_every=200, baseline=circ)
+    record = dlf_run(oracle, LinearObjective(a), x0, t_step=5e-3, eta=5.0, max_steps=4000,
+                     stop_grad_tol=1e-8, record_every=200, baseline=circ)
+    xf = record.final_point
     assert np.linalg.norm(xf - target) <= 0.15
     assert circ.feasibility(xf) <= 0.08
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from msopt.linalg import rk4_step, scaled_norm
+from msopt.control import rk4_step
+from msopt.optim import scaled_norm
 
 
 def test_scaled_norm_without_under_or_overflow():

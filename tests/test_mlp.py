@@ -172,8 +172,9 @@ def test_mlp_drgd_matches_reference_loop_bitwise():
         x = x_next
     ref = np.array(rows)
 
-    record, xf = drgd_run(MlpScoreOracle(mlp, sigma), obj, x0, gamma=gamma, max_steps=steps,
-                          stop_grad_tol=0.0, record_every=1)
+    record = drgd_run(MlpScoreOracle(mlp, sigma), obj, x0, gamma=gamma, max_steps=steps,
+                      stop_grad_tol=0.0, record_every=1)
+    xf = record.final_point
     assert record.metadata["termination"] == "budget"
     assert np.array_equal(record.steps, ref[:, 0])
     assert np.array_equal(record.objective, ref[:, 1])

@@ -4,10 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from msopt.linalg import scaled_norm
 from msopt.manifolds import Circle, Orthogonal, Sphere
 from msopt.objectives import LinearObjective, ZeroObjective, random_brockett, brockett_optimum
-from msopt.optim import CSV_HEADER, dlf_run, drgd_run, riemannian_gd_baseline
+from msopt.optim import CSV_HEADER, dlf_run, drgd_run, riemannian_gd_baseline, scaled_norm
 from msopt.score.oracles import EmpiricalScoreOracle, ExactManifoldAdapter
 from msopt.textio import read_key_values
 
@@ -21,16 +20,18 @@ def _sphere_linear():
 def test_dlf_zero_gain_constant_objective_is_fixed_point():
     sph, _, _ = _sphere_linear()
     x0 = sph.sample_uniform(1, seed=1)[0]
-    record, xf = dlf_run(ExactManifoldAdapter(sph), ZeroObjective(3), x0, t_step=1e-3, eta=0.0,
-                         max_steps=50, stop_grad_tol=0.0, record_every=1, baseline=sph)
+    record = dlf_run(ExactManifoldAdapter(sph), ZeroObjective(3), x0, t_step=1e-3, eta=0.0,
+                     max_steps=50, stop_grad_tol=0.0, record_every=1, baseline=sph)
+    xf = record.final_point
     assert np.allclose(xf, x0, atol=1e-14)
 
 
 def test_dlf_sphere_linear_converges():
     sph, obj, target = _sphere_linear()
     x0 = np.array([1.2, 0.1, 0.1])
-    record, xf = dlf_run(ExactManifoldAdapter(sph), obj, x0, t_step=1e-3, eta=300.0,
-                         max_steps=40000, stop_grad_tol=1e-9, record_every=500, baseline=sph)
+    record = dlf_run(ExactManifoldAdapter(sph), obj, x0, t_step=1e-3, eta=300.0,
+                     max_steps=40000, stop_grad_tol=1e-9, record_every=500, baseline=sph)
+    xf = record.final_point
     assert np.linalg.norm(xf - target) <= 1e-6
     assert record.riem_grad_norm[-1] <= 1e-6
 
@@ -42,8 +43,8 @@ def test_dlf_exponential_distance_decay():
     x0 = np.array([1.3, 0.0, 0.0])
     step = 1e-5 / eta
     steps = int(10.0 / eta / step)
-    record, _ = dlf_run(ExactManifoldAdapter(sph), ZeroObjective(3), x0, t_step=step, eta=eta,
-                        max_steps=steps, stop_grad_tol=0.0, record_every=10000, baseline=sph)
+    record = dlf_run(ExactManifoldAdapter(sph), ZeroObjective(3), x0, t_step=step, eta=eta,
+                     max_steps=steps, stop_grad_tol=0.0, record_every=10000, baseline=sph)
     d0 = 0.5 * 0.3**2
     times = record.steps * step
     measured = 0.5 * record.feasibility**2
@@ -69,9 +70,9 @@ def test_dlf_pure_penalty_decreases_distance():
     # with f = 0 the DLF step descends eta * d_sigma(x) alone
     circ = Circle()
     oracle = EmpiricalScoreOracle(circ.sample_uniform(256, seed=9), sigma=0.1)
-    record, xf = dlf_run(oracle, ZeroObjective(2), np.array([1.45, 0.1]), t_step=0.05,
-                         eta=1.0, max_steps=200, stop_grad_tol=0.0, record_every=1,
-                         baseline=circ)
+    record = dlf_run(oracle, ZeroObjective(2), np.array([1.45, 0.1]), t_step=0.05,
+                     eta=1.0, max_steps=200, stop_grad_tol=0.0, record_every=1,
+                     baseline=circ)
     feas = record.feasibility
     drops = np.diff(feas)
     floor = 0.02  # oracle bias floor at sigma = 0.1
@@ -83,9 +84,9 @@ def test_dlf_divergent_step_aborts():
     circ = Circle()
     adapter = ExactManifoldAdapter(circ)
     eta = 1.0
-    record, _ = dlf_run(adapter, ZeroObjective(2), np.array([1.3, 0.0]), t_step=10.0 / eta,
-                        eta=eta, max_steps=100, stop_grad_tol=0.0, record_every=1,
-                        baseline=circ)
+    record = dlf_run(adapter, ZeroObjective(2), np.array([1.3, 0.0]), t_step=10.0 / eta,
+                     eta=eta, max_steps=100, stop_grad_tol=0.0, record_every=1,
+                     baseline=circ)
     assert record.metadata["termination"] == "diverged"
     assert int(record.metadata["diverged_at_step"]) <= 100
 
@@ -112,8 +113,9 @@ def test_runaway_iterate_diverges_after_last_finite_step(jump, every):
     # the bound is 1e9 (1 + ||x0||) = 1e9; the run keeps x_3 = (3, 3) and
     # records it once, with the step norm ||x_3 - x_2|| = sqrt(2)
     with np.errstate(invalid="ignore", over="ignore"):
-        record, xf = dlf_run(_JumpOracle(jump), ZeroObjective(2), np.zeros(2), t_step=1.0,
-                             eta=1.0, max_steps=20, stop_grad_tol=0.0, record_every=every)
+        record = dlf_run(_JumpOracle(jump), ZeroObjective(2), np.zeros(2), t_step=1.0,
+                         eta=1.0, max_steps=20, stop_grad_tol=0.0, record_every=every)
+        xf = record.final_point
     assert record.metadata["termination"] == "diverged"
     assert record.metadata["diverged_at_step"] == 4
     assert np.array_equal(xf, [3.0, 3.0])
@@ -124,8 +126,9 @@ def test_runaway_iterate_diverges_after_last_finite_step(jump, every):
 
 
 def test_iterate_within_runaway_bound_runs_on():
-    record, xf = dlf_run(_JumpOracle([5e8, 0.0]), ZeroObjective(2), np.zeros(2), t_step=1.0,
-                         eta=1.0, max_steps=20, stop_grad_tol=0.0, record_every=1)
+    record = dlf_run(_JumpOracle([5e8, 0.0]), ZeroObjective(2), np.zeros(2), t_step=1.0,
+                     eta=1.0, max_steps=20, stop_grad_tol=0.0, record_every=1)
+    xf = record.final_point
     assert record.metadata["termination"] == "budget"
     assert np.array_equal(xf, [5e8, 0.0])
 
@@ -145,7 +148,7 @@ def test_sparse_recording_rows_equal_every_step_rows(tmp_path, algorithm):
         obj = LinearObjective(np.array([0.7, -0.2]))
         runs = [drgd_run(oracle, obj, np.array([1.1, 0.4]), gamma=1e-2, record_every=e,
                          baseline=circ, **loop) for e in (7, 1)]
-    (sparse, _), (full, _) = runs
+    sparse, full = runs
     assert list(sparse.steps) == list(range(0, 60, 7)) + [60]
     lines = {}
     for name, record in (("sparse", sparse), ("full", full)):
@@ -161,8 +164,9 @@ def test_sparse_recording_rows_equal_every_step_rows(tmp_path, algorithm):
 def test_drgd_constant_objective_retracts_then_fixes():
     sph = Sphere(3)
     x0 = np.array([1.4, 0.2, -0.3])
-    record, xf = drgd_run(ExactManifoldAdapter(sph), ZeroObjective(3), x0, gamma=0.5,
-                          max_steps=5, stop_grad_tol=0.0, record_every=1, baseline=sph)
+    record = drgd_run(ExactManifoldAdapter(sph), ZeroObjective(3), x0, gamma=0.5,
+                      max_steps=5, stop_grad_tol=0.0, record_every=1, baseline=sph)
+    xf = record.final_point
     assert np.allclose(xf, sph.project(x0), atol=1e-14)
     assert np.abs(record.feasibility[1:]).max() <= 1e-12
 
@@ -170,8 +174,9 @@ def test_drgd_constant_objective_retracts_then_fixes():
 def test_drgd_sphere_linear_converges_monotonically():
     sph, obj, target = _sphere_linear()
     x0 = sph.sample_uniform(1, seed=11)[0]
-    record, xf = drgd_run(ExactManifoldAdapter(sph), obj, x0, gamma=0.05, max_steps=3000,
-                          stop_grad_tol=1e-12, record_every=1, baseline=sph)
+    record = drgd_run(ExactManifoldAdapter(sph), obj, x0, gamma=0.05, max_steps=3000,
+                      stop_grad_tol=1e-12, record_every=1, baseline=sph)
+    xf = record.final_point
     assert np.linalg.norm(xf - target) <= 1e-8
     assert np.all(np.diff(record.objective[1:]) <= 1e-12)
 
@@ -180,8 +185,8 @@ def test_drgd_exact_adapter_keeps_iterates_on_manifold():
     on = Orthogonal(3)
     obj = random_brockett(3, seed=2)
     x0 = on.sample_uniform(1, seed=3)[0]
-    record, _ = drgd_run(ExactManifoldAdapter(on), obj, x0, gamma=5e-3, max_steps=300,
-                         stop_grad_tol=0.0, record_every=1, baseline=on)
+    record = drgd_run(ExactManifoldAdapter(on), obj, x0, gamma=5e-3, max_steps=300,
+                      stop_grad_tol=0.0, record_every=1, baseline=on)
     assert np.nanmax(record.feasibility[1:]) <= 1e-9
 
 
@@ -193,8 +198,9 @@ def test_drgd_empirical_oracle_fixed_at_isolated_atom():
     oracle = EmpiricalScoreOracle(data, sigma=0.05)
     obj = random_brockett(5, seed=5)
     x0 = data[7]
-    record, xf = drgd_run(oracle, obj, x0, gamma=1e-3, max_steps=50, stop_grad_tol=1e-8,
-                          record_every=1, baseline=on)
+    record = drgd_run(oracle, obj, x0, gamma=1e-3, max_steps=50, stop_grad_tol=1e-8,
+                      record_every=1, baseline=on)
+    xf = record.final_point
     assert np.array_equal(xf, x0)
     assert record.metadata["termination"] == "grad_tol"
 
@@ -209,8 +215,8 @@ def test_drgd_empirical_oracle_optimizes_in_dense_regime():
     obj = LinearObjective(a)
     worst_atom = data[int(np.argmax(data @ a))]
     oracle = EmpiricalScoreOracle(data, sigma=0.05)
-    _, xf = drgd_run(oracle, obj, worst_atom, gamma=0.05, max_steps=800, stop_grad_tol=1e-8,
-                     record_every=100, baseline=circ)
+    xf = drgd_run(oracle, obj, worst_atom, gamma=0.05, max_steps=800, stop_grad_tol=1e-8,
+                  record_every=100, baseline=circ).final_point
     target = -a / np.linalg.norm(a)
     assert np.linalg.norm(xf - target) <= 0.01
     assert circ.feasibility(xf) <= 0.005
@@ -246,15 +252,16 @@ def test_drgd_retraction_confines_iterates_to_oracle_error_floor():
 def test_riemannian_gd_sphere_and_brockett():
     sph, obj, target = _sphere_linear()
     x0 = sph.sample_uniform(1, seed=17)[0]
-    _, xf = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=3000, stop_grad_tol=1e-12,
-                                   record_every=1)
+    xf = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=3000, stop_grad_tol=1e-12,
+                                record_every=1).final_point
     assert np.linalg.norm(xf - target) <= 1e-6
 
     on = Orthogonal(5)
     bobj = random_brockett(5, seed=11)
     x0 = on.sample_uniform(1, seed=19)[0]
-    record, xf = riemannian_gd_baseline(on, bobj, x0, gamma=1e-2, max_steps=20000,
-                                        stop_grad_tol=1e-10, record_every=100)
+    record = riemannian_gd_baseline(on, bobj, x0, gamma=1e-2, max_steps=20000,
+                                    stop_grad_tol=1e-10, record_every=100)
+    xf = record.final_point
     assert abs(bobj.value(xf) - brockett_optimum(bobj)) <= 1e-6
     assert np.nanmax(record.feasibility) <= 1e-10
 
@@ -263,8 +270,9 @@ def test_riemannian_gd_critical_point_is_fixed():
     sph = Sphere(3)
     obj = LinearObjective(np.array([0.0, 0.0, 1.0]))
     x0 = np.array([0.0, 0.0, -1.0])  # the minimizer: zero Riemannian gradient
-    record, xf = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=100,
-                                        stop_grad_tol=1e-8, record_every=1)
+    record = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=100,
+                                    stop_grad_tol=1e-8, record_every=1)
+    xf = record.final_point
     assert np.array_equal(xf, x0)
     assert record.metadata["termination"] == "grad_tol"
 
@@ -276,8 +284,8 @@ def test_stop_test_does_not_underflow():
     obj = LinearObjective(np.array([1e-180, 2e-180, -5e-181]))
     x0 = sph.sample_uniform(1, seed=11)[0]
     for tol, termination in ((1e-200, "budget"), (1e-179, "grad_tol")):
-        record, _ = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=3,
-                                           stop_grad_tol=tol, record_every=1)
+        record = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=3,
+                                        stop_grad_tol=tol, record_every=1)
         assert record.metadata["termination"] == termination
 
 
@@ -289,8 +297,8 @@ def test_recorded_gradient_norm_does_not_underflow(scale):
     sph = Sphere(3)
     obj = LinearObjective(np.array([1.0, 2.0, -0.5]) * scale)
     x0 = sph.sample_uniform(1, seed=11)[0]
-    record, _ = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=0,
-                                       stop_grad_tol=1e-8, record_every=1)
+    record = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=0,
+                                    stop_grad_tol=1e-8, record_every=1)
     assert len(record) == 1
     p = sph.project(x0)
     expected = scaled_norm(sph.riemannian_grad(p, obj.gradient(p)))
@@ -350,8 +358,8 @@ def test_optimizers_share_one_parameter_check(bad, message):
 def test_running_average_sq_grad_norm_nonincreasing_for_tol_runs():
     sph, obj, _ = _sphere_linear()
     x0 = sph.sample_uniform(1, seed=23)[0]
-    record, _ = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=5000,
-                                       stop_grad_tol=1e-10, record_every=1)
+    record = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=5000,
+                                    stop_grad_tol=1e-10, record_every=1)
     assert record.metadata["termination"] == "grad_tol"
     # gradient norms can rise before the decay sets in, so the Cesaro average
     # is non-increasing only past its peak; the tail must dominate
@@ -369,8 +377,10 @@ def test_bitwise_reproducibility():
     oracle = EmpiricalScoreOracle(data, sigma=0.5)
     obj = random_brockett(3, seed=31)
     params = dict(gamma=1e-3, max_steps=100, stop_grad_tol=0.0, record_every=1, baseline=on)
-    rec_a, xa = drgd_run(oracle, obj, data[0], **params)
-    rec_b, xb = drgd_run(oracle, obj, data[0], **params)
+    rec_a = drgd_run(oracle, obj, data[0], **params)
+    xa = rec_a.final_point
+    rec_b = drgd_run(oracle, obj, data[0], **params)
+    xb = rec_b.final_point
     assert np.array_equal(xa, xb)
     for field in ("objective", "surrogate_objective", "feasibility", "riem_grad_norm", "step_norm"):
         assert np.array_equal(getattr(rec_a, field), getattr(rec_b, field))
@@ -379,8 +389,8 @@ def test_bitwise_reproducibility():
 def test_run_record_roundtrip(tmp_path):
     sph, obj, _ = _sphere_linear()
     x0 = sph.sample_uniform(1, seed=37)[0]
-    record, _ = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=50,
-                                       stop_grad_tol=1e-8, record_every=1)
+    record = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=50,
+                                    stop_grad_tol=1e-8, record_every=1)
     csv_path = tmp_path / "run.csv"
     meta_path = tmp_path / "run.meta.txt"
     record.save(csv_path, meta_path)
@@ -396,9 +406,9 @@ def test_run_record_roundtrip(tmp_path):
 
 def test_dlf_flags_runs_leaving_safe_tube():
     sph = Sphere(3)
-    record, _ = dlf_run(ExactManifoldAdapter(sph), ZeroObjective(3), np.array([2.5, 0.0, 0.0]),
-                        t_step=1e-3, eta=1.0, max_steps=5, stop_grad_tol=0.0, record_every=1,
-                        baseline=sph)
+    record = dlf_run(ExactManifoldAdapter(sph), ZeroObjective(3), np.array([2.5, 0.0, 0.0]),
+                     t_step=1e-3, eta=1.0, max_steps=5, stop_grad_tol=0.0, record_every=1,
+                     baseline=sph)
     assert record.metadata["left_safe_tube"] is True
 
 

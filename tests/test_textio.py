@@ -8,14 +8,16 @@ NAN, INF = float("nan"), float("inf")
 
 def test_csv_bytes_pinned(tmp_path):
     # floats that need all 17 digits, the smallest subnormal, a signed zero and
-    # the non-finite sentinels, under an integer first column
+    # the non-finite sentinels, under an integer first column (rows in
+    # CSV_HEADER column order)
     record = RunRecord(
-        steps=np.array([0, 10, 123456789]),
-        objective=np.array([0.1, 1 / 3, -0.0]),
-        surrogate_objective=np.array([5e-324, NAN, INF]),
-        feasibility=np.array([-INF, 1.0, 2.5]),
-        riem_grad_norm=np.array([1e300, -1e-300, 0.0]),
-        step_norm=np.array([NAN, 0.0, 1e16]),
+        table=np.array([
+            [0, 0.1, 5e-324, -INF, 1e300, NAN],
+            [10, 1 / 3, NAN, 1.0, -1e-300, 0.0],
+            [123456789, -0.0, INF, 2.5, 0.0, 1e16],
+        ]),
+        metadata={},
+        final_point=np.zeros(2),
     )
     record.save(tmp_path / "run.csv", tmp_path / "run.meta.txt")
     assert (tmp_path / "run.csv").read_bytes() == (

@@ -53,6 +53,15 @@ def test_rate_sweep_empirical_tracks_quadrature():
     assert gap <= 3.0 * np.sqrt(0.05 / 100_000) * 3.0
 
 
+def test_rate_sweep_one_sigma_summary():
+    # one sigma fits no slope and has no smaller sigma to saturate against
+    circ = Circle()
+    report = rate_sweep(lambda s: ExactManifoldAdapter(circ), circ, offsets=[0.3],
+                        sigmas=[0.05], n_points=3, seed=1)
+    text = report.summary_text()
+    assert "log-log slope (mean):     nan" in text and "saturation" not in text
+
+
 def test_rate_sweep_csv_and_summary(tmp_path):
     circ = Circle()
     report = rate_sweep(lambda s: QuadratureScoreOracle(circ, 1024, s), circ,
@@ -132,10 +141,10 @@ def test_landing_measured_curve_monotone():
 def test_report_exact_sphere_run():
     sph = Sphere(3)
     obj = LinearObjective(np.array([1.0, 2.0, -0.5]))
-    record, _ = riemannian_gd_baseline(sph, obj, sph.sample_uniform(1, seed=7)[0],
-                                       gamma=0.1, max_steps=3000, stop_grad_tol=1e-8,
-                                       record_every=1)
-    summary = feasibility_optimality_report(record, baseline=sph)
+    record = riemannian_gd_baseline(sph, obj, sph.sample_uniform(1, seed=7)[0],
+                                    gamma=0.1, max_steps=3000, stop_grad_tol=1e-8,
+                                    record_every=1)
+    summary = feasibility_optimality_report(record)
     assert summary.final_feasibility <= 1e-9
     assert summary.final_riem_grad_norm <= 1e-6
 
@@ -145,28 +154,45 @@ def test_report_constant_objective_zero_improvement():
     oracle = ExactManifoldAdapter(sph)
     from msopt.objectives import ZeroObjective
 
-    record, _ = drgd_run(oracle, ZeroObjective(2), sph.sample_uniform(1, seed=8)[0], gamma=0.1,
-                         max_steps=20, stop_grad_tol=0.0, record_every=1, baseline=sph)
+    record = drgd_run(oracle, ZeroObjective(2), sph.sample_uniform(1, seed=8)[0], gamma=0.1,
+                      max_steps=20, stop_grad_tol=0.0, record_every=1, baseline=sph)
     record.metadata["dataset_best_objective"] = "0"
-    summary = feasibility_optimality_report(record, baseline=sph)
+    summary = feasibility_optimality_report(record)
     assert summary.objective_improvement == 0.0
+
+
+def test_report_summarizes_feasibility_only_for_a_measured_baseline():
+    # the record says whether the run measured a baseline; the report reads it there
+    sph = Sphere(3)
+    obj = LinearObjective(np.array([1.0, 2.0, -0.5]))
+    x0 = sph.sample_uniform(1, seed=7)[0]
+    texts = []
+    for baseline in (sph, None):
+        record = drgd_run(ExactManifoldAdapter(sph), obj, x0, gamma=0.1, max_steps=20,
+                          stop_grad_tol=0.0, record_every=1, baseline=baseline)
+        texts.append(feasibility_optimality_report(record).to_text())
+    with_baseline, without = texts
+    for key in ("final_feasibility = ", "final_riem_grad_norm = "):
+        assert key in with_baseline and key not in without
 
 
 def test_report_reproducible_from_saved_record(tmp_path):
     sph = Sphere(3)
     obj = LinearObjective(np.array([0.3, -1.0, 0.2]))
-    record, _ = riemannian_gd_baseline(sph, obj, sph.sample_uniform(1, seed=9)[0],
-                                       gamma=0.1, max_steps=200, stop_grad_tol=1e-8,
-                                       record_every=1)
+    record = riemannian_gd_baseline(sph, obj, sph.sample_uniform(1, seed=9)[0],
+                                    gamma=0.1, max_steps=200, stop_grad_tol=1e-8,
+                                    record_every=1)
     record.save(tmp_path / "r.csv", tmp_path / "r.meta.txt")
     table = np.loadtxt(tmp_path / "r.csv", delimiter=",", skiprows=1, ndmin=2)
-    loaded = RunRecord(*table.T, metadata=read_key_values(tmp_path / "r.meta.txt"))
-    a = feasibility_optimality_report(record, baseline=sph)
-    b = feasibility_optimality_report(loaded, baseline=sph)
+    meta = read_key_values(tmp_path / "r.meta.txt")
+    final_point = np.array([float(v) for v in meta.pop("final_point").split(",")])
+    loaded = RunRecord(table, meta, final_point)
+    a = feasibility_optimality_report(record)
+    b = feasibility_optimality_report(loaded)
     assert a == b
 
 
 def test_report_rejects_empty_record():
-    empty = RunRecord(*(np.zeros(0),) * 6)
+    empty = RunRecord(np.zeros((0, 6)), {}, np.zeros(3))
     with pytest.raises(ValueError):
         feasibility_optimality_report(empty)
