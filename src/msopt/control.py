@@ -65,44 +65,40 @@ class SystemModel:
         return 3 if self.kind == "unicycle" else 2
 
     def continuous_dynamics(self, x, u) -> np.ndarray:
+        """dx/dt for states x (..., state_dim) under inputs u (..., input_dim)."""
         x = np.asarray(x, dtype=float)
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        if x.size != self.state_dim or u.size != self.input_dim:
+        if x.shape[-1] != self.state_dim or u.shape[-1] != self.input_dim:
             raise ValueError(
-                f"dimension mismatch: state {x.size}/{self.state_dim}, "
-                f"input {u.size}/{self.input_dim}"
+                f"dimension mismatch: state {x.shape[-1]}/{self.state_dim}, "
+                f"input {u.shape[-1]}/{self.input_dim}"
             )
         if self.kind == "unicycle":
-            v, w = u
-            return np.array([v * np.cos(x[2]), v * np.sin(x[2]), w])
-        th1, w1, th2, w2 = x
+            v, w = u[..., 0], u[..., 1]
+            return np.stack([v * np.cos(x[..., 2]), v * np.sin(x[..., 2]), w], axis=-1)
+        th1, w1, th2, w2 = np.moveaxis(x, -1, 0)
         delta = th2 - th1
         m_off = self.m2 * self.l1 * self.l2 * np.cos(delta)
-        M = np.array(
-            [
-                [(self.m1 + self.m2) * self.l1**2, m_off],
-                [m_off, self.m2 * self.l2**2],
-            ]
-        )
-        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        if abs(det) < 1e-12:
+        M = np.empty(delta.shape + (2, 2))
+        M[..., 0, 0] = (self.m1 + self.m2) * self.l1**2
+        M[..., 0, 1] = M[..., 1, 0] = m_off
+        M[..., 1, 1] = self.m2 * self.l2**2
+        det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+        if np.any(np.abs(det) < 1e-12):
             raise MsoptError("singular pendulum mass matrix")
         s = self.m2 * self.l1 * self.l2 * np.sin(delta)
-        C = np.array([-s * w2**2, s * w1**2])
-        G = np.array(
-            [
-                (self.m1 + self.m2) * self.g * self.l1 * np.sin(th1),
-                self.m2 * self.g * self.l2 * np.sin(th2),
-            ]
-        )
-        damping = np.array([self.d1 * w1, self.d2 * w2])
-        tau = np.array([u[0], 0.0])
-        acc = np.linalg.solve(M, tau - C - G - damping)
-        return np.array([w1, acc[0], w2, acc[1]])
+        g1 = (self.m1 + self.m2) * self.g * self.l1
+        g2 = self.m2 * self.g * self.l2
+        # torque - Coriolis - gravity - damping; the torque drives the first joint
+        rhs = np.stack([u[..., 0] + s * w2**2 - g1 * np.sin(th1) - self.d1 * w1,
+                        0.0 - s * w1**2 - g2 * np.sin(th2) - self.d2 * w2], axis=-1)
+        acc = np.linalg.solve(M, rhs[..., None])[..., 0]
+        return np.stack([w1, acc[..., 0], w2, acc[..., 1]], axis=-1)
 
     def output(self, x) -> np.ndarray:
+        """Measured outputs (..., output_dim) of states x (..., state_dim)."""
         x = np.asarray(x, dtype=float)
-        return x.copy() if self.kind == "unicycle" else x[[0, 2]]
+        return x.copy() if self.kind == "unicycle" else x[..., [0, 2]]
 
     def step(self, x, u) -> np.ndarray:
         return rk4_step(self.continuous_dynamics, x, u, self.dt)
@@ -117,20 +113,25 @@ class SystemModel:
 
 
 def rollout(model: SystemModel, u_seq, x0=None):
-    """Simulate from x0 (default 0); returns (outputs (N+1, ny), states)."""
+    """Simulate input sequences u_seq (..., N, nu) from x0 (default 0), all
+    trajectories in one stepped pass; returns (outputs (..., N+1, ny), states
+    (..., N+1, nx)). A non-finite state raises DivergenceError naming the
+    step and, in a batch, the first trajectory (row-major over the batch
+    axes) that left the finite range."""
     u_seq = np.atleast_2d(np.asarray(u_seq, dtype=float))
-    if u_seq.shape[1] != model.input_dim:
-        raise ValueError(f"inputs have width {u_seq.shape[1]}, expected {model.input_dim}")
-    x = np.zeros(model.state_dim) if x0 is None else np.array(x0, dtype=float)
-    states = [x.copy()]
-    for k, u in enumerate(u_seq):
-        x = model.step(x, u)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"rollout produced non-finite state at step {k + 1}")
-        states.append(x.copy())
-    states = np.asarray(states)
-    outputs = np.array([model.output(s) for s in states])
-    return outputs, states
+    if u_seq.shape[-1] != model.input_dim:
+        raise ValueError(f"inputs have width {u_seq.shape[-1]}, expected {model.input_dim}")
+    batch, horizon = u_seq.shape[:-2], u_seq.shape[-2]
+    states = np.zeros(batch + (horizon + 1, model.state_dim))
+    if x0 is not None:
+        states[..., 0, :] = x0
+    for k in range(horizon):
+        states[..., k + 1, :] = model.step(states[..., k, :], u_seq[..., k, :])
+        finite = np.isfinite(states[..., k + 1, :]).all(axis=-1)
+        if not finite.all():
+            which = f" in trajectory {np.flatnonzero(~finite)[0]}" if batch else ""
+            raise DivergenceError(f"rollout produced non-finite state{which} at step {k + 1}")
+    return model.output(states), states
 
 
 def backtest(model: SystemModel, u_star, y_star):
@@ -164,9 +165,14 @@ class TrajectoryLayout:
         z = np.asarray(z, dtype=float)
         if z.shape != (self.dim,):
             raise ValueError(f"point of shape {z.shape} does not match layout {self}")
+        u, y = self.split_rows(z[None])
+        return u[0], y[0]
+
+    def split_rows(self, rows: np.ndarray):
+        """Rows (count, dim) -> views (u (count, N, nu), y (count, N+1, ny))."""
         cut = self.horizon * self.input_dim
-        return (z[:cut].reshape(self.horizon, self.input_dim),
-                z[cut:].reshape(self.horizon + 1, self.output_dim))
+        return (rows[:, :cut].reshape(-1, self.horizon, self.input_dim),
+                rows[:, cut:].reshape(-1, self.horizon + 1, self.output_dim))
 
     def join(self, u, y) -> np.ndarray:
         return np.concatenate([u.reshape(-1), y.reshape(-1)])
@@ -256,13 +262,15 @@ class TrajectoryDataset:
 
 
 def generate_dataset(model: SystemModel, count: int, horizon: int, seed: int) -> TrajectoryDataset:
-    """Sample rollouts under the model's excitation law; a rollout that leaves
-    the finite range raises DivergenceError."""
+    """Sample rollouts under the model's excitation law, one input substream
+    per trajectory, and simulate them as one batch; a rollout that leaves the
+    finite range raises DivergenceError."""
     if count < 1 or horizon < 1:
         raise ValueError("need count >= 1 and horizon >= 1")
     layout = TrajectoryLayout(horizon, model.input_dim, model.output_dim)
     data = np.empty((count, layout.dim))
+    u, y = layout.split_rows(data)
     for i in range(count):
-        u = model.sample_inputs(horizon, _rng.substream(seed, "trajectory", i))
-        data[i] = layout.join(u, rollout(model, u)[0])
+        u[i] = model.sample_inputs(horizon, _rng.substream(seed, "trajectory", i))
+    y[...] = rollout(model, u)[0]
     return TrajectoryDataset(system=model, horizon=horizon, data=data, seed=seed)

@@ -85,7 +85,7 @@ def rate_sweep(oracle_family, manifold, offsets, sigmas, n_points: int, seed: in
     mean_errors, jac_errors = [], []
     excluded = 0
     for sigma in sigmas:
-        oracle = oracle_family(sigma)
+        oracle = oracle_family(float(sigma))
         worst_m, worst_j = 0.0, 0.0
         for x, (pi_x, dpi_x) in zip(tests, truths):
             try:

@@ -8,6 +8,7 @@ import pytest
 
 from msopt.cli import run_cli
 from msopt.config import ConfigError, describe_keys, load_config, parse_config_text
+from msopt.control import SystemModel
 from msopt.objectives import LinearObjective
 
 OPTIMIZE_CFG = """\
@@ -799,21 +800,29 @@ def _shipped_config(name):
      "[algorithm] sigmas = 0.1,0.1 needs at least two distinct values"),
     ("rate_circle.cfg", "n_points = 100\n", "n_points = 0\n",
      "rate_sweep needs n_points >= 1, got n_points = 0"),
+    ("rate_circle.cfg", "sigmas = 0.2,0.1,0.05,0.025,0.0125\n", "sigmas = 0.1,0\n",
+     "quadrature oracle needs finite sigma > 0, got sigma = 0.0\n"),
+    ("rate_circle.cfg", "sigmas = 0.2,0.1,0.05,0.025,0.0125\n", "sigmas = 0.1,nan\n",
+     "quadrature oracle needs finite sigma > 0, got sigma = nan\n"),
+    ("rate_circle.cfg", "sigmas = 0.2,0.1,0.05,0.025,0.0125\n", "sigmas = 0.1,-0.05\n",
+     "quadrature oracle needs finite sigma > 0, got sigma = -0.05\n"),
 ], ids=["max_rel_dev_nan", "max_rel_dev_inf", "x0_distance_nan", "slope_min_nan", "slope_max_inf",
         "slope_min_minus_inf", "slope_min_above_slope_max", "x0_distance_zero", "one_sigma",
-        "repeated_sigma", "no_points"])
+        "repeated_sigma", "no_points", "zero_sigma", "nan_sigma", "negative_sigma"])
 def test_cli_validate_parameters_checked(tmp_path, capsys, config, old, new, message):
     # `deviation > nan` is False, so a NaN budget passed every landing check
     # under --assert with exit 0; a NaN start distance passed the tube guard
     # and ended in numpy's "zero-size array to reduction operation maximum",
     # as did a start on the manifold; one sigma crashed the rate summary, a
-    # repeated one fitted a slope to noise and no test points gave slopes of 0
+    # repeated one fitted a slope to noise and no test points gave slopes of 0;
+    # a swept sigma the oracle rejects was printed as `np.float64(0.0)`
     cfg = _shipped_config(config)
     assert old in cfg
     path = _write(tmp_path, cfg.replace(old, new))
     out = tmp_path / "o"
     assert run_cli(["validate", "--config", path, "--out", str(out), "--assert"]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "np.float64" not in err
     assert not any(out.iterdir())
 
 
@@ -829,6 +838,30 @@ def test_cli_generate_data_needs_a_point(tmp_path, capsys, cfg, count):
     out = tmp_path / "o"
     assert run_cli(["generate-data", "--config", path, "--out", str(out)]) == 2
     assert f"[manifold] count = {count}: need count >= 1" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_generate_data_divergence_exits_1(tmp_path, capsys, monkeypatch):
+    # trajectory 3 of the batch gets an infinite input: the run is a numerical
+    # failure that names the trajectory, and no partial dataset is written
+    original = SystemModel.sample_inputs
+    drawn = []
+
+    def poisoned(self, horizon, gen):
+        u = original(self, horizon, gen)
+        if len(drawn) == 3:
+            u[:] = np.inf
+        drawn.append(u)
+        return u
+
+    monkeypatch.setattr(SystemModel, "sample_inputs", poisoned)
+    path = _write(tmp_path, _shipped_config("unicycle_data.cfg"))
+    out = tmp_path / "o"
+    assert run_cli(["generate-data", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure: rollout produced non-finite state in trajectory 3 at step 1" in err
+    assert not (out / "data.csv").exists()
     assert not any(out.iterdir())
 
 

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -12,9 +13,40 @@ from msopt.control import (
     TrajectoryLayout,
     backtest,
     generate_dataset,
+    rk4_step,
     rollout,
 )
+from msopt.errors import DivergenceError
 from msopt.objectives import TrackingObjective, make_reference
+
+
+def test_rk4_trivial_and_constant_input():
+    assert np.allclose(rk4_step(lambda x, u: 0.0 * x, np.array([4.0]), None, 0.3), [4.0])
+    # exact for a constant derivative
+    out = rk4_step(lambda x, u: np.array([u]), np.array([0.0]), 2.0, 0.5)
+    assert np.allclose(out, [1.0])
+
+
+def test_rk4_linear_matches_degree4_taylor():
+    for lam in (-2.0, 0.0, 3.0):
+        for dt in (0.1, 0.05):
+            out = rk4_step(lambda x, u: lam * x, np.array([1.0]), None, dt)
+            taylor = sum((lam * dt) ** k / math.factorial(k) for k in range(5))
+            assert math.isclose(out[0], taylor, rel_tol=0, abs_tol=1e-15)
+
+
+def test_rk4_decay_example():
+    out = rk4_step(lambda x, u: -x, np.array([1.0]), None, 0.1)
+    assert math.isclose(out[0], 0.9048375, rel_tol=0, abs_tol=1e-10)
+
+
+def test_rk4_rejects_nonpositive_dt():
+    with pytest.raises(ValueError):
+        rk4_step(lambda x, u: x, np.array([1.0]), None, 0.0)
+    # NaN and inf pass a plain `dt <= 0` test
+    for dt in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(ValueError, match=f"rk4_step requires finite dt > 0, got dt = {dt!r}"):
+            rk4_step(lambda x, u: x, np.array([1.0]), None, dt)
 
 
 def test_unicycle_dynamics_examples():
@@ -120,6 +152,98 @@ def test_generation_deterministic():
     a = generate_dataset(m, count=5, horizon=10, seed=9)
     b = generate_dataset(m, count=5, horizon=10, seed=9)
     assert np.array_equal(a.data, b.data)
+
+
+def _scalar_dynamics(m):
+    """dx/dt on one 1-D state, entry by entry: the reference for the batched
+    `SystemModel.continuous_dynamics`."""
+    def unicycle(x, u):
+        v, w = u
+        return np.array([v * np.cos(x[2]), v * np.sin(x[2]), w])
+
+    def pendulum(x, u):
+        th1, w1, th2, w2 = x
+        delta = th2 - th1
+        m_off = m.m2 * m.l1 * m.l2 * np.cos(delta)
+        M = np.array([[(m.m1 + m.m2) * m.l1**2, m_off], [m_off, m.m2 * m.l2**2]])
+        s = m.m2 * m.l1 * m.l2 * np.sin(delta)
+        C = np.array([-s * w2**2, s * w1**2])
+        G = np.array([(m.m1 + m.m2) * m.g * m.l1 * np.sin(th1),
+                      m.m2 * m.g * m.l2 * np.sin(th2)])
+        damping = np.array([m.d1 * w1, m.d2 * w2])
+        acc = np.linalg.solve(M, np.array([u[0], 0.0]) - C - G - damping)
+        return np.array([w1, acc[0], w2, acc[1]])
+
+    return unicycle if m.kind == "unicycle" else pendulum
+
+
+def _reference_rollout(m, u_seq, x0=None):
+    """One trajectory, one rk4_step per input on a 1-D state: (outputs, states)."""
+    x = np.zeros(m.state_dim) if x0 is None else np.array(x0, dtype=float)
+    f = _scalar_dynamics(m)
+    states = [x]
+    for u in u_seq:
+        x = rk4_step(f, x, u, m.dt)
+        states.append(x)
+    states = np.array(states)
+    outputs = states.copy() if m.kind == "unicycle" else states[:, [0, 2]]
+    return outputs, states
+
+
+def _reference_dataset(m, count, horizon, seed):
+    layout = TrajectoryLayout(horizon, m.input_dim, m.output_dim)
+    rows = []
+    for i in range(count):
+        u = m.sample_inputs(horizon, _rng.substream(seed, "trajectory", i))
+        rows.append(layout.join(u, _reference_rollout(m, u)[0]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("kind", ["unicycle", "double_pendulum"])
+@pytest.mark.parametrize("count, horizon, seed", [
+    (200, 20, 0), (200, 20, 1), (50, 30, 6), (50, 7, 12345), (1, 20, 3), (40, 1, 4), (1, 1, 5),
+])
+def test_batched_dataset_equals_scalar_reference_bitwise(kind, count, horizon, seed):
+    m = SystemModel(kind)
+    ds = generate_dataset(m, count=count, horizon=horizon, seed=seed)
+    assert np.array_equal(ds.data, _reference_dataset(m, count, horizon, seed))
+
+
+@pytest.mark.parametrize("kind", ["unicycle", "double_pendulum"])
+def test_single_rollout_equals_scalar_reference_bitwise(kind):
+    m = SystemModel(kind)
+    u = m.sample_inputs(25, _rng.substream(21, "trajectory", 0))
+    x0 = np.random.default_rng(22).uniform(-1.0, 1.0, m.state_dim)
+    for start in (None, x0):
+        y, xs = rollout(m, u, x0=start)
+        y_ref, xs_ref = _reference_rollout(m, u, start)
+        assert y.shape == (26, m.output_dim) and xs.shape == (26, m.state_dim)
+        assert np.array_equal(y, y_ref) and np.array_equal(xs, xs_ref)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["unicycle", "double_pendulum"])
+def test_batched_divergence_names_first_trajectory(monkeypatch, kind):
+    # trajectory 3 gets an infinite input at index 4, so its state leaves the
+    # finite range at step 5 while every other trajectory stays finite
+    original = SystemModel.sample_inputs
+    drawn = []
+
+    def poisoned(self, horizon, gen):
+        u = original(self, horizon, gen)
+        if len(drawn) == 3:
+            u[4] = np.inf
+        drawn.append(u)
+        return u
+
+    monkeypatch.setattr(SystemModel, "sample_inputs", poisoned)
+    with pytest.raises(DivergenceError,
+                       match=r"^rollout produced non-finite state in trajectory 3 at step 5$"):
+        generate_dataset(SystemModel(kind), count=8, horizon=10, seed=0)
+    assert len(drawn) == 8
+    # a single sequence names the step alone, as a lone rollout always has
+    with pytest.raises(DivergenceError, match=r"^rollout produced non-finite state at step 5$"):
+        rollout(SystemModel(kind), drawn[3])
 
 
 def test_pendulum_inputs_uniform():

@@ -277,6 +277,14 @@ def test_riemannian_gd_critical_point_is_fixed():
     assert record.metadata["termination"] == "grad_tol"
 
 
+def test_scaled_norm_without_under_or_overflow():
+    v = np.random.default_rng(3).standard_normal(103)
+    for scale in (1.0, 1e-180, 1e180):
+        assert scaled_norm(scale * v) == pytest.approx(scale * np.linalg.norm(v), rel=1e-15)
+    assert scaled_norm(np.zeros(3)) == 0.0
+    assert np.isnan(scaled_norm(np.array([np.nan, 1.0])))
+
+
 def test_stop_test_does_not_underflow():
     # a gradient of ~1e-180 entries is far above a 1e-200 tolerance, but a
     # norm that squares the entries reads it as 0 and stops at step 0
