@@ -11,7 +11,7 @@ how well the surrogates track the true manifold operations.
 
 __version__ = "0.1.0"
 
-from msopt.manifolds import Circle, Orthogonal, Sphere, make_manifold
+from msopt.manifolds import Circle, Orthogonal, Sphere
 from msopt.score.oracles import (
     EmpiricalScoreOracle,
     ExactManifoldAdapter,
@@ -23,7 +23,6 @@ __all__ = [
     "Circle",
     "Sphere",
     "Orthogonal",
-    "make_manifold",
     "EmpiricalScoreOracle",
     "QuadratureScoreOracle",
     "ExactManifoldAdapter",

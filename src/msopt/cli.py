@@ -1,30 +1,34 @@
 """Command-line front end: one experiment per invocation, artifacts to disk.
 
 Subcommands: generate-data, train-score, optimize, validate, sample. Each
-takes --config (flat key=value file, see `--help` for the accepted keys per
+takes --config (flat key=value file, see `--help` for the keys per
 subcommand) plus optional --seed/--out overrides. Exit codes: 0 success,
 1 numerical abort or violated --assert thresholds, 2 usage/config errors.
+
+A subcommand is a generator: it reads its keys and builds its run up to its
+first `yield`, where `run_cli` rejects a set key that was never read, and
+then runs and yields (artifacts, aborted).
 """
 
 import argparse
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 import msopt
 from msopt import rng as _rng
 from msopt.config import KINDS, ConfigError, ExperimentConfig, describe_keys, load_config
-from msopt.control import SystemModel, TrajectoryDataset, generate_dataset
+from msopt.control import SYSTEM_KINDS, SystemModel, TrajectoryDataset, generate_dataset
 from msopt.errors import MsoptError
-from msopt.manifolds import make_manifold
+from msopt.manifolds import Circle, Orthogonal, Sphere
 from msopt.objectives import (
     AffineReparamObjective,
     LinearObjective,
     TrackingObjective,
     ZeroObjective,
-    load_reference_csv,
     make_reference,
     random_brockett,
 )
@@ -38,10 +42,8 @@ from msopt.score.oracles import (
     QuadratureScoreOracle,
 )
 from msopt.score.sampler import ve_reverse_sample
-from msopt.textio import write_csv, write_key_values
+from msopt.textio import read_csv, write_csv, write_key_values
 from msopt.validation import feasibility_optimality_report, landing_check, rate_sweep
-
-_SYSTEM_KINDS = ("unicycle", "double_pendulum")
 
 
 def _write_manifest(out_dir, cfg: ExperimentConfig, started, artifacts):
@@ -60,15 +62,17 @@ def _write_manifest(out_dir, cfg: ExperimentConfig, started, artifacts):
 
 
 def _build_manifold(cfg: ExperimentConfig):
+    """The [manifold], from the keys of its kind alone; None when unset."""
     kind = cfg.get("manifold", "kind")
-    if kind is None:
-        return None
-    return make_manifold(
-        kind,
-        radius=cfg.get("manifold", "radius"),
-        dim=cfg.get("manifold", "dim"),
-        n=cfg.get("manifold", "n"),
-    )
+    if kind == "circle":
+        return Circle(radius=cfg.get("manifold", "radius"))
+    if kind == "sphere":
+        return Sphere(ambient_dim=cfg.get("manifold", "dim"), radius=cfg.get("manifold", "radius"))
+    if kind == "orthogonal":
+        return Orthogonal(n=cfg.get("manifold", "n"))
+    if kind is not None:
+        raise ConfigError(f"unknown manifold kind {kind!r}")
+    return None
 
 
 def _oracle_family(cfg: ExperimentConfig, manifold, atoms=None):
@@ -87,11 +91,12 @@ def _oracle_family(cfg: ExperimentConfig, manifold, atoms=None):
         exact = ExactManifoldAdapter(manifold)
         return lambda sigma: exact
     if kind == "quadrature":
-        return lambda sigma: QuadratureScoreOracle(manifold, cfg.get("oracle", "node_count"), sigma)
+        node_count = cfg.get("oracle", "node_count")
+        return lambda sigma: QuadratureScoreOracle(manifold, node_count, sigma)
     if kind == "empirical":
         if atoms is None:
             if cfg.has("oracle", "dataset"):
-                atoms = np.loadtxt(cfg.get("oracle", "dataset"), delimiter=",", ndmin=2)
+                atoms = read_csv(cfg.get("oracle", "dataset"))
             elif manifold is not None:
                 atoms = manifold.sample_uniform(cfg.get("oracle", "sample_count"), seed=cfg.seed)
             else:
@@ -152,7 +157,7 @@ def _load_tracking(cfg: ExperimentConfig):
             amplitude=cfg.get("objective", "amplitude"),
         )
     else:
-        ref = load_reference_csv(ref_spec)
+        ref = read_csv(ref_spec)
     tracking = TrackingObjective(ref, q, r, dataset.horizon)
     if tracking.layout != dataset.layout:
         raise ConfigError(
@@ -187,20 +192,21 @@ def _algorithm_params(cfg: ExperimentConfig, *keys):
     return {key: cfg.get("algorithm", key) for key in keys}
 
 
-def _run_algorithm(cfg, oracle, objective, x0, baseline):
+def _algorithm(cfg, oracle, objective, x0, baseline):
+    """The configured optimizer with its [algorithm] keys bound, not yet run."""
     algo = cfg.get("algorithm", "kind")
     loop = ("max_steps", "stop_grad_tol", "record_every")
     if algo == "dlf":
-        return dlf_run(oracle, objective, x0, baseline=baseline,
+        return partial(dlf_run, oracle, objective, x0, baseline=baseline,
                        **_algorithm_params(cfg, "t_step", "eta", *loop))
     if algo == "drgd":
-        return drgd_run(oracle, objective, x0, baseline=baseline,
-                        **_algorithm_params(cfg, "gamma", *loop))
+        return partial(drgd_run, oracle, objective, x0, baseline=baseline,
+                       **_algorithm_params(cfg, "gamma", *loop))
     if algo == "riemannian_gd":
         if baseline is None:
             raise ConfigError("riemannian_gd needs a [manifold] section")
-        return riemannian_gd_baseline(baseline, objective, x0,
-                                      **_algorithm_params(cfg, "gamma", *loop))
+        return partial(riemannian_gd_baseline, baseline, objective, x0,
+                       **_algorithm_params(cfg, "gamma", *loop))
     raise ConfigError(f"unknown algorithm kind {algo!r}")
 
 
@@ -209,15 +215,17 @@ def _cmd_generate_data(cfg: ExperimentConfig, out_dir: str):
     count = cfg.get("manifold", "count")
     if count < 1:
         raise ConfigError(f"[manifold] count = {count}: need count >= 1")
-    if kind in _SYSTEM_KINDS:
+    if kind in SYSTEM_KINDS:
         system = SystemModel(kind=kind, dt=cfg.get("manifold", "dt"))
-        ds = generate_dataset(system, count, cfg.get("manifold", "horizon"), cfg.seed)
-        ds.save(out_dir)
-        return ["meta.txt", "data.csv"]
+        horizon = cfg.get("manifold", "horizon")
+        yield
+        generate_dataset(system, count, horizon, cfg.seed).save(out_dir)
+        yield ["meta.txt", "data.csv"], False
+        return
     manifold = _build_manifold(cfg)
-    points = manifold.sample_uniform(count, cfg.seed)
-    write_csv(os.path.join(out_dir, "points.csv"), None, points)
-    return ["points.csv"]
+    yield
+    write_csv(os.path.join(out_dir, "points.csv"), None, manifold.sample_uniform(count, cfg.seed))
+    yield ["points.csv"], False
 
 
 def _cmd_train_score(cfg: ExperimentConfig, out_dir: str):
@@ -226,16 +234,15 @@ def _cmd_train_score(cfg: ExperimentConfig, out_dir: str):
         ds = TrajectoryDataset.load(path)
         data = ds.normalize(ds.data)
     else:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        data = read_csv(path)
     mlp = make_score_mlp(data.shape[1], hidden=cfg.get("algorithm", "hidden"), seed=cfg.seed)
-    mlp, trace = dsm_train(
-        data, mlp, seed=cfg.seed,
-        **_algorithm_params(cfg, "epochs", "batch", "t_max", "t_min", "lr_hi", "lr_lo"),
-    )
+    params = _algorithm_params(cfg, "epochs", "batch", "t_max", "t_min", "lr_hi", "lr_lo")
+    yield
+    mlp, trace = dsm_train(data, mlp, seed=cfg.seed, **params)
     mlp.save(os.path.join(out_dir, "model.msopt"))
     write_csv(os.path.join(out_dir, "loss_trace.csv"), "epoch,loss",
               np.column_stack([np.arange(len(trace)), trace]))
-    return ["model.msopt", "loss_trace.csv"]
+    yield ["model.msopt", "loss_trace.csv"], False
 
 
 def _resolve_x0(cfg, dim, manifold, atoms, atom_values, data_atoms):
@@ -270,8 +277,9 @@ def _resolve_x0(cfg, dim, manifold, atoms, atom_values, data_atoms):
 
 
 def _cmd_optimize(cfg: ExperimentConfig, out_dir: str):
-    sigma = cfg.get("oracle", "sigma")
-    if cfg.get("objective", "kind") == "tracking" or cfg.get("manifold", "kind") in _SYSTEM_KINDS:
+    # the exact oracle has no noise scale
+    sigma = None if cfg.get("oracle", "kind") == "exact" else cfg.get("oracle", "sigma")
+    if cfg.get("objective", "kind") == "tracking" or cfg.get("manifold", "kind") in SYSTEM_KINDS:
         # a trajectory dataset: optimize in its normalized coordinates
         dataset, tracking = _load_tracking(cfg)
         manifold, atoms = None, dataset.normalize(dataset.data)
@@ -287,8 +295,9 @@ def _cmd_optimize(cfg: ExperimentConfig, out_dir: str):
         atom_values = lambda: [objective.value(p) for p in atoms]
     x0, best = _resolve_x0(cfg, oracle.ambient_dim, manifold, atoms, atom_values,
                            dataset is not None or isinstance(oracle, EmpiricalScoreOracle))
-
-    record = _run_algorithm(cfg, oracle, objective, x0, manifold)
+    algorithm = _algorithm(cfg, oracle, objective, x0, manifold)
+    yield
+    record = algorithm()
     record.metadata["seed"] = cfg.seed
     if dataset is not None:
         record.metadata["space"] = "normalized"
@@ -303,7 +312,7 @@ def _cmd_optimize(cfg: ExperimentConfig, out_dir: str):
         write_csv(os.path.join(out_dir, "optimized_point.csv"), None,
                   dataset.denormalize(record.final_point)[None, :])
         artifacts.append("optimized_point.csv")
-    return artifacts, record.metadata.get("termination") == "diverged"
+    yield artifacts, record.metadata.get("termination") == "diverged"
 
 
 def _cmd_validate(cfg: ExperimentConfig, out_dir: str, do_assert: bool):
@@ -325,10 +334,10 @@ def _cmd_validate(cfg: ExperimentConfig, out_dir: str, do_assert: bool):
         if len(set(sigmas)) < 2:
             raise ConfigError(f"[algorithm] sigmas = {','.join(map(str, sigmas))} "
                               "needs at least two distinct values to fit a slope")
-        report = rate_sweep(
-            _oracle_family(cfg, manifold), manifold, cfg.get("algorithm", "offsets"),
-            sigmas, cfg.get("algorithm", "n_points"), cfg.seed,
-        )
+        family = _oracle_family(cfg, manifold)
+        offsets, n_points = cfg.get("algorithm", "offsets"), cfg.get("algorithm", "n_points")
+        yield
+        report = rate_sweep(family, manifold, offsets, sigmas, n_points, cfg.seed)
         for name, slope in (("mean", report.slope_mean), ("jacobian", report.slope_jacobian)):
             if not (lo <= slope <= hi):
                 violations.append(f"{name} slope {slope:.3f} outside [{lo}, {hi}]")
@@ -340,10 +349,9 @@ def _cmd_validate(cfg: ExperimentConfig, out_dir: str, do_assert: bool):
             raise ConfigError(f"[algorithm] max_rel_dev = {budget!r} must be finite")
         base = manifold.sample_uniform(1, cfg.seed)[0]
         x0 = base + cfg.get("algorithm", "x0_distance") * manifold.unit_normal(base, seed=cfg.seed)
-        report = landing_check(
-            manifold, x0=x0,
-            **_algorithm_params(cfg, "eta", "t_end", "euler_step", "record_every"),
-        )
+        params = _algorithm_params(cfg, "eta", "t_end", "euler_step", "record_every")
+        yield
+        report = landing_check(manifold, x0=x0, **params)
         if report.max_rel_deviation > budget:
             violations.append(
                 f"max relative deviation {report.max_rel_deviation:.4g} > {budget}"
@@ -354,16 +362,28 @@ def _cmd_validate(cfg: ExperimentConfig, out_dir: str, do_assert: bool):
 
     for v in violations:
         print(f"assertion violated: {v}", file=sys.stderr)
-    return [f"{check}_report.csv", "summary.txt"], bool(violations) and do_assert
+    yield [f"{check}_report.csv", "summary.txt"], bool(violations) and do_assert
 
 
 def _cmd_sample(cfg: ExperimentConfig, out_dir: str):
     mlp = load_score_mlp(cfg.get("oracle", "model"))
-    samples = ve_reverse_sample(
-        mlp, seed=cfg.seed, **_algorithm_params(cfg, "count", "steps", "t_max", "t_min"),
-    )
+    params = _algorithm_params(cfg, "count", "steps", "t_max", "t_min")
+    yield
+    samples = ve_reverse_sample(mlp, seed=cfg.seed, **params)
     write_csv(os.path.join(out_dir, "samples.csv"), None, samples)
-    return ["samples.csv"]
+    yield ["samples.csv"], False
+
+
+def _reject_unread_keys(cfg: ExperimentConfig):
+    """A set key the built run never read does nothing: name each, and the
+    run's kinds. [experiment] and [output] are read by `run_cli` itself."""
+    unread = [f"[{s}] {k}" for s, k in cfg.values
+              if (s, k) not in cfg.reads and s not in ("experiment", "output")]
+    if unread:
+        kinds = "".join(f", [{s}] {k} = {cfg.get(s, k)}" for s, k in sorted(cfg.reads)
+                        if k in ("kind", "check"))
+        raise ConfigError(f"{', '.join(unread)} set but not read by this run "
+                          f"([experiment] kind = {cfg.kind}{kinds})")
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -376,7 +396,8 @@ def _make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(
             kind,
             help=f"run a {kind} experiment",
-            epilog="accepted config keys:\n" + describe_keys(kind),
+            epilog="config keys (a run exits 2 if its config sets a key that the run does not "
+                   "read; every run reads [experiment] and [output] dir):\n" + describe_keys(kind),
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         p.add_argument("--config", required=True, help="experiment config file")
@@ -409,17 +430,19 @@ def run_cli(argv=None) -> int:
         cfg.values[("output", "dir")] = out_dir
         os.makedirs(out_dir, exist_ok=True)
 
-        aborted = False
         if cfg.kind == "generate-data":
-            artifacts = _cmd_generate_data(cfg, out_dir)
+            steps = _cmd_generate_data(cfg, out_dir)
         elif cfg.kind == "train-score":
-            artifacts = _cmd_train_score(cfg, out_dir)
+            steps = _cmd_train_score(cfg, out_dir)
         elif cfg.kind == "optimize":
-            artifacts, aborted = _cmd_optimize(cfg, out_dir)
+            steps = _cmd_optimize(cfg, out_dir)
         elif cfg.kind == "validate":
-            artifacts, aborted = _cmd_validate(cfg, out_dir, getattr(args, "do_assert", False))
+            steps = _cmd_validate(cfg, out_dir, args.do_assert)
         else:
-            artifacts = _cmd_sample(cfg, out_dir)
+            steps = _cmd_sample(cfg, out_dir)
+        next(steps)
+        _reject_unread_keys(cfg)
+        artifacts, aborted = next(steps)
         _write_manifest(out_dir, cfg, started, artifacts)
         if aborted:
             print("run finished with violations or a numerical abort", file=sys.stderr)

@@ -3,7 +3,8 @@
 Sections in brackets, one `key = value` per line, `#` comments. Unknown
 sections or keys, duplicate keys, and type errors are rejected with line
 numbers. The schema below is the single source for parsing, defaults, and
-the per-subcommand help text.
+the per-subcommand help text. `ExperimentConfig` records the keys a run
+reads, so that the CLI can reject a set key the run never read.
 """
 
 from dataclasses import dataclass, field
@@ -13,23 +14,10 @@ from msopt.textio import _render, key_values
 
 KINDS = ("generate-data", "train-score", "optimize", "validate", "sample")
 
-_ALL = KINDS
-
-
-def _parse_bool(text):
-    t = text.strip().lower()
-    if t in ("true", "1", "yes", "on"):
-        return True
-    if t in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 _PARSERS = {
     "str": lambda s: s.strip(),
     "int": lambda s: int(s.strip()),
     "float": lambda s: float(s.strip()),
-    "bool": _parse_bool,
     "floats": lambda s: tuple(float(v) for v in s.split(",")),
     "ints": lambda s: tuple(int(v) for v in s.split(",")),
 }
@@ -38,7 +26,7 @@ _PARSERS = {
 @dataclass(frozen=True)
 class Key:
     type: str
-    kinds: tuple
+    kinds: tuple  # the subcommands whose --help lists the key
     default: object = None
     help: str = ""
 
@@ -46,8 +34,8 @@ class Key:
 # section -> key name -> Key
 SCHEMA = {
     "experiment": {
-        "kind": Key("str", _ALL, help="one of " + "|".join(KINDS)),
-        "seed": Key("int", _ALL, default=0, help="master seed for all named random streams"),
+        "kind": Key("str", KINDS, help="one of " + "|".join(KINDS)),
+        "seed": Key("int", KINDS, default=0, help="master seed for all named random streams"),
     },
     "oracle": {
         "kind": Key("str", ("optimize", "validate"), default="quadrature",
@@ -129,7 +117,7 @@ SCHEMA = {
         "steps": Key("int", ("sample",), default=800, help="reverse SDE steps"),
     },
     "output": {
-        "dir": Key("str", _ALL, default="out", help="artifact directory"),
+        "dir": Key("str", KINDS, default="out", help="artifact directory"),
     },
 }
 
@@ -146,9 +134,11 @@ _REQUIRED = {
 @dataclass
 class ExperimentConfig:
     """The parsed (section, key) -> value pairs; unset keys read their schema
-    default. `kind` and `seed` are views of [experiment] kind and seed."""
+    default. `get` and `has` record each (section, key) they are asked for in
+    `reads`. `kind` and `seed` are views of [experiment] kind and seed."""
 
     values: dict = field(default_factory=dict)
+    reads: set = field(default_factory=set, compare=False, repr=False)
 
     @property
     def kind(self) -> str:
@@ -159,12 +149,13 @@ class ExperimentConfig:
         return self.get("experiment", "seed")
 
     def get(self, section, key):
+        self.reads.add((section, key))
         if (section, key) in self.values:
             return self.values[(section, key)]
-        spec = SCHEMA[section][key]
-        return spec.default
+        return SCHEMA[section][key].default
 
     def has(self, section, key) -> bool:
+        self.reads.add((section, key))
         return (section, key) in self.values
 
     def echo(self) -> str:
@@ -218,15 +209,6 @@ def parse_config_text(text, source="<config>") -> ExperimentConfig:
         raise ConfigError(f"{source}: missing required key 'kind' in [experiment]")
     if kind not in KINDS:
         raise ConfigError(f"{source}: unknown experiment kind {kind!r}")
-
-    for (section, key) in values:
-        if key == "kind" and section == "experiment":
-            continue
-        if kind not in SCHEMA[section][key].kinds:
-            raise ConfigError(
-                f"{source}: key {key!r} in [{section}] is not used by "
-                f"experiment kind {kind!r}"
-            )
     missing = [
         f"[{s}] {k}" for (s, k) in _REQUIRED[kind] if (s, k) not in values
     ]

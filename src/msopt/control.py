@@ -13,7 +13,7 @@ import numpy as np
 
 from msopt import rng as _rng
 from msopt.errors import DivergenceError, MsoptError
-from msopt.textio import read_key_values, write_csv, write_key_values
+from msopt.textio import read_csv, read_key_values, write_csv, write_key_values
 
 
 def rk4_step(f, x: np.ndarray, u, dt: float) -> np.ndarray:
@@ -26,6 +26,9 @@ def rk4_step(f, x: np.ndarray, u, dt: float) -> np.ndarray:
     k3 = np.asarray(f(x + 0.5 * dt * k2, u))
     k4 = np.asarray(f(x + dt * k3, u))
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+SYSTEM_KINDS = ("unicycle", "double_pendulum")
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,7 @@ class SystemModel:
     d2: float = 0.1
 
     def __post_init__(self):
-        if self.kind not in ("unicycle", "double_pendulum"):
+        if self.kind not in SYSTEM_KINDS:
             raise ValueError(f"unknown system kind: {self.kind!r}")
         if self.dt is None:
             object.__setattr__(self, "dt", 0.05 if self.kind == "unicycle" else 0.1)
@@ -238,7 +241,7 @@ class TrajectoryDataset:
         horizon = int(meta["horizon"])
         count = int(meta["count"])
         data_path = os.path.join(directory, "data.csv")
-        data = np.loadtxt(data_path, delimiter=",", ndmin=2)
+        data = read_csv(data_path)
         layout = TrajectoryLayout(horizon, system.input_dim, system.output_dim)
         if data.shape[0] != count:
             raise ValueError(

@@ -233,14 +233,3 @@ class Orthogonal(_Manifold):
         N = X @ S
         return (N / np.linalg.norm(N)).reshape(-1)
 
-
-def make_manifold(kind: str, *, radius, dim, n) -> _Manifold:
-    """Build a manifold: a circle reads radius, a sphere dim and radius, O(n) n."""
-    kind = kind.lower()
-    if kind == "circle":
-        return Circle(radius=float(radius))
-    if kind == "sphere":
-        return Sphere(ambient_dim=int(dim), radius=float(radius))
-    if kind == "orthogonal":
-        return Orthogonal(n=int(n))
-    raise ValueError(f"unknown manifold kind: {kind!r}")

@@ -210,9 +210,3 @@ def make_reference(kind: str, horizon: int, dt: float, output_dim: int, *,
     w = min(output_dim, prof.shape[1])
     ref[:, :w] = prof[:, :w]
     return ref
-
-
-def load_reference_csv(path) -> np.ndarray:
-    """One output vector per row."""
-    ref = np.loadtxt(path, delimiter=",", ndmin=2)
-    return np.asarray(ref, dtype=float)

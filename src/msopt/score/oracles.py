@@ -23,14 +23,15 @@ the logits (p.x - ||p||^2/2) / sigma^2, with ||p||^2 cached by the oracle;
 the mean and the products then run over the surviving atoms only, those
 whose logit is within 746 of the largest (exp of anything lower is exactly
 0.0 in float64, so a dropped atom adds exactly nothing). That window picks
-the rows. Among them, a weight below e^-700 (about 1e-304 of the top
-weight) is set to exactly 0.0: exp would return a subnormal number below
-about e^-708, and subnormal operands take exp, the normalization and the
-products off the processor's fast path, several times slower on a dense
-posterior. Together such weights are below the rounding of the normalizer,
-which is at least the top weight 1.0; they move the mean and the products
-by an absolute amount of order N e^-700 (times max ||p|| for the mean,
-max ||p - s(x)||^2 ||v|| / sigma^2 for a product). The logits carry a
+the rows. Among K of them, a weight below K e^-700 is set to exactly 0.0,
+so no weight is subnormal, nor after division by the normalizer (at most K):
+exp would return a subnormal number below about e^-708, and subnormal
+operands take exp, the normalization and the products off the processor's
+fast path, several times slower on a dense posterior. Together such weights
+are below the rounding of the normalizer, which is at least the top weight
+1.0; they move the mean and the products by an absolute amount of order
+N K e^-700 (times max ||p|| for the mean, max ||p - s(x)||^2 ||v|| / sigma^2
+for a product). The logits carry a
 rounding error of about eps (||p||^2 + ||p|| ||x||) / sigma^2 in absolute
 terms, which is the relative error of each weight.
 
@@ -50,7 +51,7 @@ from msopt.score.mlp import ScoreMlp
 
 # exp(t) is exactly 0.0 in float64 for t < -745.14
 _LOGIT_WINDOW = 746.0
-# and subnormal for t < -708.4; weights below exp(-700) are set to 0.0
+# and subnormal for t < -708.4; of K kept weights, those below K exp(-700) are 0.0
 _WEIGHT_FLOOR = -700.0
 
 
@@ -67,9 +68,9 @@ class _MixturePosterior:
     weights; `rows` selects them among the oracle's atoms (a boolean mask,
     or every row). When fewer than half the atoms survive the logit window
     their rows are gathered; otherwise the full array is used as it is and
-    the dropped atoms carry weight 0.0. A kept atom whose logit is more than
-    700 below the largest carries weight 0.0 as well, so no weight is
-    computed through a subnormal exp (see the module docstring).
+    the dropped atoms carry weight 0.0. Of K kept atoms, one whose logit is
+    more than 700 - log K below the largest carries weight 0.0 as well, so no
+    weight is subnormal, before or after the normalization (module docstring).
     """
 
     def __init__(self, points, half_sq, sigma, x):
@@ -77,17 +78,20 @@ class _MixturePosterior:
         logits = (points @ x - half_sq) / (sigma * sigma)
         m = logits.max()
         keep = logits > m - _LOGIT_WINDOW
+        kept = np.count_nonzero(keep)
         self.rows = slice(None)
         # a non-finite largest logit keeps no atom; the full array then
         # carries the NaN through to the mean
-        if 0 < 2 * np.count_nonzero(keep) < keep.size:
+        if 0 < 2 * kept < keep.size:
             self.rows = keep
             points, logits = points[keep], logits[keep]
         # in place: on a dense posterior these are N-long arrays
         logits -= m
-        # exp runs on normal numbers only; NaN * 0.0 keeps a NaN logit NaN
-        normal = logits > _WEIGHT_FLOOR
-        np.maximum(logits, _WEIGHT_FLOOR, out=logits)
+        # exp and, as z <= kept, w /= z run on normal numbers only; NaN * 0.0
+        # keeps a NaN logit NaN
+        floor = _WEIGHT_FLOOR + np.log(max(kept, 1))
+        normal = logits > floor
+        np.maximum(logits, floor, out=logits)
         w = np.exp(logits, out=logits)
         w *= normal
         z = w.sum()
@@ -158,8 +162,6 @@ class QuadratureScoreOracle(_MixtureOracle):
         _check_sigma("quadrature", sigma)
         ang = 2.0 * np.pi * np.arange(node_count) / node_count
         super().__init__(manifold.radius * np.stack([np.cos(ang), np.sin(ang)], axis=1), sigma)
-        self.manifold = manifold
-        self.node_count = int(node_count)
 
 
 class _ExactPosterior:

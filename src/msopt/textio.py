@@ -5,7 +5,8 @@ summary, config echo) renders its values here, so one rule holds
 throughout: a float prints with 17 significant digits (`.17g`, enough to
 round-trip every double; `-0.0` prints `-0`, and `nan` and `inf` print as
 such), a bool as `true`/`false`, a float array or a tuple as its values
-joined by commas, anything else with `str`.
+joined by commas, anything else with `str`. `read_csv` and
+`read_key_values` read the two formats back.
 """
 
 import numpy as np
@@ -34,6 +35,11 @@ def write_csv(path, header, rows):
             fh.write(header + "\n")
         for row in np.asarray(rows, dtype=float):
             fh.write(_render(row) + "\n")
+
+
+def read_csv(path) -> np.ndarray:
+    """The float rows of a headerless CSV file, as a 2-D array (one row per line)."""
+    return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
 def key_values(pairs) -> str:

@@ -102,10 +102,19 @@ def test_missing_required_keys_listed():
         parse_config_text("[experiment]\nkind = optimize\n")
 
 
-def test_key_not_used_by_kind_rejected():
-    text = "[experiment]\nkind = sample\n\n[oracle]\nmodel = m.bin\n\n[algorithm]\ngamma = 0.1\n"
-    with pytest.raises(ConfigError, match="not used by"):
-        parse_config_text(text)
+def test_key_not_used_by_kind_rejected(tmp_path, capsys):
+    # the key parses (optimize reads it), but a sample run never reads it
+    from msopt.score.mlp import make_score_mlp
+
+    model = tmp_path / "m.msopt"
+    make_score_mlp(2, hidden=(4,), seed=0).save(model)
+    path = _write(tmp_path, f"[experiment]\nkind = sample\n\n[oracle]\nmodel = {model}\n\n"
+                            "[algorithm]\ngamma = 0.1\n")
+    out = tmp_path / "o"
+    assert run_cli(["sample", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: [algorithm] gamma set but not read by "
+                                       "this run ([experiment] kind = sample)\n")
+    assert not any(out.iterdir())
 
 
 def test_describe_keys_covers_subcommand_surface():
@@ -141,6 +150,8 @@ def test_cli_help_lists_config_keys(capsys):
     assert run_cli(["optimize", "--help"]) == 0
     out = capsys.readouterr().out
     assert "gamma" in out and "max_steps" in out
+    assert ("config keys (a run exits 2 if its config sets a key that the run does not read; "
+            "every run reads [experiment] and [output] dir):") in out
 
 
 def test_cli_optimize_writes_artifacts_and_is_reproducible(tmp_path):
@@ -285,7 +296,6 @@ def test_config_set_parameters_have_no_default_outside_the_schema():
     import inspect
 
     from msopt.config import SCHEMA
-    from msopt.manifolds import make_manifold
     from msopt.optim import dlf_run, drgd_run, riemannian_gd_baseline
     from msopt.score.dsm import dsm_train
     from msopt.score.mlp import make_score_mlp
@@ -296,7 +306,7 @@ def test_config_set_parameters_have_no_default_outside_the_schema():
     problem_inputs = ("x0", "dataset", "kind")  # positional, like the oracle and the objective
     checked = 0
     for fn in (dlf_run, drgd_run, riemannian_gd_baseline, dsm_train, ve_reverse_sample,
-               make_score_mlp, landing_check, make_manifold):
+               make_score_mlp, landing_check):
         for name, param in inspect.signature(fn).parameters.items():
             if name not in keys:
                 continue
@@ -305,7 +315,7 @@ def test_config_set_parameters_have_no_default_outside_the_schema():
             assert param.default is inspect.Parameter.empty, where
             if name not in problem_inputs:
                 assert param.kind is inspect.Parameter.KEYWORD_ONLY, where
-    assert checked == 40
+    assert checked == 36
 
 
 def test_cli_generate_and_train_and_sample(tmp_path, capsys):
@@ -664,11 +674,16 @@ def test_cli_non_finite_sigma_exits_2(tmp_path, capsys, sigma):
     assert not (out / "run.csv").exists()
 
 
-def test_validate_rejects_oracle_sigma():
+def test_validate_rejects_oracle_sigma(tmp_path, capsys):
     # the rate check sweeps [algorithm] sigmas; a fixed oracle sigma would be ignored
-    with pytest.raises(ConfigError, match="'sigma' in \\[oracle\\] is not used by"):
-        parse_config_text("[experiment]\nkind = validate\n\n[oracle]\nsigma = 0.1\n\n"
-                          "[algorithm]\ncheck = rate\n")
+    path = _write(tmp_path, "[experiment]\nkind = validate\n\n[oracle]\nsigma = 0.1\n\n"
+                            "[manifold]\nkind = circle\n\n[algorithm]\ncheck = rate\n")
+    out = tmp_path / "o"
+    assert run_cli(["validate", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: [oracle] sigma set but not read by this run ([experiment] kind = validate, "
+        "[algorithm] check = rate, [manifold] kind = circle, [oracle] kind = quadrature)\n")
+    assert not any(out.iterdir())
 
 
 RATE_CFG = """\
@@ -715,32 +730,8 @@ def test_cli_rate_check_builds_oracle_atoms_once(tmp_path, monkeypatch):
         assert sorted(calls) == sorted(expected)
 
 
-@pytest.fixture
-def key_reads(monkeypatch):
-    """Every (section, key) looked up through ExperimentConfig.get or has."""
-    from msopt.config import ExperimentConfig
-
-    reads = set()
-    for name in ("get", "has"):
-        real = getattr(ExperimentConfig, name)
-        monkeypatch.setattr(ExperimentConfig, name, lambda self, section, key, _real=real:
-                            reads.add((section, key)) or _real(self, section, key))
-    return reads
-
-
-def _run_reading_every_key(reads, argv):
-    """Run one invocation; fail if a key its config sets is never read.
-
-    [experiment] kind and seed are consumed by the parser itself.
-    """
-    config = argv[argv.index("--config") + 1]
-    reads.clear()
-    assert run_cli(argv) == 0
-    unread = {k for k in load_config(config).values if k[0] != "experiment"} - reads
-    assert not unread, f"{config}: set but never read: {sorted(unread)}"
-
-
-def test_shipped_configs_read_every_key(tmp_path, monkeypatch, key_reads):
+def test_shipped_configs_read_every_key(tmp_path, monkeypatch):
+    # a run that leaves a set key unread exits 2 before it starts
     import shutil
 
     shutil.copytree(os.path.join(os.path.dirname(__file__), "..", "configs"), tmp_path / "configs")
@@ -749,10 +740,10 @@ def test_shipped_configs_read_every_key(tmp_path, monkeypatch, key_reads):
     for command, name in (("generate-data", "unicycle_data"), ("optimize", "unicycle_tracking"),
                           ("optimize", "brockett_drgd"), ("validate", "rate_circle"),
                           ("validate", "landing_sphere")):
-        _run_reading_every_key(key_reads, [command, "--config", f"configs/{name}.cfg"])
+        assert run_cli([command, "--config", f"configs/{name}.cfg"]) == 0, name
 
 
-def test_tracking_with_trained_score(tmp_path, monkeypatch, key_reads):
+def test_tracking_with_trained_score(tmp_path, monkeypatch):
     # generate-data -> train-score on the trajectory directory -> optimize with kind = mlp
     monkeypatch.chdir(tmp_path)
     _write(tmp_path, "[experiment]\nkind = generate-data\nseed = 6\n\n"
@@ -765,7 +756,7 @@ def test_tracking_with_trained_score(tmp_path, monkeypatch, key_reads):
                                                   "sigma = 0.1").replace("dir = out", "dir = run"),
            "opt.cfg")
     for command, name in (("generate-data", "gen"), ("train-score", "train"), ("optimize", "opt")):
-        _run_reading_every_key(key_reads, [command, "--config", f"{name}.cfg"])
+        assert run_cli([command, "--config", f"{name}.cfg"]) == 0, name
     meta = (tmp_path / "run" / "run.meta.txt").read_text()
     assert "oracle = MlpScoreOracle" in meta and "sigma = 0.10000000000000001" in meta
     assert "backtest_gap" in (tmp_path / "run" / "summary.txt").read_text()
@@ -911,3 +902,97 @@ def test_cli_non_finite_objective_coefficient_exits_2(tmp_path, capsys, unicycle
     assert run_cli(["optimize", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+_OPTIMIZE_KINDS = ("[algorithm] kind = drgd, [manifold] kind = {}, [objective] kind = linear, "
+                   "[oracle] kind = exact")
+
+
+@pytest.mark.parametrize("edits, unread, kinds", [
+    ((("kind = exact\n", "kind = exact\nsample_count = 7\n"),
+      ("dim = 3\n", "dim = 3\nhorizon = 99\n"),
+      ("a = 1.0,2.0,-0.5\n", "a = 1.0,2.0,-0.5\nreference = figure_eight\n"),
+      ("gamma = 0.05\n", "gamma = 0.05\nt_step = 5\n")),
+     "[oracle] sample_count, [manifold] horizon, [objective] reference, [algorithm] t_step",
+     _OPTIMIZE_KINDS.format("sphere")),
+    ((("kind = exact\n", "kind = exact\nsigma = 0.1\n"),), "[oracle] sigma",
+     _OPTIMIZE_KINDS.format("sphere")),
+    ((("kind = sphere\ndim = 3\n", "kind = circle\nn = 4\n"), ("a = 1.0,2.0,-0.5", "a = 1.0,2.0")),
+     "[manifold] n", _OPTIMIZE_KINDS.format("circle")),
+], ids=["four_keys", "exact_sigma", "circle_n"])
+def test_cli_unread_key_exits_2_before_the_run(tmp_path, capsys, edits, unread, kinds):
+    # each of these ran to the end, ignored the keys named and exited 0
+    cfg = OPTIMIZE_CFG
+    for old, new in edits:
+        assert old in cfg
+        cfg = cfg.replace(old, new)
+    out = tmp_path / "o"
+    assert run_cli(["optimize", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: {unread} set but not read by this run "
+                                       f"([experiment] kind = optimize, {kinds})\n")
+    assert not any(out.iterdir())
+
+
+def _optimize_cfg(oracle="kind = exact", manifold="kind = circle",
+                  objective="kind = linear\na = 1,0", algorithm="kind = drgd\nmax_steps = 5"):
+    return (f"[experiment]\nkind = optimize\n\n[oracle]\n{oracle}\n\n[manifold]\n{manifold}\n\n"
+            f"[objective]\n{objective}\n\n[algorithm]\n{algorithm}\n")
+
+
+@pytest.mark.parametrize("command, cfg, code, message", [
+    ("optimize", _optimize_cfg(oracle="kind = empirical", manifold=""), 2,
+     "empirical oracle needs [oracle] dataset or a [manifold]"),
+    ("optimize", _optimize_cfg(oracle="kind = mlp"), 2, "mlp oracle needs [oracle] model"),
+    ("optimize", _optimize_cfg(oracle="kind = magic"), 2, "unknown oracle kind 'magic'"),
+    ("optimize", _optimize_cfg(oracle="kind = empirical", manifold="",
+                               objective="kind = tracking"), 2,
+     "tracking runs need [oracle] dataset = <trajectory directory>"),
+    ("optimize", _optimize_cfg(oracle="kind = empirical\ndataset = {unicycle}",
+                               manifold="kind = unicycle", objective="kind = linear\na = 1"), 2,
+     "a trajectory dataset needs [objective] kind = tracking"),
+    ("optimize", _optimize_cfg(objective="kind = linear"), 2, "linear objective needs [objective] a"),
+    ("optimize", _optimize_cfg(objective="kind = brockett"), 2,
+     "brockett objective needs an orthogonal [manifold]"),
+    ("optimize", _optimize_cfg(objective="kind = magic"), 2, "unknown objective kind 'magic'"),
+    ("optimize", _optimize_cfg(oracle="kind = empirical\ndataset = {points}", manifold="",
+                               algorithm="kind = riemannian_gd"), 2,
+     "riemannian_gd needs a [manifold] section"),
+    ("optimize", _optimize_cfg(algorithm="kind = magic"), 2, "unknown algorithm kind 'magic'"),
+    ("optimize", _optimize_cfg(manifold="kind = torus"), 2, "unknown manifold kind 'torus'"),
+    ("validate", "[experiment]\nkind = validate\n\n[algorithm]\ncheck = rate\n", 2,
+     "rate check needs a [manifold] section"),
+    ("optimize", "[experiment]\nkind optimize\n", 2,
+     "exp.cfg:2: expected 'key = value', got 'kind optimize'"),
+    ("optimize", "[experiment]\nseed = 1\n", 2,
+     "exp.cfg: missing required key 'kind' in [experiment]"),
+    ("optimize", "[experiment]\nkind = explode\n", 2,
+     "exp.cfg: unknown experiment kind 'explode'"),
+    ("optimize", _optimize_cfg(objective="kind = zero"), 0, ""),
+    ("optimize", _optimize_cfg(oracle="kind = empirical\ndataset = {pendulum}\nsigma = 0.5",
+                               manifold="kind = double_pendulum",
+                               objective="kind = tracking\nreference = arc\namplitude = 0.3"), 0, ""),
+    ("validate", "[experiment]\nkind = validate\n\n[manifold]\nkind = sphere\n\n[algorithm]\n"
+                 "check = landing\neta = 1.0\nt_end = 0.1\neuler_step = 1e-3\nmax_rel_dev = 1e-9\n",
+     1, "assertion violated: max relative deviation "),
+], ids=["empirical_no_atoms", "mlp_no_model", "unknown_oracle", "tracking_no_dataset",
+        "dataset_not_tracking", "linear_no_a", "brockett_on_circle", "unknown_objective",
+        "riemannian_gd_no_manifold", "unknown_algorithm", "unknown_manifold",
+        "validate_no_manifold", "line_without_equals", "no_experiment_kind",
+        "unknown_experiment_kind", "zero_objective", "double_pendulum_default_q",
+        "landing_violation"])
+def test_cli_branch_table(tmp_path, capsys, unicycle_data, command, cfg, code, message):
+    # config and parse errors exit 2 with their message, a zero objective and a
+    # double-pendulum tracking run on the default Q exit 0, and a violated
+    # landing budget exits 1 under --assert
+    points, pendulum = tmp_path / "points.csv", tmp_path / "pendulum"
+    points.write_text("1,0\n0,1\n")
+    if "{pendulum}" in cfg:
+        gen = _write(tmp_path, "[experiment]\nkind = generate-data\n\n[manifold]\n"
+                               "kind = double_pendulum\nhorizon = 5\ncount = 20\n", "gen.cfg")
+        assert run_cli(["generate-data", "--config", gen, "--out", str(pendulum)]) == 0
+    path = _write(tmp_path, cfg.format(unicycle=unicycle_data, points=points, pendulum=pendulum))
+    argv = [command, "--config", path, "--out", str(tmp_path / "o")]
+    assert run_cli(argv + ["--assert"] if command == "validate" else argv) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.startswith({1: "assertion violated: ", 2: "config error: "}[code]) if code else not err

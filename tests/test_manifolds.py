@@ -3,7 +3,7 @@ import pytest
 
 from msopt import rng as _rng
 from msopt.errors import ProjectionError
-from msopt.manifolds import Circle, Orthogonal, Sphere, make_manifold
+from msopt.manifolds import Circle, Orthogonal, Sphere
 
 from finite_differences import fd_jacobian
 
@@ -256,12 +256,3 @@ def test_sampling_deterministic_per_seed():
     b = Orthogonal(3).sample_uniform(10, seed=42)
     assert np.array_equal(a, b)
 
-
-def test_make_manifold_factory():
-    assert make_manifold("circle", radius=2.0, dim=5, n=4).radius == 2.0
-    assert make_manifold("sphere", radius=1.0, dim=5, n=4).ambient_dim == 5
-    assert make_manifold("orthogonal", radius=1.0, dim=5, n=4).ambient_dim == 16
-    with pytest.raises(ValueError):
-        make_manifold("torus", radius=1.0, dim=3, n=3)
-    with pytest.raises(TypeError):  # a misspelled parameter is not dropped
-        make_manifold("circle", raduis=2.0, dim=3, n=3)

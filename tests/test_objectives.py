@@ -8,7 +8,6 @@ from msopt.objectives import (
     LinearObjective,
     TrackingObjective,
     brockett_optimum,
-    load_reference_csv,
     make_reference,
     random_brockett,
 )
@@ -192,11 +191,3 @@ def test_make_reference_rejects_misspelt_keyword():
     with pytest.raises(TypeError, match="amplitude"):
         make_reference("arc", 4, 0.5, 2)
 
-
-def test_reference_csv_roundtrip(tmp_path):
-    ref = make_reference("arc", horizon=4, dt=0.5, output_dim=2, amplitude=2.0)
-    path = tmp_path / "ref.csv"
-    with open(path, "w") as fh:
-        for row in ref:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    assert np.array_equal(load_reference_csv(path), ref)

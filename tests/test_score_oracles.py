@@ -252,8 +252,8 @@ def _unfloored_posterior(points, sigma, x):
 @pytest.mark.parametrize("count, sigma, gathered", [(100000, 0.05, False), (2000, 0.02, True)],
                          ids=["dense", "gathered"])
 def test_mixture_weights_below_floor_are_zero_and_change_nothing(count, sigma, gathered):
-    # weights under e^-700 are set to 0.0 so that no exp returns a subnormal;
-    # against exp of every kept logit, no result moves by a bit
+    # of K kept weights, those under K e^-700 are set to 0.0 so that no exp
+    # returns a subnormal; against exp of every kept logit, no result moves by a bit
     points = Circle().sample_uniform(count, seed=3)
     x = 1.15 * np.array([np.cos(0.4), np.sin(0.4)])
     post = EmpiricalScoreOracle(points, sigma).posterior(x)
@@ -271,6 +271,20 @@ def test_mixture_weights_below_floor_are_zero_and_change_nothing(count, sigma, g
     assert np.array_equal(post.mean, mean_ref)
     assert post.link == link_ref
     assert np.array_equal(post.vjp(np.eye(2)), jac_ref)
+
+
+def test_mixture_normalized_weights_are_never_subnormal():
+    # 5000 atoms at logit 0 put the normalizer above e^-700 / tiny (about
+    # 4.5e3), so an atom at logit -699.9, above a floor of -700, normalized to
+    # a subnormal 2.2e-308; the floor is -700 + log(kept count) instead
+    tiny = np.finfo(float).tiny
+    logits = np.array([0.0] * 5000 + [-699.9, -690.0])
+    points = np.sqrt(-2.0 * logits)[:, None]  # at x = 0 and sigma = 1, logit = -p^2/2
+    post = EmpiricalScoreOracle(points, 1.0).posterior(np.zeros(1))
+    assert post.rows == slice(None) and post.weights.sum() == pytest.approx(1.0)
+    assert 1.0 / post.weights[0] > 4.5e3
+    assert np.all((post.weights == 0.0) | (post.weights >= tiny))
+    assert post.weights[-2] == 0.0 and post.weights[-1] >= tiny
 
 
 def test_mixture_kernel_propagates_non_finite_points():

@@ -1,7 +1,8 @@
 import numpy as np
 
+from msopt.objectives import make_reference
 from msopt.optim import RunRecord
-from msopt.textio import key_values, read_key_values, write_csv, write_key_values
+from msopt.textio import key_values, read_csv, read_key_values, write_csv, write_key_values
 
 NAN, INF = float("nan"), float("inf")
 
@@ -38,6 +39,18 @@ def test_csv_bytes_pinned(tmp_path):
     assert (tmp_path / "points.csv").read_bytes() == b"0.33333333333333331,2\n"
     write_csv(tmp_path / "empty.csv", "a,b", np.zeros((0, 2)))
     assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+
+
+def test_reference_csv_roundtrip(tmp_path):
+    ref = make_reference("arc", horizon=4, dt=0.5, output_dim=2, amplitude=2.0)
+    path = tmp_path / "ref.csv"
+    with open(path, "w") as fh:
+        for row in ref:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    assert np.array_equal(read_csv(path), ref)
+    # one row still reads as a table
+    path.write_text("1,2\n")
+    assert np.array_equal(read_csv(path), [[1.0, 2.0]])
 
 
 def test_key_values_render_and_read_back(tmp_path):
