@@ -5,9 +5,11 @@ takes --config (flat key=value file, see `--help` for the keys per
 subcommand) plus optional --seed/--out overrides. Exit codes: 0 success,
 1 numerical abort or violated --assert thresholds, 2 usage/config errors.
 
-A subcommand is a generator: it reads its keys and builds its run up to its
-first `yield`, where `run_cli` rejects a set key that was never read, and
-then runs and yields (artifacts, aborted).
+A subcommand is a generator in three steps. It reads its keys and builds its
+run up to its first `yield`, where `run_cli` rejects a set key that was
+never read; it runs up to its second `yield`, where `run_cli` creates the
+output directory; then it writes its artifacts and yields (artifacts,
+aborted). A config error or a numerical failure thus writes nothing.
 """
 
 import argparse
@@ -25,6 +27,7 @@ from msopt.control import SYSTEM_KINDS, SystemModel, TrajectoryDataset, generate
 from msopt.errors import MsoptError
 from msopt.manifolds import Circle, Orthogonal, Sphere
 from msopt.objectives import (
+    REFERENCE_KINDS,
     AffineReparamObjective,
     LinearObjective,
     TrackingObjective,
@@ -62,7 +65,7 @@ def _write_manifest(out_dir, cfg: ExperimentConfig, started, artifacts):
 
 
 def _build_manifold(cfg: ExperimentConfig):
-    """The [manifold], from the keys of its kind alone; None when unset."""
+    """The [manifold], from the keys of its kind alone."""
     kind = cfg.get("manifold", "kind")
     if kind == "circle":
         return Circle(radius=cfg.get("manifold", "radius"))
@@ -70,9 +73,7 @@ def _build_manifold(cfg: ExperimentConfig):
         return Sphere(ambient_dim=cfg.get("manifold", "dim"), radius=cfg.get("manifold", "radius"))
     if kind == "orthogonal":
         return Orthogonal(n=cfg.get("manifold", "n"))
-    if kind is not None:
-        raise ConfigError(f"unknown manifold kind {kind!r}")
-    return None
+    raise ConfigError(f"unknown manifold kind {kind!r}")
 
 
 def _oracle_family(cfg: ExperimentConfig, manifold, atoms=None):
@@ -103,10 +104,7 @@ def _oracle_family(cfg: ExperimentConfig, manifold, atoms=None):
                 raise ConfigError("empirical oracle needs [oracle] dataset or a [manifold]")
         dim, family = atoms.shape[1], lambda sigma: EmpiricalScoreOracle(atoms, sigma)
     elif kind == "mlp":
-        model = cfg.get("oracle", "model")
-        if model is None:
-            raise ConfigError("mlp oracle needs [oracle] model")
-        mlp = load_score_mlp(model)
+        mlp = load_score_mlp(cfg.get("oracle", "model"))
         dim, family = mlp.ambient_dim, lambda sigma: MlpScoreOracle(mlp, sigma)
     else:
         raise ConfigError(f"unknown oracle kind {kind!r}")
@@ -137,7 +135,7 @@ def _load_tracking(cfg: ExperimentConfig):
     must match it.
     """
     path = cfg.get("oracle", "dataset")
-    if path is None or not os.path.isdir(path):
+    if not os.path.isdir(path):
         raise ConfigError("tracking runs need [oracle] dataset = <trajectory directory>")
     if cfg.get("objective", "kind") != "tracking":
         raise ConfigError("a trajectory dataset needs [objective] kind = tracking")
@@ -151,13 +149,16 @@ def _load_tracking(cfg: ExperimentConfig):
             )
     q, r = _tracking_weights(cfg, system)
     ref_spec = cfg.get("objective", "reference")
-    if ref_spec in ("sinusoid", "arc", "figure_eight"):
+    if ref_spec in REFERENCE_KINDS:
         ref = make_reference(
             ref_spec, dataset.horizon, system.dt, system.output_dim,
             amplitude=cfg.get("objective", "amplitude"),
         )
-    else:
+    elif os.path.isfile(ref_spec):
         ref = read_csv(ref_spec)
+    else:
+        raise ConfigError(f"[objective] reference = {ref_spec} is neither one of "
+                          f"{', '.join(REFERENCE_KINDS)} nor an existing CSV file")
     tracking = TrackingObjective(ref, q, r, dataset.horizon)
     if tracking.layout != dataset.layout:
         raise ConfigError(
@@ -171,8 +172,6 @@ def _manifold_objective(cfg: ExperimentConfig, manifold, ambient_dim):
     obj_kind = cfg.get("objective", "kind")
     if obj_kind == "linear":
         a = cfg.get("objective", "a")
-        if a is None:
-            raise ConfigError("linear objective needs [objective] a")
         if len(a) != ambient_dim:
             raise ConfigError(f"[objective] a has {len(a)} entries, but the oracle's "
                               f"dimension is {ambient_dim}")
@@ -216,15 +215,20 @@ def _cmd_generate_data(cfg: ExperimentConfig, out_dir: str):
     if count < 1:
         raise ConfigError(f"[manifold] count = {count}: need count >= 1")
     if kind in SYSTEM_KINDS:
-        system = SystemModel(kind=kind, dt=cfg.get("manifold", "dt"))
+        dt = cfg.get("manifold", "dt") if cfg.has("manifold", "dt") else None
+        system = SystemModel(kind=kind, dt=dt)
         horizon = cfg.get("manifold", "horizon")
         yield
-        generate_dataset(system, count, horizon, cfg.seed).save(out_dir)
+        dataset = generate_dataset(system, count, horizon, cfg.seed)
+        yield
+        dataset.save(out_dir)
         yield ["meta.txt", "data.csv"], False
         return
     manifold = _build_manifold(cfg)
     yield
-    write_csv(os.path.join(out_dir, "points.csv"), None, manifold.sample_uniform(count, cfg.seed))
+    points = manifold.sample_uniform(count, cfg.seed)
+    yield
+    write_csv(os.path.join(out_dir, "points.csv"), None, points)
     yield ["points.csv"], False
 
 
@@ -239,6 +243,7 @@ def _cmd_train_score(cfg: ExperimentConfig, out_dir: str):
     params = _algorithm_params(cfg, "epochs", "batch", "t_max", "t_min", "lr_hi", "lr_lo")
     yield
     mlp, trace = dsm_train(data, mlp, seed=cfg.seed, **params)
+    yield
     mlp.save(os.path.join(out_dir, "model.msopt"))
     write_csv(os.path.join(out_dir, "loss_trace.csv"), "epoch,loss",
               np.column_stack([np.arange(len(trace)), trace]))
@@ -279,7 +284,8 @@ def _resolve_x0(cfg, dim, manifold, atoms, atom_values, data_atoms):
 def _cmd_optimize(cfg: ExperimentConfig, out_dir: str):
     # the exact oracle has no noise scale
     sigma = None if cfg.get("oracle", "kind") == "exact" else cfg.get("oracle", "sigma")
-    if cfg.get("objective", "kind") == "tracking" or cfg.get("manifold", "kind") in SYSTEM_KINDS:
+    manifold_kind = cfg.get("manifold", "kind") if cfg.has("manifold", "kind") else None
+    if cfg.get("objective", "kind") == "tracking" or manifold_kind in SYSTEM_KINDS:
         # a trajectory dataset: optimize in its normalized coordinates
         dataset, tracking = _load_tracking(cfg)
         manifold, atoms = None, dataset.normalize(dataset.data)
@@ -288,7 +294,7 @@ def _cmd_optimize(cfg: ExperimentConfig, out_dir: str):
         atom_values = lambda: [tracking.value(p) for p in dataset.data]
     else:
         dataset = tracking = None
-        manifold = _build_manifold(cfg)
+        manifold = None if manifold_kind is None else _build_manifold(cfg)
         oracle = _oracle_family(cfg, manifold)(sigma)
         objective = _manifold_objective(cfg, manifold, oracle.ambient_dim)
         atoms = getattr(oracle, "points", None)
@@ -303,8 +309,9 @@ def _cmd_optimize(cfg: ExperimentConfig, out_dir: str):
         record.metadata["space"] = "normalized"
     if best is not None:
         record.metadata["dataset_best_objective"] = best
-    record.save(os.path.join(out_dir, "run.csv"), os.path.join(out_dir, "run.meta.txt"))
     summary = feasibility_optimality_report(record, dataset=dataset, objective=tracking)
+    yield
+    record.save(os.path.join(out_dir, "run.csv"), os.path.join(out_dir, "run.meta.txt"))
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write(summary.to_text())
     artifacts = ["run.csv", "run.meta.txt", "summary.txt"]
@@ -320,8 +327,6 @@ def _cmd_validate(cfg: ExperimentConfig, out_dir: str, do_assert: bool):
     if check not in ("rate", "landing"):
         raise ConfigError(f"unknown validate check {check!r}")
     manifold = _build_manifold(cfg)
-    if manifold is None:
-        raise ConfigError(f"{check} check needs a [manifold] section")
     # each check's thresholds are checked before it runs: a NaN one would
     # pass every comparison below
     violations = []
@@ -356,6 +361,7 @@ def _cmd_validate(cfg: ExperimentConfig, out_dir: str, do_assert: bool):
             violations.append(
                 f"max relative deviation {report.max_rel_deviation:.4g} > {budget}"
             )
+    yield
     report.save_csv(os.path.join(out_dir, f"{check}_report.csv"))
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write(report.summary_text())
@@ -370,6 +376,7 @@ def _cmd_sample(cfg: ExperimentConfig, out_dir: str):
     params = _algorithm_params(cfg, "count", "steps", "t_max", "t_min")
     yield
     samples = ve_reverse_sample(mlp, seed=cfg.seed, **params)
+    yield
     write_csv(os.path.join(out_dir, "samples.csv"), None, samples)
     yield ["samples.csv"], False
 
@@ -380,10 +387,8 @@ def _reject_unread_keys(cfg: ExperimentConfig):
     unread = [f"[{s}] {k}" for s, k in cfg.values
               if (s, k) not in cfg.reads and s not in ("experiment", "output")]
     if unread:
-        kinds = "".join(f", [{s}] {k} = {cfg.get(s, k)}" for s, k in sorted(cfg.reads)
-                        if k in ("kind", "check"))
         raise ConfigError(f"{', '.join(unread)} set but not read by this run "
-                          f"([experiment] kind = {cfg.kind}{kinds})")
+                          f"({cfg.describe_run()})")
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -396,8 +401,10 @@ def _make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(
             kind,
             help=f"run a {kind} experiment",
-            epilog="config keys (a run exits 2 if its config sets a key that the run does not "
-                   "read; every run reads [experiment] and [output] dir):\n" + describe_keys(kind),
+            epilog="config keys (a key without a default is required by the run that reads it; a "
+                   "run exits 2 and writes nothing if its config lacks such a key or sets a key "
+                   "that the run does not read; every run reads [experiment] and [output] dir):\n"
+                   + describe_keys(kind),
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         p.add_argument("--config", required=True, help="experiment config file")
@@ -428,8 +435,6 @@ def run_cli(argv=None) -> int:
             cfg.values[("experiment", "seed")] = args.seed
         out_dir = args.out or cfg.get("output", "dir")
         cfg.values[("output", "dir")] = out_dir
-        os.makedirs(out_dir, exist_ok=True)
-
         if cfg.kind == "generate-data":
             steps = _cmd_generate_data(cfg, out_dir)
         elif cfg.kind == "train-score":
@@ -442,6 +447,8 @@ def run_cli(argv=None) -> int:
             steps = _cmd_sample(cfg, out_dir)
         next(steps)
         _reject_unread_keys(cfg)
+        next(steps)
+        os.makedirs(out_dir, exist_ok=True)
         artifacts, aborted = next(steps)
         _write_manifest(out_dir, cfg, started, artifacts)
         if aborted:

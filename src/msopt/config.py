@@ -2,8 +2,9 @@
 
 Sections in brackets, one `key = value` per line, `#` comments. Unknown
 sections or keys, duplicate keys, and type errors are rejected with line
-numbers. The schema below is the single source for parsing, defaults, and
-the per-subcommand help text. `ExperimentConfig` records the keys a run
+numbers. The schema below is the single source for parsing, defaults (a
+key without one is required by the run that reads it), and the
+per-subcommand help text. `ExperimentConfig` records the keys a run
 reads, so that the CLI can reject a set key the run never read.
 """
 
@@ -38,8 +39,7 @@ SCHEMA = {
         "seed": Key("int", KINDS, default=0, help="master seed for all named random streams"),
     },
     "oracle": {
-        "kind": Key("str", ("optimize", "validate"), default="quadrature",
-                    help="empirical | quadrature | exact | mlp"),
+        "kind": Key("str", ("optimize", "validate"), help="empirical | quadrature | exact | mlp"),
         "sigma": Key("float", ("optimize",), default=0.05,
                      help="noise scale of the score oracle (validate sweeps [algorithm] sigmas)"),
         "dataset": Key("str", ("optimize", "validate", "train-score"),
@@ -121,21 +121,14 @@ SCHEMA = {
     },
 }
 
-# keys each subcommand requires beyond [experiment] kind, which every config sets
-_REQUIRED = {
-    "generate-data": (("manifold", "kind"), ("manifold", "count")),
-    "train-score": (("oracle", "dataset"), ("algorithm", "epochs")),
-    "optimize": (("oracle", "kind"), ("objective", "kind"), ("algorithm", "kind")),
-    "validate": (("algorithm", "check"),),
-    "sample": (("oracle", "model"),),
-}
-
-
 @dataclass
 class ExperimentConfig:
     """The parsed (section, key) -> value pairs; unset keys read their schema
-    default. `get` and `has` record each (section, key) they are asked for in
-    `reads`. `kind` and `seed` are views of [experiment] kind and seed."""
+    default, and `get` of an unset key without one is a ConfigError: a key
+    without a default is required by the run that reads it (ask `has` first
+    where it is optional). `get` and `has` record each (section, key) they are
+    asked for in `reads`. `kind` and `seed` are views of [experiment] kind and
+    seed."""
 
     values: dict = field(default_factory=dict)
     reads: set = field(default_factory=set, compare=False, repr=False)
@@ -152,11 +145,21 @@ class ExperimentConfig:
         self.reads.add((section, key))
         if (section, key) in self.values:
             return self.values[(section, key)]
-        return SCHEMA[section][key].default
+        default = SCHEMA[section][key].default
+        if default is None:
+            raise ConfigError(f"[{section}] {key} is required by this run ({self.describe_run()})")
+        return default
 
     def has(self, section, key) -> bool:
         self.reads.add((section, key))
         return (section, key) in self.values
+
+    def describe_run(self) -> str:
+        """The run so far for error messages: its experiment kind and the
+        kinds (and validate check) it has read."""
+        kinds = "".join(f", [{s}] {k} = {self.values[(s, k)]}" for s, k in sorted(self.reads)
+                        if k in ("kind", "check") and (s, k) in self.values)
+        return f"[experiment] kind = {self.kind}{kinds}"
 
     def echo(self) -> str:
         """Canonical config text; reloads to an identical ExperimentConfig."""
@@ -209,13 +212,6 @@ def parse_config_text(text, source="<config>") -> ExperimentConfig:
         raise ConfigError(f"{source}: missing required key 'kind' in [experiment]")
     if kind not in KINDS:
         raise ConfigError(f"{source}: unknown experiment kind {kind!r}")
-    missing = [
-        f"[{s}] {k}" for (s, k) in _REQUIRED[kind] if (s, k) not in values
-    ]
-    if missing:
-        raise ConfigError(
-            f"{source}: experiment kind {kind!r} requires keys: " + ", ".join(missing)
-        )
     return ExperimentConfig(values)
 
 
@@ -236,12 +232,7 @@ def describe_keys(kind: str) -> str:
         for key, spec in SCHEMA[section].items():
             if kind not in spec.kinds:
                 continue
-            extra = []
-            if (section, key) == ("experiment", "kind") or (section, key) in _REQUIRED[kind]:
-                extra.append("required")
-            elif spec.default is not None:
-                extra.append(f"default {_render(spec.default)}")
-            suffix = f" ({'; '.join(extra)})" if extra else ""
+            suffix = "" if spec.default is None else f" (default {_render(spec.default)})"
             text = f"  {key} <{spec.type}>{suffix}"
             if spec.help:
                 text += f": {spec.help}"

@@ -184,6 +184,8 @@ class AffineReparamObjective(Objective):
 
 # ---- reference trajectory generators ---------------------------------------
 
+REFERENCE_KINDS = ("sinusoid", "arc", "figure_eight")
+
 
 def make_reference(kind: str, horizon: int, dt: float, output_dim: int, *,
                    amplitude: float) -> np.ndarray:
@@ -194,7 +196,6 @@ def make_reference(kind: str, horizon: int, dt: float, output_dim: int, *,
     """
     t = np.arange(horizon + 1) * dt
     span = max(horizon * dt, dt)
-    kind = kind.lower()
     if kind == "sinusoid":
         prof = amplitude * np.sin(2.0 * np.pi * t / span)[:, None]
     elif kind == "arc":

@@ -16,7 +16,6 @@ import numpy as np
 from msopt.control import TrajectoryDataset, backtest
 from msopt.errors import MsoptError
 from msopt.optim import RunRecord
-from msopt.score.oracles import ExactManifoldAdapter
 from msopt.textio import key_values, write_csv
 
 
@@ -171,12 +170,11 @@ def landing_check(manifold, *, eta, x0, t_end, euler_step, record_every) -> Land
     if dist0 == 0.0:
         raise ValueError("x0 at distance 0 is on the manifold: the landing law "
                          "needs a start distance > 0")
-    adapter = ExactManifoldAdapter(manifold)
     n_steps = int(round(t_end / euler_step))
     d0 = 0.5 * dist0**2
     times, measured = [0.0], [d0]
     for k in range(1, n_steps + 1):
-        x = x + euler_step * eta * (adapter.posterior(x).mean - x)
+        x = x + euler_step * eta * (manifold.project(x) - x)
         if k % record_every == 0 or k == n_steps:
             times.append(k * euler_step)
             measured.append(0.5 * manifold.dist_to_manifold(x) ** 2)

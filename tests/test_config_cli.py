@@ -97,11 +97,6 @@ def test_bad_value_reports_line():
         parse_config_text("[experiment]\nkind = optimize\nseed = banana\n")
 
 
-def test_missing_required_keys_listed():
-    with pytest.raises(ConfigError, match=r"\[oracle\] kind.*\[objective\] kind.*\[algorithm\] kind"):
-        parse_config_text("[experiment]\nkind = optimize\n")
-
-
 def test_key_not_used_by_kind_rejected(tmp_path, capsys):
     # the key parses (optimize reads it), but a sample run never reads it
     from msopt.score.mlp import make_score_mlp
@@ -114,7 +109,7 @@ def test_key_not_used_by_kind_rejected(tmp_path, capsys):
     assert run_cli(["sample", "--config", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == ("config error: [algorithm] gamma set but not read by "
                                        "this run ([experiment] kind = sample)\n")
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_describe_keys_covers_subcommand_surface():
@@ -150,8 +145,9 @@ def test_cli_help_lists_config_keys(capsys):
     assert run_cli(["optimize", "--help"]) == 0
     out = capsys.readouterr().out
     assert "gamma" in out and "max_steps" in out
-    assert ("config keys (a run exits 2 if its config sets a key that the run does not read; "
-            "every run reads [experiment] and [output] dir):") in out
+    assert ("config keys (a key without a default is required by the run that reads it; a run "
+            "exits 2 and writes nothing if its config lacks such a key or sets a key that the run "
+            "does not read; every run reads [experiment] and [output] dir):") in out
 
 
 def test_cli_optimize_writes_artifacts_and_is_reproducible(tmp_path):
@@ -514,6 +510,17 @@ def test_cli_missing_input_file_exits_2(tmp_path, capsys, unicycle_data, case):
     assert gone in err and "Traceback" not in err
 
 
+def test_cli_reference_kind_is_matched_exactly(tmp_path, capsys, unicycle_data):
+    # `Arc` was taken as a CSV path by the CLI and exited 2 with "Arc not found."
+    cfg = _tracking_cfg(unicycle_data).replace("reference = arc", "reference = Arc")
+    out = tmp_path / "o"
+    assert run_cli(["optimize", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: [objective] reference = Arc is neither one of sinusoid, arc, figure_eight "
+        "nor an existing CSV file\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("algorithm, message", [
     ("check = report", "unknown validate check 'report'"),
     ("check = rate\nrun_csv = run.csv", "unknown key 'run_csv' in [algorithm]"),
@@ -676,14 +683,15 @@ def test_cli_non_finite_sigma_exits_2(tmp_path, capsys, sigma):
 
 def test_validate_rejects_oracle_sigma(tmp_path, capsys):
     # the rate check sweeps [algorithm] sigmas; a fixed oracle sigma would be ignored
-    path = _write(tmp_path, "[experiment]\nkind = validate\n\n[oracle]\nsigma = 0.1\n\n"
+    path = _write(tmp_path, "[experiment]\nkind = validate\n\n[oracle]\nkind = quadrature\n"
+                            "sigma = 0.1\n\n"
                             "[manifold]\nkind = circle\n\n[algorithm]\ncheck = rate\n")
     out = tmp_path / "o"
     assert run_cli(["validate", "--config", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "config error: [oracle] sigma set but not read by this run ([experiment] kind = validate, "
         "[algorithm] check = rate, [manifold] kind = circle, [oracle] kind = quadrature)\n")
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 RATE_CFG = """\
@@ -814,7 +822,7 @@ def test_cli_validate_parameters_checked(tmp_path, capsys, config, old, new, mes
     assert run_cli(["validate", "--config", path, "--out", str(out), "--assert"]) == 2
     err = capsys.readouterr().err
     assert message in err and "np.float64" not in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cfg", [
@@ -829,7 +837,7 @@ def test_cli_generate_data_needs_a_point(tmp_path, capsys, cfg, count):
     out = tmp_path / "o"
     assert run_cli(["generate-data", "--config", path, "--out", str(out)]) == 2
     assert f"[manifold] count = {count}: need count >= 1" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -852,8 +860,7 @@ def test_cli_generate_data_divergence_exits_1(tmp_path, capsys, monkeypatch):
     assert run_cli(["generate-data", "--config", path, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "numerical failure: rollout produced non-finite state in trajectory 3 at step 1" in err
-    assert not (out / "data.csv").exists()
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, cfg, message", [
@@ -876,7 +883,7 @@ def test_cli_non_finite_manifold_parameter_exits_2(tmp_path, capsys, command, cf
     out = tmp_path / "o"
     assert run_cli([command, "--config", path, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case, message", [
@@ -901,7 +908,7 @@ def test_cli_non_finite_objective_coefficient_exits_2(tmp_path, capsys, unicycle
     out = tmp_path / "o"
     assert run_cli(["optimize", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 _OPTIMIZE_KINDS = ("[algorithm] kind = drgd, [manifold] kind = {}, [objective] kind = linear, "
@@ -930,7 +937,7 @@ def test_cli_unread_key_exits_2_before_the_run(tmp_path, capsys, edits, unread, 
     assert run_cli(["optimize", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (f"config error: {unread} set but not read by this run "
                                        f"([experiment] kind = optimize, {kinds})\n")
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def _optimize_cfg(oracle="kind = exact", manifold="kind = circle",
@@ -942,15 +949,13 @@ def _optimize_cfg(oracle="kind = exact", manifold="kind = circle",
 @pytest.mark.parametrize("command, cfg, code, message", [
     ("optimize", _optimize_cfg(oracle="kind = empirical", manifold=""), 2,
      "empirical oracle needs [oracle] dataset or a [manifold]"),
-    ("optimize", _optimize_cfg(oracle="kind = mlp"), 2, "mlp oracle needs [oracle] model"),
     ("optimize", _optimize_cfg(oracle="kind = magic"), 2, "unknown oracle kind 'magic'"),
-    ("optimize", _optimize_cfg(oracle="kind = empirical", manifold="",
+    ("optimize", _optimize_cfg(oracle="kind = empirical\ndataset = {points}", manifold="",
                                objective="kind = tracking"), 2,
      "tracking runs need [oracle] dataset = <trajectory directory>"),
     ("optimize", _optimize_cfg(oracle="kind = empirical\ndataset = {unicycle}",
                                manifold="kind = unicycle", objective="kind = linear\na = 1"), 2,
      "a trajectory dataset needs [objective] kind = tracking"),
-    ("optimize", _optimize_cfg(objective="kind = linear"), 2, "linear objective needs [objective] a"),
     ("optimize", _optimize_cfg(objective="kind = brockett"), 2,
      "brockett objective needs an orthogonal [manifold]"),
     ("optimize", _optimize_cfg(objective="kind = magic"), 2, "unknown objective kind 'magic'"),
@@ -960,7 +965,8 @@ def _optimize_cfg(oracle="kind = exact", manifold="kind = circle",
     ("optimize", _optimize_cfg(algorithm="kind = magic"), 2, "unknown algorithm kind 'magic'"),
     ("optimize", _optimize_cfg(manifold="kind = torus"), 2, "unknown manifold kind 'torus'"),
     ("validate", "[experiment]\nkind = validate\n\n[algorithm]\ncheck = rate\n", 2,
-     "rate check needs a [manifold] section"),
+     "[manifold] kind is required by this run ([experiment] kind = validate, "
+     "[algorithm] check = rate)\n"),
     ("optimize", "[experiment]\nkind optimize\n", 2,
      "exp.cfg:2: expected 'key = value', got 'kind optimize'"),
     ("optimize", "[experiment]\nseed = 1\n", 2,
@@ -974,8 +980,8 @@ def _optimize_cfg(oracle="kind = exact", manifold="kind = circle",
     ("validate", "[experiment]\nkind = validate\n\n[manifold]\nkind = sphere\n\n[algorithm]\n"
                  "check = landing\neta = 1.0\nt_end = 0.1\neuler_step = 1e-3\nmax_rel_dev = 1e-9\n",
      1, "assertion violated: max relative deviation "),
-], ids=["empirical_no_atoms", "mlp_no_model", "unknown_oracle", "tracking_no_dataset",
-        "dataset_not_tracking", "linear_no_a", "brockett_on_circle", "unknown_objective",
+], ids=["empirical_no_atoms", "unknown_oracle", "tracking_no_dataset",
+        "dataset_not_tracking", "brockett_on_circle", "unknown_objective",
         "riemannian_gd_no_manifold", "unknown_algorithm", "unknown_manifold",
         "validate_no_manifold", "line_without_equals", "no_experiment_kind",
         "unknown_experiment_kind", "zero_objective", "double_pendulum_default_q",
@@ -996,3 +1002,109 @@ def test_cli_branch_table(tmp_path, capsys, unicycle_data, command, cfg, code, m
     err = capsys.readouterr().err
     assert message in err
     assert err.startswith({1: "assertion violated: ", 2: "config error: "}[code]) if code else not err
+
+
+_OPTIMIZE_KINDS_READ = "[manifold] kind = circle, [objective] kind = linear, [oracle] kind = {}"
+
+
+@pytest.mark.parametrize("command, cfg, missing, run", [
+    ("generate-data", "[manifold]\nkind = circle", "[manifold] count", "[manifold] kind = circle"),
+    ("generate-data", "[manifold]\ncount = 5", "[manifold] kind", ""),
+    ("train-score", "[algorithm]\nepochs = 1", "[oracle] dataset", ""),
+    ("train-score", "[oracle]\ndataset = {points}", "[algorithm] epochs", ""),
+    ("validate", "[manifold]\nkind = circle", "[algorithm] check", ""),
+    ("validate", "[manifold]\nkind = circle\n\n[algorithm]\ncheck = rate", "[oracle] kind",
+     "[algorithm] check = rate, [manifold] kind = circle"),
+    ("sample", "", "[oracle] model", ""),
+    ("optimize", "", "[oracle] kind", ""),
+    ("optimize", "[oracle]\nkind = exact", "[objective] kind", "[oracle] kind = exact"),
+    ("optimize", _optimize_cfg(algorithm=""), "[algorithm] kind",
+     _OPTIMIZE_KINDS_READ.format("exact")),
+    ("optimize", _optimize_cfg(objective="kind = linear"), "[objective] a",
+     _OPTIMIZE_KINDS_READ.format("exact")),
+    ("optimize", _optimize_cfg(oracle="kind = mlp"), "[oracle] model",
+     _OPTIMIZE_KINDS_READ.format("mlp")),
+], ids=["generate_no_count", "generate_no_manifold", "train_no_dataset", "train_no_epochs",
+        "validate_no_check", "rate_no_oracle", "sample_no_model", "optimize_no_oracle_kind",
+        "optimize_no_objective_kind", "optimize_no_algorithm_kind", "linear_no_a",
+        "mlp_no_model"])
+def test_cli_required_key_exits_2_and_writes_nothing(tmp_path, capsys, command, cfg, missing,
+                                                     run):
+    # a key without a default is required by the run that reads it: the run
+    # names the key and the kinds it has read, and creates no output directory
+    points = tmp_path / "points.csv"
+    points.write_text("1,0\n0,1\n")
+    if not cfg.startswith("[experiment]"):
+        cfg = f"[experiment]\nkind = {command}\n\n" + cfg.format(points=points)
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    kinds = f"[experiment] kind = {command}" + (f", {run}" if run else "")
+    assert capsys.readouterr().err == f"config error: {missing} is required by this run ({kinds})\n"
+    assert not out.exists()
+
+
+def _help_keys(kind):
+    """The (section, key) pairs that `--help` lists for a subcommand."""
+    keys, section = set(), None
+    for line in describe_keys(kind).splitlines():
+        if line.startswith("["):
+            section = line[1:-1]
+        else:
+            keys.add((section, line.split()[0]))
+    return keys
+
+
+def test_help_lists_exactly_the_keys_each_subcommand_reads(tmp_path, monkeypatch):
+    # `Key.kinds` only generates --help: it must name, per subcommand, the keys
+    # that some run of that subcommand reads. The runs below take every branch
+    # of each subcommand; the union of their reads is the subcommand's surface.
+    import shutil
+
+    from msopt import cli
+    from msopt.score.mlp import make_score_mlp
+
+    shutil.copytree(os.path.join(os.path.dirname(__file__), "..", "configs"), tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    loaded = []
+    monkeypatch.setattr(cli, "load_config", lambda path: loaded.append(load_config(path))
+                        or loaded[-1])
+    (tmp_path / "points.csv").write_text("1,0\n0,1\n")
+    make_score_mlp(2, hidden=(4,), seed=0).save(tmp_path / "m.msopt")
+    runs = [(command, f"configs/{name}.cfg") for command, name in (
+        ("generate-data", "unicycle_data"), ("optimize", "unicycle_tracking"),
+        ("optimize", "brockett_drgd"), ("validate", "rate_circle"),
+        ("validate", "landing_sphere"))]
+    texts = [
+        ("generate-data", "[manifold]\nkind = double_pendulum\nhorizon = 5\ncount = 20\n\n"
+                          "[output]\ndir = pendulum"),
+        ("generate-data", "[manifold]\nkind = sphere\ndim = 2\nradius = 2\ncount = 3"),
+        ("generate-data", "[manifold]\nkind = orthogonal\nn = 2\ncount = 3"),
+        ("train-score", "[oracle]\ndataset = points.csv\n\n[algorithm]\nepochs = 1\nbatch = 2\n"
+                        "hidden = 4\nt_max = 1\nt_min = 0.01\nlr_hi = 1e-3\nlr_lo = 1e-4"),
+        ("sample", "[oracle]\nmodel = m.msopt\n\n[algorithm]\ncount = 2\nsteps = 2\n"
+                   "t_max = 1\nt_min = 0.01"),
+        ("validate", RATE_CFG.format(oracle="kind = exact").replace("kind = circle",
+                                                                    "kind = orthogonal\nn = 2")),
+        ("validate", RATE_CFG.format(oracle="kind = empirical\nsample_count = 50")),
+        ("validate", RATE_CFG.format(oracle="kind = mlp\nmodel = m.msopt")),
+        ("optimize", _optimize_cfg(objective="kind = zero")),
+        ("optimize", _optimize_cfg(oracle="kind = empirical\ndataset = pendulum\nsigma = 0.5",
+                                   manifold="kind = double_pendulum",
+                                   objective="kind = tracking\nreference = arc\namplitude = 0.3")),
+        ("optimize", _optimize_cfg(oracle="kind = quadrature\nnode_count = 64",
+                                   algorithm="kind = dlf\nmax_steps = 5\nt_step = 1e-3\neta = 1\n"
+                                             "stop_grad_tol = 0\nrecord_every = 2\nx0 = 1,0")),
+        ("optimize", _optimize_cfg(oracle="kind = mlp\nmodel = m.msopt",
+                                   manifold="kind = sphere\ndim = 2",
+                                   algorithm="kind = riemannian_gd\nmax_steps = 2\ngamma = 0.1")),
+    ]
+    for i, (command, text) in enumerate(texts):
+        if not text.startswith("[experiment]"):
+            text = f"[experiment]\nkind = {command}\n\n" + text
+        runs.append((command, _write(tmp_path, text, f"run{i}.cfg")))
+    for command, path in runs:
+        assert run_cli([command, "--config", path]) == 0, path
+    for kind in cli.KINDS:
+        # run_cli checks [experiment] kind itself, when it parses the config
+        reads = {("experiment", "kind")}.union(*(c.reads for c in loaded if c.kind == kind))
+        assert reads == _help_keys(kind), kind

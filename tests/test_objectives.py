@@ -180,8 +180,10 @@ def test_make_reference_shapes_and_kinds():
         ref = make_reference(kind, horizon=10, dt=0.1, output_dim=3, amplitude=1.0)
         assert ref.shape == (11, 3)
         assert np.abs(ref[:, 2]).max() == 0.0
-    with pytest.raises(ValueError):
-        make_reference("spiral", 5, 0.1, 2, amplitude=1.0)
+    # kinds are matched as spelt: "ARC" was lower-cased to "arc"
+    for kind in ("spiral", "ARC"):
+        with pytest.raises(ValueError, match=f"unknown reference kind: '{kind}'"):
+            make_reference(kind, 5, 0.1, 2, amplitude=1.0)
 
 
 def test_make_reference_rejects_misspelt_keyword():
