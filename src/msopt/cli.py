@@ -35,7 +35,7 @@ from msopt.objectives import (
     make_reference,
     random_brockett,
 )
-from msopt.optim import dlf_run, drgd_run, riemannian_gd_baseline
+from msopt.optim import dlf_run, drgd_run
 from msopt.score.dsm import dsm_train
 from msopt.score.mlp import load_score_mlp, make_score_mlp
 from msopt.score.oracles import (
@@ -200,11 +200,6 @@ def _algorithm(cfg, oracle, objective, x0, baseline):
                        **_algorithm_params(cfg, "t_step", "eta", *loop))
     if algo == "drgd":
         return partial(drgd_run, oracle, objective, x0, baseline=baseline,
-                       **_algorithm_params(cfg, "gamma", *loop))
-    if algo == "riemannian_gd":
-        if baseline is None:
-            raise ConfigError("riemannian_gd needs a [manifold] section")
-        return partial(riemannian_gd_baseline, baseline, objective, x0,
                        **_algorithm_params(cfg, "gamma", *loop))
     raise ConfigError(f"unknown algorithm kind {algo!r}")
 

@@ -11,7 +11,7 @@ reads, so that the CLI can reject a set key the run never read.
 from dataclasses import dataclass, field
 
 from msopt.errors import ConfigError
-from msopt.textio import _render, key_values
+from msopt.textio import key_values
 
 KINDS = ("generate-data", "train-score", "optimize", "validate", "sample")
 
@@ -84,8 +84,7 @@ SCHEMA = {
                         help="diagonal of R (tracking); default per system"),
     },
     "algorithm": {
-        "kind": Key("str", ("optimize",),
-                    help="dlf | drgd | riemannian_gd"),
+        "kind": Key("str", ("optimize",), help="dlf | drgd"),
         "eta": Key("float", ("optimize", "validate"), default=3e3, help="landing gain"),
         "t_step": Key("float", ("optimize",), default=1e-4, help="Euler step (dlf)"),
         "gamma": Key("float", ("optimize",), default=1e-3, help="step size"),
@@ -224,6 +223,12 @@ def load_config(path) -> ExperimentConfig:
     return parse_config_text(text, source=str(path))
 
 
+def _as_written(value) -> str:
+    """A default as a config line writes it: a float in its shortest form
+    (0.05), not in the 17 digits of the artifacts (0.050000000000000003)."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
 def describe_keys(kind: str) -> str:
     """Accepted config keys for a subcommand, generated from the schema."""
     lines = []
@@ -232,7 +237,7 @@ def describe_keys(kind: str) -> str:
         for key, spec in SCHEMA[section].items():
             if kind not in spec.kinds:
                 continue
-            suffix = "" if spec.default is None else f" (default {_render(spec.default)})"
+            suffix = "" if spec.default is None else f" (default {_as_written(spec.default)})"
             text = f"  {key} <{spec.type}>{suffix}"
             if spec.help:
                 text += f": {spec.help}"

@@ -1,26 +1,26 @@
 """Optimizers driven by score surrogates, with per-iteration instrumentation.
 
-Three methods:
+Two methods:
 
   dlf_run               Euler-discretized denoising landing flow
                         x <- x + t_step * (-s'(x)^T grad f(s(x)) + eta (s(x) - x));
                         with an oracle that carries the link value (mixture
                         or exact) the drift is the negative gradient of the
                         penalized objective f(s(x)) + eta * d_sigma(x)
-  drgd_run              projected descent x <- s(x - gamma s'(x)^T grad f(x))
-  riemannian_gd_baseline classical projected gradient descent on an exactly
-                        known manifold (comparison baseline)
+  drgd_run              projected descent x <- s(x - gamma s'(x)^T grad f(x));
+                        on the sigma = 0 oracle (s = pi, pi' the tangent
+                        projector) it is projected Riemannian gradient descent
 
 A parameter that a config key sets is keyword-only and has no default here;
 `config.SCHEMA` holds the defaults. Each method checks its parameters on
 entry with `_check_params`, then runs its step function under one private
 driver, `_drive`, which owns the stop test, the recording, the runaway check
-and the termination metadata. A run's one result is its `RunRecord`: the
-recorded rows, the metadata and the final iterate. The surrogate methods
-read the oracle only through `score.posterior(x)`: DLF makes one call per
-iterate, DRGD two (at x, and at x - gamma s'(x)^T grad f(x) for the
-retraction) and one at the final iterate, where the stop test still needs
-the product.
+and the metadata every run shares (oracle, sigma, budget, termination). A
+run's one result is its `RunRecord`: the recorded rows, the metadata and the
+final iterate. Both methods read the oracle only through
+`score.posterior(x)`: DLF makes one call per iterate, DRGD two (at x, and
+at x - gamma s'(x)^T grad f(x) for the retraction) and one at the final
+iterate, where the stop test still needs the product.
 
 Jacobian contractions are vector-Jacobian products: for exact oracles the
 Jacobian is symmetric so this equals the forward product; for the network
@@ -82,7 +82,7 @@ def scaled_norm(v) -> float:
 
 def _check_params(step_name: str, step: float, max_steps: int, stop_grad_tol: float,
                   record_every: int, eta: float = None):
-    """The one parameter check of the three optimizers: a finite positive step
+    """The one parameter check of the two optimizers: a finite positive step
     size, a finite nonnegative landing gain (where there is one), a
     nonnegative step budget, a finite nonnegative stop tolerance and a
     recording interval of at least one step. NaN fails every comparison, so
@@ -143,7 +143,7 @@ class _Recorder:
                          np.array(x_final, dtype=float))
 
 
-def _drive(step, objective, x0, max_steps, stop_tol, baseline, record_every, meta):
+def _drive(step, score, meta, objective, x0, max_steps, stop_tol, baseline, record_every):
     """The one iteration loop: stop test, recording, runaway check, metadata.
 
     `step(x)` returns (surrogate objective, stop vector, advance), where
@@ -158,7 +158,8 @@ def _drive(step, objective, x0, max_steps, stop_tol, baseline, record_every, met
     x = np.array(x0, dtype=float)
     bound_sq = (_RUNAWAY_FACTOR * (1.0 + np.linalg.norm(x))) ** 2
     rec = _Recorder(objective, baseline)
-    meta.update(max_steps=max_steps, termination="budget")
+    meta.update(oracle=type(score).__name__, sigma=score.sigma, max_steps=max_steps,
+                termination="budget")
     x_prev = x
     for k in range(max_steps + 1):
         surrogate, stop_vec, advance = step(x)
@@ -192,14 +193,8 @@ def dlf_run(score, objective, x0, *, t_step, eta, max_steps, stop_grad_tol, reco
         drift = -post.vjp(objective.gradient(mean)) + eta * (mean - x)
         return objective.value(mean), drift, lambda: x + t_step * drift
 
-    meta = {
-        "algorithm": "dlf",
-        "step_size": t_step,
-        "eta": eta,
-        "oracle": type(score).__name__,
-        "sigma": score.sigma,
-    }
-    return _drive(step, objective, x0, max_steps, stop_grad_tol, baseline, record_every, meta)
+    return _drive(step, score, {"algorithm": "dlf", "step_size": t_step, "eta": eta}, objective,
+                  x0, max_steps, stop_grad_tol, baseline, record_every)
 
 
 def drgd_run(score, objective, x0, *, gamma, max_steps, stop_grad_tol, record_every,
@@ -212,33 +207,6 @@ def drgd_run(score, objective, x0, *, gamma, max_steps, stop_grad_tol, record_ev
         vjp = post.vjp(objective.gradient(x))
         return objective.value(post.mean), vjp, lambda: score.posterior(x - gamma * vjp).mean
 
-    meta = {
-        "algorithm": "drgd",
-        "gamma": gamma,
-        "oracle": type(score).__name__,
-        "sigma": score.sigma,
-    }
-    return _drive(step, objective, x0, max_steps, stop_grad_tol, baseline, record_every, meta)
+    return _drive(step, score, {"algorithm": "drgd", "gamma": gamma}, objective, x0,
+                  max_steps, stop_grad_tol, baseline, record_every)
 
-
-def riemannian_gd_baseline(manifold, objective, x0, *, gamma, max_steps, stop_grad_tol,
-                           record_every):
-    """Exact projected Riemannian gradient descent on a known manifold; returns
-    the RunRecord."""
-    _check_params("gamma", gamma, max_steps, stop_grad_tol, record_every)
-    x = manifold.project(np.array(x0, dtype=float))
-    # NaN fails the comparison, so a non-finite start is rejected too
-    if not np.linalg.norm(x - np.asarray(x0, dtype=float)) <= 1e-9:
-        raise ValueError("riemannian_gd_baseline requires an on-manifold start")
-
-    def step(x):
-        g = manifold.riemannian_grad(x, objective.gradient(x))
-        return objective.value(x), g, lambda: manifold.project(x - gamma * g)
-
-    meta = {
-        "algorithm": "riemannian_gd",
-        "gamma": gamma,
-        "oracle": "exact",
-        "sigma": 0.0,
-    }
-    return _drive(step, objective, x, max_steps, stop_grad_tol, manifold, record_every, meta)

@@ -39,6 +39,11 @@ class ScoreMlp:
         for (w0, _), (w1, _) in zip(self.layers, self.layers[1:]):
             if w1.shape[1] != w0.shape[0]:
                 raise ValueError("consecutive layer widths disagree")
+        if not self.layers:
+            raise ValueError("a score network needs at least one layer")
+        if self.widths[0] != self.ambient_dim + 1:
+            raise ValueError(f"input width {self.widths[0]} is not the output width "
+                             f"{self.ambient_dim} + 1 (the (x, sigma) input)")
 
     @property
     def ambient_dim(self) -> int:
@@ -145,7 +150,10 @@ def load_score_mlp(path) -> ScoreMlp:
             f"{path}: {len(data) - pos} trailing bytes after layer {n_layers - 1} "
             f"(expected {pos} bytes in all, {len(data)} available)"
         )
-    return ScoreMlp(layers)
+    try:
+        return ScoreMlp(layers)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def make_score_mlp(ambient_dim: int, *, hidden, seed) -> ScoreMlp:

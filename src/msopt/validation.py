@@ -155,6 +155,8 @@ def landing_check(manifold, *, eta, x0, t_end, euler_step, record_every) -> Land
         bad.append(f"t_end = {t_end!r} (need finite >= 0)")
     if not 0.0 < euler_step < np.inf:
         bad.append(f"euler_step = {euler_step!r} (need finite > 0)")
+    elif t_end < np.inf and not t_end / euler_step < np.inf:
+        bad.append(f"t_end / euler_step = {t_end / euler_step!r} (need a finite step count)")
     if not record_every >= 1:
         bad.append(f"record_every = {record_every!r} (need >= 1)")
     if bad:

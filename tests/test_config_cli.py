@@ -145,6 +145,10 @@ def test_cli_help_lists_config_keys(capsys):
     assert run_cli(["optimize", "--help"]) == 0
     out = capsys.readouterr().out
     assert "gamma" in out and "max_steps" in out
+    # defaults print as a config line writes them, not in 17 digits
+    assert "sigma <float> (default 0.05)" in out
+    assert run_cli(["validate", "--help"]) == 0
+    assert "sigmas <floats> (default 0.2,0.1,0.05,0.025,0.0125)" in capsys.readouterr().out
     assert ("config keys (a key without a default is required by the run that reads it; a run "
             "exits 2 and writes nothing if its config lacks such a key or sets a key that the run "
             "does not read; every run reads [experiment] and [output] dir):") in out
@@ -292,7 +296,7 @@ def test_config_set_parameters_have_no_default_outside_the_schema():
     import inspect
 
     from msopt.config import SCHEMA
-    from msopt.optim import dlf_run, drgd_run, riemannian_gd_baseline
+    from msopt.optim import dlf_run, drgd_run
     from msopt.score.dsm import dsm_train
     from msopt.score.mlp import make_score_mlp
     from msopt.score.sampler import ve_reverse_sample
@@ -301,8 +305,7 @@ def test_config_set_parameters_have_no_default_outside_the_schema():
     keys = {key for section in SCHEMA.values() for key in section}
     problem_inputs = ("x0", "dataset", "kind")  # positional, like the oracle and the objective
     checked = 0
-    for fn in (dlf_run, drgd_run, riemannian_gd_baseline, dsm_train, ve_reverse_sample,
-               make_score_mlp, landing_check):
+    for fn in (dlf_run, drgd_run, dsm_train, ve_reverse_sample, make_score_mlp, landing_check):
         for name, param in inspect.signature(fn).parameters.items():
             if name not in keys:
                 continue
@@ -311,7 +314,7 @@ def test_config_set_parameters_have_no_default_outside_the_schema():
             assert param.default is inspect.Parameter.empty, where
             if name not in problem_inputs:
                 assert param.kind is inspect.Parameter.KEYWORD_ONLY, where
-    assert checked == 36
+    assert checked == 31
 
 
 def test_cli_generate_and_train_and_sample(tmp_path, capsys):
@@ -639,7 +642,7 @@ def test_cli_orthogonal_overflowing_step_diverges(tmp_path, capsys):
 
 @pytest.mark.parametrize("algorithm, message", [
     ("kind = dlf\nt_step = -0.5", r"t_step = -0.5 \(need finite > 0\)"),
-    ("kind = riemannian_gd\nmax_steps = -1", r"max_steps = -1 \(need >= 0\)"),
+    ("kind = drgd\nmax_steps = -1", r"max_steps = -1 \(need >= 0\)"),
     ("kind = drgd\ngamma = inf\nmax_steps = 400", r"gamma = inf \(need finite > 0\)"),
     ("kind = dlf\nt_step = inf\neta = 1.0\nmax_steps = 400", r"t_step = inf \(need finite > 0\)"),
     ("kind = dlf\nt_step = 0.01\neta = inf\nmax_steps = 400",
@@ -652,7 +655,7 @@ def test_cli_orthogonal_overflowing_step_diverges(tmp_path, capsys):
      r"record_every = 0 \(need >= 1\)"),
     ("kind = dlf\nt_step = 0.01\neta = 1.0\nmax_steps = 400\nrecord_every = -4",
      r"record_every = -4 \(need >= 1\)"),
-], ids=["dlf_t_step", "riemannian_gd_max_steps", "drgd_gamma_inf", "dlf_t_step_inf",
+], ids=["dlf_t_step", "drgd_max_steps", "drgd_gamma_inf", "dlf_t_step_inf",
         "dlf_eta_inf", "drgd_stop_grad_tol_nan", "drgd_stop_grad_tol_inf",
         "drgd_record_every_zero", "dlf_record_every_negative"])
 def test_cli_optimizer_parameters_checked(tmp_path, capsys, algorithm, message):
@@ -959,9 +962,8 @@ def _optimize_cfg(oracle="kind = exact", manifold="kind = circle",
     ("optimize", _optimize_cfg(objective="kind = brockett"), 2,
      "brockett objective needs an orthogonal [manifold]"),
     ("optimize", _optimize_cfg(objective="kind = magic"), 2, "unknown objective kind 'magic'"),
-    ("optimize", _optimize_cfg(oracle="kind = empirical\ndataset = {points}", manifold="",
-                               algorithm="kind = riemannian_gd"), 2,
-     "riemannian_gd needs a [manifold] section"),
+    ("optimize", _optimize_cfg(algorithm="kind = riemannian_gd"), 2,
+     "unknown algorithm kind 'riemannian_gd'"),
     ("optimize", _optimize_cfg(algorithm="kind = magic"), 2, "unknown algorithm kind 'magic'"),
     ("optimize", _optimize_cfg(manifold="kind = torus"), 2, "unknown manifold kind 'torus'"),
     ("validate", "[experiment]\nkind = validate\n\n[algorithm]\ncheck = rate\n", 2,
@@ -982,7 +984,7 @@ def _optimize_cfg(oracle="kind = exact", manifold="kind = circle",
      1, "assertion violated: max relative deviation "),
 ], ids=["empirical_no_atoms", "unknown_oracle", "tracking_no_dataset",
         "dataset_not_tracking", "brockett_on_circle", "unknown_objective",
-        "riemannian_gd_no_manifold", "unknown_algorithm", "unknown_manifold",
+        "riemannian_gd_unknown_kind", "unknown_algorithm", "unknown_manifold",
         "validate_no_manifold", "line_without_equals", "no_experiment_kind",
         "unknown_experiment_kind", "zero_objective", "double_pendulum_default_q",
         "landing_violation"])
@@ -1002,6 +1004,8 @@ def test_cli_branch_table(tmp_path, capsys, unicycle_data, command, cfg, code, m
     err = capsys.readouterr().err
     assert message in err
     assert err.startswith({1: "assertion violated: ", 2: "config error: "}[code]) if code else not err
+    if code == 2:
+        assert not (tmp_path / "o").exists()
 
 
 _OPTIMIZE_KINDS_READ = "[manifold] kind = circle, [objective] kind = linear, [oracle] kind = {}"
@@ -1096,7 +1100,7 @@ def test_help_lists_exactly_the_keys_each_subcommand_reads(tmp_path, monkeypatch
                                              "stop_grad_tol = 0\nrecord_every = 2\nx0 = 1,0")),
         ("optimize", _optimize_cfg(oracle="kind = mlp\nmodel = m.msopt",
                                    manifold="kind = sphere\ndim = 2",
-                                   algorithm="kind = riemannian_gd\nmax_steps = 2\ngamma = 0.1")),
+                                   algorithm="kind = drgd\nmax_steps = 2\ngamma = 0.1")),
     ]
     for i, (command, text) in enumerate(texts):
         if not text.startswith("[experiment]"):

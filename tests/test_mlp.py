@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -228,11 +230,24 @@ def test_load_rejects_wrong_size(tmp_path):
         assert str(bad) in str(err.value)
 
 
-def test_shape_validation():
+def test_shape_validation(tmp_path):
     with pytest.raises(ValueError):
         ScoreMlp([(np.zeros((3, 2)), np.zeros(2))])
     with pytest.raises(ValueError):
         ScoreMlp([(np.zeros((3, 2)), np.zeros(3)), (np.zeros((2, 4)), np.zeros(2))])
+    # the input is (x, sigma): a first layer of any other width failed in matmul
+    with pytest.raises(ValueError, match=re.escape("input width 3 is not the output width "
+                                                   "3 + 1 (the (x, sigma) input)")):
+        ScoreMlp([(np.zeros((5, 3)), np.zeros(5)), (np.zeros((3, 5)), np.zeros(3))])
+    with pytest.raises(ValueError, match="at least one layer"):
+        ScoreMlp([])
+    # a loaded file names its path with the widths
+    mlp = make_score_mlp(3, hidden=(5,), seed=0)
+    mlp.layers[0] = (np.zeros((5, 3)), np.zeros(5))
+    path = tmp_path / "model.msopt"
+    mlp.save(path)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: input width 3 is not")):
+        load_score_mlp(path)
     # a zero width built a network whose output is its last bias alone
     for ambient_dim, hidden in ((2, (8, 0)), (0, (8,))):
         with pytest.raises(ValueError, match=r"need widths >= 1"):

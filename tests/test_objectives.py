@@ -11,7 +11,8 @@ from msopt.objectives import (
     make_reference,
     random_brockett,
 )
-from msopt.optim import riemannian_gd_baseline
+from msopt.optim import drgd_run
+from msopt.score.oracles import ExactManifoldAdapter
 
 from finite_differences import grad_check
 
@@ -68,8 +69,8 @@ def test_brockett_optimum_vs_bruteforce():
     best_idx = np.argsort(vals)[:5]
     polished = np.inf
     for i in best_idx:
-        xf = riemannian_gd_baseline(on, obj, samples[i].reshape(-1), gamma=5e-3, max_steps=4000,
-                                    stop_grad_tol=1e-12, record_every=1).final_point
+        xf = drgd_run(ExactManifoldAdapter(on), obj, samples[i].reshape(-1), gamma=5e-3,
+                      max_steps=4000, stop_grad_tol=1e-12, record_every=1).final_point
         polished = min(polished, obj.value(xf))
     assert abs(polished - opt) <= 1e-3
     assert vals.min() >= opt - 1e-9

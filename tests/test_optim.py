@@ -6,7 +6,7 @@ import pytest
 
 from msopt.manifolds import Circle, Orthogonal, Sphere
 from msopt.objectives import LinearObjective, ZeroObjective, random_brockett, brockett_optimum
-from msopt.optim import CSV_HEADER, dlf_run, drgd_run, riemannian_gd_baseline, scaled_norm
+from msopt.optim import CSV_HEADER, dlf_run, drgd_run, scaled_norm
 from msopt.score.oracles import EmpiricalScoreOracle, ExactManifoldAdapter
 from msopt.textio import read_key_values
 
@@ -249,18 +249,23 @@ def test_drgd_retraction_confines_iterates_to_oracle_error_floor():
         x = x_next
 
 
+def _riemannian_gd(manifold, objective, x0, **params):
+    """Projected Riemannian GD: DRGD on the sigma = 0 oracle of `manifold`."""
+    return drgd_run(ExactManifoldAdapter(manifold), objective, x0, baseline=manifold, **params)
+
+
 def test_riemannian_gd_sphere_and_brockett():
     sph, obj, target = _sphere_linear()
     x0 = sph.sample_uniform(1, seed=17)[0]
-    xf = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=3000, stop_grad_tol=1e-12,
-                                record_every=1).final_point
+    xf = _riemannian_gd(sph, obj, x0, gamma=0.1, max_steps=3000, stop_grad_tol=1e-12,
+                        record_every=1).final_point
     assert np.linalg.norm(xf - target) <= 1e-6
 
     on = Orthogonal(5)
     bobj = random_brockett(5, seed=11)
     x0 = on.sample_uniform(1, seed=19)[0]
-    record = riemannian_gd_baseline(on, bobj, x0, gamma=1e-2, max_steps=20000,
-                                    stop_grad_tol=1e-10, record_every=100)
+    record = _riemannian_gd(on, bobj, x0, gamma=1e-2, max_steps=20000, stop_grad_tol=1e-10,
+                            record_every=100)
     xf = record.final_point
     assert abs(bobj.value(xf) - brockett_optimum(bobj)) <= 1e-6
     assert np.nanmax(record.feasibility) <= 1e-10
@@ -270,8 +275,8 @@ def test_riemannian_gd_critical_point_is_fixed():
     sph = Sphere(3)
     obj = LinearObjective(np.array([0.0, 0.0, 1.0]))
     x0 = np.array([0.0, 0.0, -1.0])  # the minimizer: zero Riemannian gradient
-    record = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=100,
-                                    stop_grad_tol=1e-8, record_every=1)
+    record = _riemannian_gd(sph, obj, x0, gamma=0.1, max_steps=100, stop_grad_tol=1e-8,
+                            record_every=1)
     xf = record.final_point
     assert np.array_equal(xf, x0)
     assert record.metadata["termination"] == "grad_tol"
@@ -292,8 +297,8 @@ def test_stop_test_does_not_underflow():
     obj = LinearObjective(np.array([1e-180, 2e-180, -5e-181]))
     x0 = sph.sample_uniform(1, seed=11)[0]
     for tol, termination in ((1e-200, "budget"), (1e-179, "grad_tol")):
-        record = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=3,
-                                        stop_grad_tol=tol, record_every=1)
+        record = _riemannian_gd(sph, obj, x0, gamma=0.1, max_steps=3, stop_grad_tol=tol,
+                                record_every=1)
         assert record.metadata["termination"] == termination
 
 
@@ -305,23 +310,13 @@ def test_recorded_gradient_norm_does_not_underflow(scale):
     sph = Sphere(3)
     obj = LinearObjective(np.array([1.0, 2.0, -0.5]) * scale)
     x0 = sph.sample_uniform(1, seed=11)[0]
-    record = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=0,
-                                    stop_grad_tol=1e-8, record_every=1)
+    record = _riemannian_gd(sph, obj, x0, gamma=0.1, max_steps=0, stop_grad_tol=1e-8,
+                            record_every=1)
     assert len(record) == 1
     p = sph.project(x0)
     expected = scaled_norm(sph.riemannian_grad(p, obj.gradient(p)))
     assert expected > 0.1 * scale
     assert np.allclose(record.riem_grad_norm, expected, rtol=1e-14, atol=0.0)
-
-
-def test_riemannian_gd_rejects_off_manifold_start():
-    # a NaN distance to the projection fails `<= 1e-9`; a plain `> 1e-9`
-    # test let a NaN start run and end as diverged
-    for manifold, x0 in ((Sphere(3), [2.0, 0.0, 0.0]), (Sphere(3), [np.nan, 0.0, 0.0]),
-                         (Sphere(3), [np.inf, 0.0, 0.0]), (Orthogonal(2), [np.nan, 0.0, 0.0, 1.0])):
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="on-manifold start"):
-            riemannian_gd_baseline(manifold, ZeroObjective(manifold.ambient_dim), np.array(x0),
-                                   gamma=0.1, max_steps=10, stop_grad_tol=1e-8, record_every=1)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -345,7 +340,7 @@ def test_optimizers_share_one_parameter_check(bad, message):
     # a negative step would run an ascent, a negative budget an empty record,
     # an infinite step a non-finite iterate, a NaN or negative tolerance a run
     # whose stop test never fires, a recording interval below 1 a record of
-    # every step; all three optimizers reject them before the first step
+    # every step; both optimizers reject them before the first step
     sph, obj, _ = _sphere_linear()
     x0 = sph.sample_uniform(1, seed=2)[0]
     adapter = ExactManifoldAdapter(sph)
@@ -354,10 +349,8 @@ def test_optimizers_share_one_parameter_check(bad, message):
     runs = [("t_step", lambda: dlf_run(adapter, obj, x0, t_step=p["step"], eta=p["eta"],
                                        baseline=sph, **loop))]
     if "eta" not in bad:
-        runs += [
-            ("gamma", lambda: drgd_run(adapter, obj, x0, gamma=p["step"], baseline=sph, **loop)),
-            ("gamma", lambda: riemannian_gd_baseline(sph, obj, x0, gamma=p["step"], **loop)),
-        ]
+        runs.append(("gamma", lambda: drgd_run(adapter, obj, x0, gamma=p["step"], baseline=sph,
+                                               **loop)))
     for step_name, run in runs:
         with pytest.raises(ValueError, match=re.escape(message.replace("STEP", step_name))):
             run()
@@ -366,8 +359,8 @@ def test_optimizers_share_one_parameter_check(bad, message):
 def test_running_average_sq_grad_norm_nonincreasing_for_tol_runs():
     sph, obj, _ = _sphere_linear()
     x0 = sph.sample_uniform(1, seed=23)[0]
-    record = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=5000,
-                                    stop_grad_tol=1e-10, record_every=1)
+    record = _riemannian_gd(sph, obj, x0, gamma=0.1, max_steps=5000, stop_grad_tol=1e-10,
+                            record_every=1)
     assert record.metadata["termination"] == "grad_tol"
     # gradient norms can rise before the decay sets in, so the Cesaro average
     # is non-increasing only past its peak; the tail must dominate
@@ -397,8 +390,8 @@ def test_bitwise_reproducibility():
 def test_run_record_roundtrip(tmp_path):
     sph, obj, _ = _sphere_linear()
     x0 = sph.sample_uniform(1, seed=37)[0]
-    record = riemannian_gd_baseline(sph, obj, x0, gamma=0.1, max_steps=50,
-                                    stop_grad_tol=1e-8, record_every=1)
+    record = _riemannian_gd(sph, obj, x0, gamma=0.1, max_steps=50, stop_grad_tol=1e-8,
+                            record_every=1)
     csv_path = tmp_path / "run.csv"
     meta_path = tmp_path / "run.meta.txt"
     record.save(csv_path, meta_path)
@@ -409,7 +402,7 @@ def test_run_record_roundtrip(tmp_path):
     meta = read_key_values(meta_path)
     final_point = np.array([float(v) for v in meta["final_point"].split(",")])
     assert np.array_equal(final_point, record.final_point)
-    assert meta["algorithm"] == "riemannian_gd"
+    assert meta["algorithm"] == "drgd"
 
 
 def test_dlf_flags_runs_leaving_safe_tube():

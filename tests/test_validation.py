@@ -6,7 +6,7 @@ from scipy.special import ive
 
 from msopt.manifolds import Circle, Sphere
 from msopt.objectives import LinearObjective
-from msopt.optim import RunRecord, drgd_run, riemannian_gd_baseline
+from msopt.optim import RunRecord, drgd_run
 from msopt.score.oracles import EmpiricalScoreOracle, ExactManifoldAdapter, QuadratureScoreOracle
 from msopt.textio import read_key_values
 from msopt.validation import feasibility_optimality_report, landing_check, rate_sweep
@@ -121,10 +121,12 @@ def test_landing_check_rejects_outside_tube():
     ({"euler_step": 0.0}, "euler_step = 0.0 (need finite > 0)"),
     ({"t_end": float("inf")}, "t_end = inf (need finite >= 0)"),
     ({"eta": float("nan")}, "eta = nan (need finite >= 0)"),
+    ({"euler_step": 1e-320}, "t_end / euler_step = inf (need a finite step count)"),
 ])
 def test_landing_check_parameters_checked(bad, message):
-    # a zero interval or step divided by zero, an infinite end time overflowed
-    # the step count; each is a ValueError that names the parameter
+    # a zero interval or step divided by zero, an infinite end time or a
+    # subnormal step overflowed the step count; each is a ValueError that
+    # names the parameter
     params = dict(eta=1.0, x0=np.array([1.3, 0.0, 0.0]), t_end=0.5, euler_step=1e-3,
                   record_every=1)
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -141,9 +143,9 @@ def test_landing_measured_curve_monotone():
 def test_report_exact_sphere_run():
     sph = Sphere(3)
     obj = LinearObjective(np.array([1.0, 2.0, -0.5]))
-    record = riemannian_gd_baseline(sph, obj, sph.sample_uniform(1, seed=7)[0],
-                                    gamma=0.1, max_steps=3000, stop_grad_tol=1e-8,
-                                    record_every=1)
+    record = drgd_run(ExactManifoldAdapter(sph), obj, sph.sample_uniform(1, seed=7)[0],
+                      gamma=0.1, max_steps=3000, stop_grad_tol=1e-8, record_every=1,
+                      baseline=sph)
     summary = feasibility_optimality_report(record)
     assert summary.final_feasibility <= 1e-9
     assert summary.final_riem_grad_norm <= 1e-6
@@ -179,9 +181,9 @@ def test_report_summarizes_feasibility_only_for_a_measured_baseline():
 def test_report_reproducible_from_saved_record(tmp_path):
     sph = Sphere(3)
     obj = LinearObjective(np.array([0.3, -1.0, 0.2]))
-    record = riemannian_gd_baseline(sph, obj, sph.sample_uniform(1, seed=9)[0],
-                                    gamma=0.1, max_steps=200, stop_grad_tol=1e-8,
-                                    record_every=1)
+    record = drgd_run(ExactManifoldAdapter(sph), obj, sph.sample_uniform(1, seed=9)[0],
+                      gamma=0.1, max_steps=200, stop_grad_tol=1e-8, record_every=1,
+                      baseline=sph)
     record.save(tmp_path / "r.csv", tmp_path / "r.meta.txt")
     table = np.loadtxt(tmp_path / "r.csv", delimiter=",", skiprows=1, ndmin=2)
     meta = read_key_values(tmp_path / "r.meta.txt")
