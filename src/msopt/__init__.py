@@ -16,7 +16,7 @@ from msopt.score.oracles import (
     EmpiricalScoreOracle,
     ExactManifoldAdapter,
     MlpScoreOracle,
-    QuadratureScoreOracle,
+    quadrature_nodes,
 )
 
 __all__ = [
@@ -24,8 +24,8 @@ __all__ = [
     "Sphere",
     "Orthogonal",
     "EmpiricalScoreOracle",
-    "QuadratureScoreOracle",
     "ExactManifoldAdapter",
     "MlpScoreOracle",
+    "quadrature_nodes",
     "__version__",
 ]

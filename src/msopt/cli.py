@@ -42,7 +42,7 @@ from msopt.score.oracles import (
     EmpiricalScoreOracle,
     ExactManifoldAdapter,
     MlpScoreOracle,
-    QuadratureScoreOracle,
+    quadrature_nodes,
 )
 from msopt.score.sampler import ve_reverse_sample
 from msopt.textio import read_csv, write_csv, write_key_values
@@ -82,7 +82,8 @@ def _oracle_family(cfg: ExperimentConfig, manifold, atoms=None):
     The points file is read, the sample drawn or the network loaded once,
     here; every sigma reuses them. `atoms` (the normalized trajectories of a
     tracking run) take the place of the points file and the sample. The
-    oracle's dimension must be the manifold's, or else that of `atoms`.
+    quadrature nodes of a circle are the atoms of the same empirical oracle.
+    The oracle's dimension must be the manifold's, or else that of `atoms`.
     """
     kind = cfg.get("oracle", "kind")
     want = manifold.ambient_dim if manifold is not None else None if atoms is None else atoms.shape[1]
@@ -92,8 +93,7 @@ def _oracle_family(cfg: ExperimentConfig, manifold, atoms=None):
         exact = ExactManifoldAdapter(manifold)
         return lambda sigma: exact
     if kind == "quadrature":
-        node_count = cfg.get("oracle", "node_count")
-        return lambda sigma: QuadratureScoreOracle(manifold, node_count, sigma)
+        kind, atoms = "empirical", quadrature_nodes(manifold, cfg.get("oracle", "node_count"))
     if kind == "empirical":
         if atoms is None:
             if cfg.has("oracle", "dataset"):
@@ -295,7 +295,7 @@ def _cmd_optimize(cfg: ExperimentConfig, out_dir: str):
         atoms = getattr(oracle, "points", None)
         atom_values = lambda: [objective.value(p) for p in atoms]
     x0, best = _resolve_x0(cfg, oracle.ambient_dim, manifold, atoms, atom_values,
-                           dataset is not None or isinstance(oracle, EmpiricalScoreOracle))
+                           dataset is not None or cfg.get("oracle", "kind") == "empirical")
     algorithm = _algorithm(cfg, oracle, objective, x0, manifold)
     yield
     record = algorithm()

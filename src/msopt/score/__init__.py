@@ -6,15 +6,15 @@ from msopt.score.oracles import (
     EmpiricalScoreOracle,
     ExactManifoldAdapter,
     MlpScoreOracle,
-    QuadratureScoreOracle,
+    quadrature_nodes,
 )
 from msopt.score.sampler import ve_reverse_sample
 
 __all__ = [
     "EmpiricalScoreOracle",
-    "QuadratureScoreOracle",
     "ExactManifoldAdapter",
     "MlpScoreOracle",
+    "quadrature_nodes",
     "ScoreMlp",
     "make_score_mlp",
     "load_score_mlp",

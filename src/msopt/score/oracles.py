@@ -35,10 +35,10 @@ for a product). The logits carry a
 rounding error of about eps (||p||^2 + ||p|| ||x||) / sigma^2 in absolute
 terms, which is the relative error of each weight.
 
-For the exact mixture oracles the Jacobian equals Cov(posterior)/sigma^2
+For the exact mixture oracle the Jacobian equals Cov(posterior)/sigma^2
 (symmetric PSD), and the link value ell_sigma satisfies grad ell = mean and
 hess ell = Jacobian. The link is stored up to an additive constant: the
-sigma-dependent normalizers (log N resp. log of the Gaussian constant) are
+sigma-dependent normalizers (log N and the log of the Gaussian constant) are
 dropped since only x-derivatives are ever consumed. The smoothed squared
 distance is recovered as d_sigma(x) = ||x||^2/2 - ell_sigma(x).
 """
@@ -55,10 +55,10 @@ _LOGIT_WINDOW = 746.0
 _WEIGHT_FLOOR = -700.0
 
 
-def _check_sigma(oracle, sigma):
+def _check_sigma(sigma):
     # a plain `sigma <= 0` test lets NaN and inf through
     if not 0.0 < sigma < np.inf:
-        raise ValueError(f"{oracle} oracle needs finite sigma > 0, got sigma = {sigma!r}")
+        raise ValueError(f"score oracle needs finite sigma > 0, got sigma = {sigma!r}")
 
 
 class _MixturePosterior:
@@ -117,10 +117,15 @@ class _MixturePosterior:
         return (centered.T @ t)[..., 0] / self.sigma**2
 
 
-class _MixtureOracle:
-    """Shared closed-form Tweedie math for a finite atom mixture."""
+class EmpiricalScoreOracle:
+    """Exact Tweedie oracle for the equal-weight measure on a finite point set:
+    a dataset, a uniform sample, or the nodes of `quadrature_nodes`."""
 
-    def __init__(self, points, sigma):
+    def __init__(self, points, sigma: float):
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[0] == 0:
+            raise ValueError("empirical oracle needs a nonempty dataset")
+        _check_sigma(sigma)
         self.points = points
         self.sigma = float(sigma)
         self._half_sq = 0.5 * np.einsum("nd,nd->n", points, points)
@@ -130,38 +135,19 @@ class _MixtureOracle:
         return self.points.shape[1]
 
     def posterior(self, x) -> _MixturePosterior:
-        return _MixturePosterior(
-            self.points, self._half_sq, self.sigma, np.asarray(x, dtype=float)
-        )
+        return _MixturePosterior(self.points, self._half_sq, self.sigma, np.asarray(x, dtype=float))
 
 
-class EmpiricalScoreOracle(_MixtureOracle):
-    """Exact Tweedie oracle for the empirical measure of a finite dataset."""
-
-    def __init__(self, dataset, sigma: float):
-        dataset = np.atleast_2d(np.asarray(dataset, dtype=float))
-        if dataset.shape[0] == 0:
-            raise ValueError("empirical oracle needs a nonempty dataset")
-        _check_sigma("empirical", sigma)
-        super().__init__(dataset, sigma)
-
-
-class QuadratureScoreOracle(_MixtureOracle):
-    """Spectrally accurate oracle for the uniform measure on a circle.
-
-    Equispaced nodes with uniform weights are the trapezoid rule on the
-    periodic domain; restricted to circles because that is the one manifold
-    where this quadrature is spectrally accurate.
-    """
-
-    def __init__(self, manifold, node_count: int, sigma: float):
-        if not (isinstance(manifold, Sphere) and manifold.ambient_dim == 2):
-            raise ValueError("quadrature oracle supports circles only")
-        if node_count < 64:
-            raise ValueError("quadrature oracle needs node_count >= 64")
-        _check_sigma("quadrature", sigma)
-        ang = 2.0 * np.pi * np.arange(node_count) / node_count
-        super().__init__(manifold.radius * np.stack([np.cos(ang), np.sin(ang)], axis=1), sigma)
+def quadrature_nodes(manifold, node_count: int) -> np.ndarray:
+    """Equispaced nodes on a circle, the one manifold where this rule is spectrally
+    accurate: with equal weights they are the trapezoid rule for its uniform
+    measure on the periodic domain."""
+    if not (isinstance(manifold, Sphere) and manifold.ambient_dim == 2):
+        raise ValueError("quadrature oracle supports circles only")
+    if node_count < 64:
+        raise ValueError("quadrature oracle needs node_count >= 64")
+    ang = 2.0 * np.pi * np.arange(node_count) / node_count
+    return manifold.radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
 class _ExactPosterior:
@@ -228,7 +214,7 @@ class MlpScoreOracle:
     """Trained network as oracle at a fixed sigma; no link value available."""
 
     def __init__(self, mlp: ScoreMlp, sigma: float):
-        _check_sigma("mlp", sigma)
+        _check_sigma(sigma)
         self.mlp = mlp
         self.sigma = float(sigma)
 

@@ -38,8 +38,16 @@ def write_csv(path, header, rows):
 
 
 def read_csv(path) -> np.ndarray:
-    """The float rows of a headerless CSV file, as a 2-D array (one row per line)."""
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    """The float rows of a headerless CSV file, as a 2-D array (one row per line);
+    a `nan` or `inf` entry raises ValueError naming the file and its line."""
+    rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        with open(path) as fh:
+            # loadtxt skips blank lines and `#` comments
+            lines = [n for n, text in enumerate(fh, 1) if text.partition("#")[0].strip()]
+        raise ValueError(f"{path} line {lines[bad[0]]}: non-finite entry")
+    return rows
 
 
 def key_values(pairs) -> str:

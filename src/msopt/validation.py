@@ -71,12 +71,16 @@ def rate_sweep(oracle_family, manifold, offsets, sigmas, n_points: int, seed: in
         raise ValueError(f"rate_sweep needs n_points >= 1, got n_points = {n_points!r}")
     sigmas = np.asarray(sorted(sigmas, reverse=True), dtype=float)
     offsets = tuple(float(o) for o in offsets)
+    if not np.all(np.isfinite(offsets)):
+        # the NaN Jacobian of such a point fails the 2-norm's SVD
+        raise ValueError(f"rate_sweep needs finite offsets, got offsets = "
+                         f"{','.join(map(str, offsets))}")
     base = manifold.sample_uniform(n_points, seed)
     eye = np.eye(manifold.ambient_dim)
     tests, truths = [], []
     for i, p in enumerate(base):
+        normal = manifold.unit_normal(p, seed=seed, index=i)
         for off in offsets:
-            normal = manifold.unit_normal(p, seed=seed, index=i)
             x = p + off * manifold.safe_tube_radius * normal
             tests.append(x)
             truths.append((manifold.project(x), manifold.projection_vjp(x, eye)))

@@ -33,7 +33,7 @@ from msopt.score.oracles import (
     EmpiricalScoreOracle,
     ExactManifoldAdapter,
     MlpScoreOracle,
-    QuadratureScoreOracle,
+    quadrature_nodes,
 )
 from msopt.score.sampler import ve_reverse_sample
 from msopt.validation import landing_check, rate_sweep
@@ -106,7 +106,7 @@ def test_criterion_01_exact_oracle_identity_suite():
     worst_grad, worst_jac = 0.0, 0.0
 
     emp = EmpiricalScoreOracle(Circle().sample_uniform(40, seed=1), sigma=0.5)
-    quad = QuadratureScoreOracle(Circle(), 512, sigma=0.3)
+    quad = EmpiricalScoreOracle(quadrature_nodes(Circle(), 512), sigma=0.3)
     for oracle in (emp, quad):
         for _ in range(100):
             x = rng.uniform(-1.6, 1.6, 2)
@@ -128,7 +128,7 @@ def test_criterion_02_score_error_decay_rate():
     started = time.perf_counter()
     circ = Circle()
     report = rate_sweep(
-        lambda s: QuadratureScoreOracle(circ, 4096, s), circ,
+        lambda s: EmpiricalScoreOracle(quadrature_nodes(circ, 4096), s), circ,
         offsets=[0.3], sigmas=[0.2, 0.1, 0.05, 0.025, 0.0125], n_points=100, seed=2,
     )
     closed = np.array([_von_mises_errors(circ, 0.3, s) for s in report.sigmas])

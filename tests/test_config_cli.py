@@ -513,6 +513,43 @@ def test_cli_missing_input_file_exits_2(tmp_path, capsys, unicycle_data, case):
     assert gone in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["points", "reference", "train_input", "trajectory_data"])
+def test_cli_non_finite_input_csv_exits_2(tmp_path, capsys, unicycle_data, case):
+    # one nan in an input file: a points file with an explicit x0 ran to
+    # `termination = diverged` (exit 1) and wrote its artifacts, a training
+    # input failed as "dsm training diverged at step 0" and trajectory data as
+    # "rollout produced non-finite state" (exit 1)
+    import shutil
+
+    points = tmp_path / "points.csv"
+    points.write_text("1,0\n0,1\nnan,0\n-1,0\n")
+    reference = tmp_path / "ref.csv"
+    reference.write_text("0,0,0\n0.1,0,0\n\n0.2,inf,0\n")
+    trajectories = tmp_path / "traj"
+    shutil.copytree(unicycle_data, trajectories)
+    rows = (trajectories / "data.csv").read_text().splitlines(keepends=True)
+    rows[1] = "nan" + rows[1][rows[1].index(","):]
+    (trajectories / "data.csv").write_text("".join(rows))
+    circle_run = (OPTIMIZE_CFG.replace("[oracle]\nkind = exact",
+                                       f"[oracle]\nkind = empirical\ndataset = {points}\nsigma = 0.3")
+                  .replace("kind = sphere\ndim = 3", "kind = circle")
+                  .replace("a = 1.0,2.0,-0.5", "a = 1.0,2.0")
+                  .replace("max_steps = 400", "max_steps = 5\nx0 = 1,0"))
+    command, text, bad, line = {
+        "points": ("optimize", circle_run, points, 3),
+        "reference": ("optimize", _tracking_cfg(unicycle_data).replace(
+            "reference = arc", f"reference = {reference}"), reference, 4),
+        "train_input": ("train-score", f"[experiment]\nkind = train-score\n\n"
+                                       f"[oracle]\ndataset = {points}\n", points, 3),
+        "trajectory_data": ("optimize", _tracking_cfg(trajectories),
+                            trajectories / "data.csv", 2),
+    }[case]
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    assert f"config error: {bad} line {line}: non-finite entry" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_reference_kind_is_matched_exactly(tmp_path, capsys, unicycle_data):
     # `Arc` was taken as a CSV path by the CLI and exited 2 with "Arc not found."
     cfg = _tracking_cfg(unicycle_data).replace("reference = arc", "reference = Arc")
@@ -629,6 +666,18 @@ def test_cli_empirical_oracle_samples_default_count(tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_cli_auto_x0_is_a_sample_on_quadrature_nodes(tmp_path):
+    # the nodes of the quadrature rule are not data: x0 = auto starts from a
+    # sample there, and from the best data atom of an empirical oracle
+    base = OPTIMIZE_CFG.replace("max_steps = 400", "max_steps = 3").replace(
+        "kind = sphere\ndim = 3", "kind = circle").replace("a = 1.0,2.0,-0.5", "a = 1.0,2.0")
+    for kind, best in (("quadrature", False), ("empirical", True)):
+        out = tmp_path / kind
+        cfg = base.replace("[oracle]\nkind = exact", f"[oracle]\nkind = {kind}\nsigma = 0.1")
+        assert run_cli(["optimize", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        assert ("dataset_best_objective" in (out / "run.meta.txt").read_text()) == best
+
+
 def test_cli_orthogonal_overflowing_step_diverges(tmp_path, capsys):
     # the retraction of an overflowed iterate is NaN, which ends the run as
     # diverged (exit 1), as on the sphere
@@ -680,7 +729,7 @@ def test_cli_non_finite_sigma_exits_2(tmp_path, capsys, sigma):
     path = _write(tmp_path, cfg.replace("sigma = 0.05\n", f"sigma = {sigma}\n"))
     out = tmp_path / "o"
     assert run_cli(["optimize", "--config", path, "--out", str(out)]) == 2
-    assert f"empirical oracle needs finite sigma > 0, got sigma = {sigma}" in capsys.readouterr().err
+    assert f"score oracle needs finite sigma > 0, got sigma = {sigma}" in capsys.readouterr().err
     assert not (out / "run.csv").exists()
 
 
@@ -802,21 +851,27 @@ def _shipped_config(name):
      "[algorithm] sigmas = 0.1,0.1 needs at least two distinct values"),
     ("rate_circle.cfg", "n_points = 100\n", "n_points = 0\n",
      "rate_sweep needs n_points >= 1, got n_points = 0"),
+    ("rate_circle.cfg", "offsets = 0.3\n", "offsets = nan\n",
+     "rate_sweep needs finite offsets, got offsets = nan"),
+    ("rate_circle.cfg", "offsets = 0.3\n", "offsets = 0.3,inf\n",
+     "rate_sweep needs finite offsets, got offsets = 0.3,inf"),
     ("rate_circle.cfg", "sigmas = 0.2,0.1,0.05,0.025,0.0125\n", "sigmas = 0.1,0\n",
-     "quadrature oracle needs finite sigma > 0, got sigma = 0.0\n"),
+     "score oracle needs finite sigma > 0, got sigma = 0.0\n"),
     ("rate_circle.cfg", "sigmas = 0.2,0.1,0.05,0.025,0.0125\n", "sigmas = 0.1,nan\n",
-     "quadrature oracle needs finite sigma > 0, got sigma = nan\n"),
+     "score oracle needs finite sigma > 0, got sigma = nan\n"),
     ("rate_circle.cfg", "sigmas = 0.2,0.1,0.05,0.025,0.0125\n", "sigmas = 0.1,-0.05\n",
-     "quadrature oracle needs finite sigma > 0, got sigma = -0.05\n"),
+     "score oracle needs finite sigma > 0, got sigma = -0.05\n"),
 ], ids=["max_rel_dev_nan", "max_rel_dev_inf", "x0_distance_nan", "slope_min_nan", "slope_max_inf",
         "slope_min_minus_inf", "slope_min_above_slope_max", "x0_distance_zero", "one_sigma",
-        "repeated_sigma", "no_points", "zero_sigma", "nan_sigma", "negative_sigma"])
+        "repeated_sigma", "no_points", "nan_offset", "inf_offset", "zero_sigma", "nan_sigma",
+        "negative_sigma"])
 def test_cli_validate_parameters_checked(tmp_path, capsys, config, old, new, message):
     # `deviation > nan` is False, so a NaN budget passed every landing check
     # under --assert with exit 0; a NaN start distance passed the tube guard
     # and ended in numpy's "zero-size array to reduction operation maximum",
     # as did a start on the manifold; one sigma crashed the rate summary, a
     # repeated one fitted a slope to noise and no test points gave slopes of 0;
+    # a non-finite offset failed as "SVD did not converge";
     # a swept sigma the oracle rejects was printed as `np.float64(0.0)`
     cfg = _shipped_config(config)
     assert old in cfg

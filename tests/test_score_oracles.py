@@ -10,7 +10,7 @@ from msopt.score.oracles import (
     EmpiricalScoreOracle,
     ExactManifoldAdapter,
     MlpScoreOracle,
-    QuadratureScoreOracle,
+    quadrature_nodes,
 )
 
 from finite_differences import fd_gradient, fd_jacobian
@@ -45,13 +45,13 @@ def test_invalid_construction():
         EmpiricalScoreOracle(np.zeros((0, 2)), sigma=0.5)
     # NaN and inf pass a plain `sigma <= 0` test
     constructors = (
-        ("empirical", lambda s: EmpiricalScoreOracle(np.zeros((3, 2)), sigma=s)),
-        ("quadrature", lambda s: QuadratureScoreOracle(Circle(), 64, sigma=s)),
-        ("mlp", lambda s: MlpScoreOracle(make_score_mlp(2, hidden=(4,), seed=0), sigma=s)),
+        lambda s: EmpiricalScoreOracle(np.zeros((3, 2)), sigma=s),
+        lambda s: EmpiricalScoreOracle(quadrature_nodes(Circle(), 64), sigma=s),
+        lambda s: MlpScoreOracle(make_score_mlp(2, hidden=(4,), seed=0), sigma=s),
     )
-    for kind, build in constructors:
+    for build in constructors:
         for sigma in (0.0, -0.1, float("nan"), float("inf")):
-            message = f"{kind} oracle needs finite sigma > 0, got sigma = {sigma!r}"
+            message = f"score oracle needs finite sigma > 0, got sigma = {sigma!r}"
             with pytest.raises(ValueError, match=re.escape(message)):
                 build(sigma)
 
@@ -92,7 +92,7 @@ def test_jacobian_eigenvalues_near_manifold_in_unit_range():
     # (or outside) the circle. Inside the tube the projection Jacobian itself
     # has norm 1/R > 1, and empirical oracles add O(N_window^-1/2) noise, so
     # the unit range is specific to this regime.
-    oracle = QuadratureScoreOracle(Circle(), 8192, sigma=0.02)
+    oracle = EmpiricalScoreOracle(quadrature_nodes(Circle(), 8192), sigma=0.02)
     rng = np.random.default_rng(4)
     for i in range(30):
         th = rng.uniform(0, 2 * np.pi)
@@ -298,25 +298,25 @@ def test_mixture_kernel_propagates_non_finite_points():
 
 
 def test_quadrature_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        QuadratureScoreOracle(Sphere(3), 256, 0.1)
-    with pytest.raises(ValueError):
-        QuadratureScoreOracle(Circle(), 32, 0.1)
+    with pytest.raises(ValueError, match="quadrature oracle supports circles only"):
+        quadrature_nodes(Sphere(3), 256)
+    with pytest.raises(ValueError, match="quadrature oracle needs node_count >= 64"):
+        quadrature_nodes(Circle(), 32)
 
 
 def test_quadrature_mean_approaches_projection():
-    oracle = QuadratureScoreOracle(Circle(), 4096, sigma=0.05)
+    oracle = EmpiricalScoreOracle(quadrature_nodes(Circle(), 4096), sigma=0.05)
     mean = oracle.posterior(np.array([2.0, 0.0])).mean
     assert np.linalg.norm(mean - np.array([1.0, 0.0])) <= 2e-3
 
 
 def test_quadrature_center_symmetry():
-    oracle = QuadratureScoreOracle(Circle(), 1024, sigma=0.3)
+    oracle = EmpiricalScoreOracle(quadrature_nodes(Circle(), 1024), sigma=0.3)
     assert np.abs(oracle.posterior(np.array([0.0, 0.0])).mean).max() <= 1e-12
 
 
 def test_quadrature_jacobian_near_tangent_projector():
-    oracle = QuadratureScoreOracle(Circle(), 4096, sigma=0.05)
+    oracle = EmpiricalScoreOracle(quadrature_nodes(Circle(), 4096), sigma=0.05)
     x = np.array([np.cos(0.7), np.sin(0.7)])
     projector = np.eye(2) - np.outer(x, x)
     jac = oracle.posterior(x).vjp(np.eye(2))
@@ -327,7 +327,7 @@ def test_quadrature_matches_von_mises_closed_form():
     # posterior over the angle is von Mises with kappa = R / sigma^2:
     # mean = (I1/I0)(kappa) along the radial direction
     for sigma, R in ((0.2, 1.15), (0.05, 1.15), (0.05, 0.85), (0.1, 1.3)):
-        oracle = QuadratureScoreOracle(Circle(), 8192, sigma=sigma)
+        oracle = EmpiricalScoreOracle(quadrature_nodes(Circle(), 8192), sigma=sigma)
         x = np.array([R, 0.0])
         kappa = R / sigma**2
         a_ratio = ive(1, kappa) / ive(0, kappa)
@@ -338,7 +338,7 @@ def test_quadrature_matches_von_mises_closed_form():
 
 def test_empirical_vs_quadrature_monte_carlo():
     circ = Circle()
-    quad = QuadratureScoreOracle(circ, 8192, 0.05)
+    quad = EmpiricalScoreOracle(quadrature_nodes(circ, 8192), 0.05)
     emp = EmpiricalScoreOracle(circ.sample_uniform(100_000, seed=31), 0.05)
     rng = np.random.default_rng(5)
     for i in range(20):
@@ -415,3 +415,15 @@ def test_exact_adapter_has_zero_errors_at_any_sigma():
     adapter = ExactManifoldAdapter(circ)
     x = np.array([1.2, 0.3])
     assert np.linalg.norm(adapter.posterior(x).mean - circ.project(x)) == 0.0
+
+
+# ---- package exports --------------------------------------------------------
+
+
+@pytest.mark.parametrize("package", ["msopt", "msopt.score"])
+def test_every_exported_name_resolves(package):
+    # a stale name in __all__ fails only under `from package import *`
+    import importlib
+
+    module = importlib.import_module(package)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -7,7 +7,7 @@ from scipy.special import ive
 from msopt.manifolds import Circle, Sphere
 from msopt.objectives import LinearObjective
 from msopt.optim import RunRecord, drgd_run
-from msopt.score.oracles import EmpiricalScoreOracle, ExactManifoldAdapter, QuadratureScoreOracle
+from msopt.score.oracles import EmpiricalScoreOracle, ExactManifoldAdapter, quadrature_nodes
 from msopt.textio import read_key_values
 from msopt.validation import feasibility_optimality_report, landing_check, rate_sweep
 
@@ -27,7 +27,7 @@ def test_rate_sweep_quadrature_matches_von_mises_decay():
     # has the closed form 1 - I1/I0(R / sigma^2), which decays like sigma^2;
     # the fitted log-log slope is therefore 2, not 1
     circ = Circle()
-    report = rate_sweep(lambda s: QuadratureScoreOracle(circ, 4096, s), circ,
+    report = rate_sweep(lambda s: EmpiricalScoreOracle(quadrature_nodes(circ, 4096), s), circ,
                         offsets=[0.3], sigmas=SIGMAS, n_points=40, seed=2)
     # test points alternate inside/outside at distance 0.15; worst case is inside
     for sigma, err in zip(report.sigmas, report.mean_errors):
@@ -45,7 +45,7 @@ def test_rate_sweep_empirical_tracks_quadrature():
     emp_points = circ.sample_uniform(100_000, seed=3)
     rep_emp = rate_sweep(lambda s: EmpiricalScoreOracle(emp_points, s), circ,
                          offsets=[0.3], sigmas=[0.05], n_points=20, seed=4)
-    rep_quad = rate_sweep(lambda s: QuadratureScoreOracle(circ, 8192, s), circ,
+    rep_quad = rate_sweep(lambda s: EmpiricalScoreOracle(quadrature_nodes(circ, 8192), s), circ,
                           offsets=[0.3], sigmas=[0.05], n_points=20, seed=4)
     # Monte Carlo noise floor at this sample size, measured via the
     # self-normalized importance-sampling standard error (~sqrt(sigma/N))
@@ -64,7 +64,7 @@ def test_rate_sweep_one_sigma_summary():
 
 def test_rate_sweep_csv_and_summary(tmp_path):
     circ = Circle()
-    report = rate_sweep(lambda s: QuadratureScoreOracle(circ, 1024, s), circ,
+    report = rate_sweep(lambda s: EmpiricalScoreOracle(quadrature_nodes(circ, 1024), s), circ,
                         offsets=[0.3], sigmas=[0.2, 0.1], n_points=5, seed=5)
     path = tmp_path / "rate.csv"
     report.save_csv(path)
