@@ -7,7 +7,7 @@ row in the order of `TrajectoryLayout`, which the tracking objective shares.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -183,22 +183,20 @@ class TrajectoryLayout:
 
 @dataclass
 class TrajectoryDataset:
-    """Input-output pairs on the behavior manifold, plus generation metadata."""
+    """Input-output pairs on the behavior manifold, plus generation metadata.
+    The normalization (column mean and std) is derived from the rows."""
 
     system: SystemModel
     horizon: int
     data: np.ndarray  # (count, layout.dim), one flattened trajectory per row
     seed: int
-    norm_shift: np.ndarray = None
-    norm_scale: np.ndarray = None
+    norm_shift: np.ndarray = field(init=False)
+    norm_scale: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.norm_shift is None:
-            shift = self.data.mean(axis=0)
-            scale = self.data.std(axis=0)
-            scale[scale < 1e-12] = 1.0
-            self.norm_shift = shift
-            self.norm_scale = scale
+        self.norm_shift = self.data.mean(axis=0)
+        self.norm_scale = self.data.std(axis=0)
+        self.norm_scale[self.norm_scale < 1e-12] = 1.0
 
     @property
     def count(self) -> int:
@@ -224,6 +222,7 @@ class TrajectoryDataset:
             ("seed", self.seed),
             ("input_dim", self.system.input_dim),
             ("output_dim", self.system.output_dim),
+            # for other readers: load derives the normalization from data.csv
             ("norm_shift", self.norm_shift),
             ("norm_scale", self.norm_scale),
         ])
@@ -233,8 +232,7 @@ class TrajectoryDataset:
     def load(directory) -> "TrajectoryDataset":
         meta_path = os.path.join(directory, "meta.txt")
         meta = read_key_values(meta_path)
-        missing = [k for k in ("system", "dt", "horizon", "count", "seed", "norm_shift",
-                               "norm_scale") if k not in meta]
+        missing = [k for k in ("system", "dt", "horizon", "count", "seed") if k not in meta]
         if missing:
             raise ValueError(f"{meta_path}: missing key(s) " + ", ".join(missing))
         system = SystemModel(kind=meta["system"], dt=float(meta["dt"]))
@@ -252,16 +250,7 @@ class TrajectoryDataset:
                 f"{data_path}: {data.shape[1]} columns, but horizon {horizon} of "
                 f"{system.kind} needs {layout}"
             )
-        norm = {}
-        for key in ("norm_shift", "norm_scale"):
-            norm[key] = np.array([float(v) for v in meta[key].split(",")])
-            if norm[key].size != layout.dim:
-                raise ValueError(
-                    f"{meta_path}: {key} has {norm[key].size} entries, "
-                    f"but the rows of {data_path} have {layout.dim}"
-                )
-        return TrajectoryDataset(system=system, horizon=horizon, data=data,
-                                 seed=int(meta["seed"]), **norm)
+        return TrajectoryDataset(system=system, horizon=horizon, data=data, seed=int(meta["seed"]))
 
 
 def generate_dataset(model: SystemModel, count: int, horizon: int, seed: int) -> TrajectoryDataset:

@@ -56,7 +56,7 @@ class _Manifold:
         raise NotImplementedError
 
     def _check_on_manifold(self, p: np.ndarray):
-        res = self.constraint_residual(p)
+        res = self.feasibility(p)
         # NaN fails the comparison, so a non-finite point is off the manifold
         if not res <= _ON_MANIFOLD_TOL:
             raise ValueError(
@@ -80,9 +80,6 @@ class Sphere(_Manifold):
     @property
     def safe_tube_radius(self) -> float:
         return 0.5 * self.radius
-
-    def constraint_residual(self, p) -> float:
-        return float(abs(np.linalg.norm(p) - self.radius))
 
     def _norm(self, x) -> float:
         n = np.linalg.norm(x)
@@ -151,13 +148,10 @@ class Orthogonal(_Manifold):
         x = np.asarray(x, dtype=float)
         return x.reshape(self.n, self.n)
 
-    def constraint_residual(self, p) -> float:
-        m = self._as_matrix(p)
-        return float(np.linalg.norm(m.T @ m - np.eye(self.n)))
-
     def feasibility(self, x) -> float:
         """Gram residual ||X^T X - I||_F, the tube metric used in reports."""
-        return self.constraint_residual(x)
+        m = self._as_matrix(x)
+        return float(np.linalg.norm(m.T @ m - np.eye(self.n)))
 
     def _svd(self, x):
         """SVD (u, s, vt) of X behind the projection and its derivatives, or

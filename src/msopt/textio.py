@@ -39,8 +39,11 @@ def write_csv(path, header, rows):
 
 def read_csv(path) -> np.ndarray:
     """The float rows of a headerless CSV file, as a 2-D array (one row per line);
-    a `nan` or `inf` entry raises ValueError naming the file and its line."""
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    a malformed or `nan`/`inf` entry raises ValueError naming the file."""
+    try:
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         with open(path) as fh:

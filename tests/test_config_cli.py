@@ -513,6 +513,15 @@ def test_cli_missing_input_file_exits_2(tmp_path, capsys, unicycle_data, case):
     assert gone in err and "Traceback" not in err
 
 
+def _circle_points_run(points):
+    """A 5-step circle run on an empirical oracle over the points file."""
+    return (OPTIMIZE_CFG.replace("[oracle]\nkind = exact",
+                                 f"[oracle]\nkind = empirical\ndataset = {points}\nsigma = 0.3")
+            .replace("kind = sphere\ndim = 3", "kind = circle")
+            .replace("a = 1.0,2.0,-0.5", "a = 1.0,2.0")
+            .replace("max_steps = 400", "max_steps = 5\nx0 = 1,0"))
+
+
 @pytest.mark.parametrize("case", ["points", "reference", "train_input", "trajectory_data"])
 def test_cli_non_finite_input_csv_exits_2(tmp_path, capsys, unicycle_data, case):
     # one nan in an input file: a points file with an explicit x0 ran to
@@ -530,13 +539,8 @@ def test_cli_non_finite_input_csv_exits_2(tmp_path, capsys, unicycle_data, case)
     rows = (trajectories / "data.csv").read_text().splitlines(keepends=True)
     rows[1] = "nan" + rows[1][rows[1].index(","):]
     (trajectories / "data.csv").write_text("".join(rows))
-    circle_run = (OPTIMIZE_CFG.replace("[oracle]\nkind = exact",
-                                       f"[oracle]\nkind = empirical\ndataset = {points}\nsigma = 0.3")
-                  .replace("kind = sphere\ndim = 3", "kind = circle")
-                  .replace("a = 1.0,2.0,-0.5", "a = 1.0,2.0")
-                  .replace("max_steps = 400", "max_steps = 5\nx0 = 1,0"))
     command, text, bad, line = {
-        "points": ("optimize", circle_run, points, 3),
+        "points": ("optimize", _circle_points_run(points), points, 3),
         "reference": ("optimize", _tracking_cfg(unicycle_data).replace(
             "reference = arc", f"reference = {reference}"), reference, 4),
         "train_input": ("train-score", f"[experiment]\nkind = train-score\n\n"
@@ -547,6 +551,35 @@ def test_cli_non_finite_input_csv_exits_2(tmp_path, capsys, unicycle_data, case)
     out = tmp_path / "o"
     assert run_cli([command, "--config", _write(tmp_path, text), "--out", str(out)]) == 2
     assert f"config error: {bad} line {line}: non-finite entry" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["points", "trajectory_data"])
+@pytest.mark.parametrize("defect, numpy_text", [
+    ("ragged", "the number of columns changed"),
+    ("non_numeric", "could not convert string 'abc' to float64"),
+], ids=["ragged", "non_numeric"])
+def test_cli_malformed_input_csv_exits_2(tmp_path, capsys, unicycle_data, case, defect,
+                                         numpy_text):
+    # numpy's parse error reached the user without the path of the file
+    import shutil
+
+    if case == "points":
+        bad = tmp_path / "points.csv"
+        bad.write_text("1,0\n" + {"ragged": "0,1,2\n", "non_numeric": "0,abc\n"}[defect] + "-1,0\n")
+        text = _circle_points_run(bad)
+    else:
+        shutil.copytree(unicycle_data, tmp_path / "traj")
+        bad = tmp_path / "traj" / "data.csv"
+        rows = bad.read_text().splitlines(keepends=True)
+        rows[1] = {"ragged": "0," + rows[1],
+                   "non_numeric": "abc" + rows[1][rows[1].index(","):]}[defect]
+        bad.write_text("".join(rows))
+        text = _tracking_cfg(tmp_path / "traj")
+    out = tmp_path / "o"
+    assert run_cli(["optimize", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {bad}: " in err and numpy_text in err and "Traceback" not in err
     assert not out.exists()
 
 

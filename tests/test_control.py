@@ -18,6 +18,7 @@ from msopt.control import (
 )
 from msopt.errors import DivergenceError
 from msopt.objectives import TrackingObjective, make_reference
+from msopt.textio import read_key_values
 
 
 def test_rk4_trivial_and_constant_input():
@@ -311,15 +312,46 @@ def test_dataset_load_rejects_inconsistent_meta(tmp_path):
     lines = meta.read_text().splitlines()
     cases = (
         ([l for l in lines if not l.startswith("seed")], "missing key\\(s\\) seed"),
-        ([("norm_shift = 1,2" if l.startswith("norm_shift") else l) for l in lines],
-         "norm_shift has 2 entries, but the rows of .*data.csv have 33"),
-        ([l.rsplit(",", 1)[0] if l.startswith("norm_scale") else l for l in lines],
-         "norm_scale has 32 entries"),
     )
     for content, message in cases:
         meta.write_text("\n".join(content) + "\n")
         with pytest.raises(ValueError, match=f"{meta}: {message}"):
             TrajectoryDataset.load(tmp_path / "ds")
+
+
+def test_dataset_normalization_comes_from_its_rows(tmp_path):
+    ds = generate_dataset(SystemModel("unicycle"), count=4, horizon=6, seed=11)
+    ds.save(tmp_path / "ds")
+    meta = tmp_path / "ds" / "meta.txt"
+    lines = meta.read_text().splitlines()
+    for content in (
+        [l for l in lines if not l.startswith("norm_")],
+        [("norm_shift = 1,2" if l.startswith("norm_shift") else l) for l in lines],
+        [("norm_scale = " + ",".join(["7"] * 33) if l.startswith("norm_scale") else l)
+         for l in lines],
+    ):
+        meta.write_text("\n".join(content) + "\n")
+        loaded = TrajectoryDataset.load(tmp_path / "ds")
+        assert np.array_equal(loaded.norm_shift, ds.norm_shift)
+        assert np.array_equal(loaded.norm_scale, ds.norm_scale)
+    with pytest.raises(TypeError):
+        TrajectoryDataset(system=ds.system, horizon=6, data=ds.data, seed=11,
+                          norm_shift=ds.norm_shift)
+
+
+def test_dataset_save_writes_the_derived_normalization(tmp_path):
+    # meta.txt carries norm_shift and norm_scale for readers outside msopt
+    ds = generate_dataset(SystemModel("unicycle"), count=4, horizon=6, seed=11)
+    ds.data[:, 0] = 2.5  # a constant column keeps scale 1
+    ds = TrajectoryDataset(system=ds.system, horizon=6, data=ds.data, seed=11)
+    ds.save(tmp_path / "ds")
+    meta = read_key_values(tmp_path / "ds" / "meta.txt")
+    shift = np.array([float(v) for v in meta["norm_shift"].split(",")])
+    scale = np.array([float(v) for v in meta["norm_scale"].split(",")])
+    assert np.array_equal(shift, ds.norm_shift)
+    assert np.array_equal(scale, ds.norm_scale)
+    assert shift[0] == 2.5 and scale[0] == 1.0
+    assert np.array_equal(shift, ds.data.mean(axis=0))
 
 
 def test_normalization_roundtrip():

@@ -109,6 +109,17 @@ def test_tangent_project_rejects_off_manifold_point():
             manifold.riemannian_grad(np.array(p), np.ones(manifold.ambient_dim))
 
 
+@pytest.mark.parametrize("manifold", [Circle(1.5), Sphere(4, radius=2.0), Orthogonal(3)])
+def test_riemannian_grad_equals_projection_vjp_on_the_manifold(manifold):
+    # pi'(p) is the tangent projector at p on the manifold: the recorder's
+    # closed-form riemannian_grad must stay equal to the polar/radial product
+    rng = np.random.default_rng(5)
+    for p in manifold.sample_uniform(20, seed=9):
+        g = rng.standard_normal(manifold.ambient_dim) * rng.uniform(0.1, 10.0)
+        gap = np.abs(manifold.riemannian_grad(p, g) - manifold.projection_vjp(p, g)).max()
+        assert gap <= 1e-13 * np.linalg.norm(g)
+
+
 def test_riemannian_grad():
     sph = Sphere(2)
     assert np.allclose(sph.riemannian_grad([0.0, 1.0], [0.0, 0.0]), [0.0, 0.0])
