@@ -82,7 +82,8 @@ class Sphere(_Manifold):
         return 0.5 * self.radius
 
     def _norm(self, x) -> float:
-        n = np.linalg.norm(x)
+        # the arithmetic of np.linalg.norm on a 1-D float vector, without its dispatch
+        n = np.sqrt(x @ x)
         if n < _DEGENERATE_TOL:
             raise ProjectionError(
                 "projection undefined at the origin (outside tubular neighborhood)"

@@ -17,10 +17,12 @@ entry with `_check_params`, then runs its step function under one private
 driver, `_drive`, which owns the stop test, the recording, the runaway check
 and the metadata every run shares (oracle, sigma, budget, termination). A
 run's one result is its `RunRecord`: the recorded rows, the metadata and the
-final iterate. Both methods read the oracle only through
-`score.posterior(x)`: DLF makes one call per iterate, DRGD two (at x, and
-at x - gamma s'(x)^T grad f(x) for the retraction) and one at the final
-iterate, where the stop test still needs the product.
+final iterate. A step returns the Tweedie mean s(x) to the driver, which
+evaluates the surrogate objective f(s(x)) only for the rows it writes. Both
+methods read the oracle only through `score.posterior(x)`: DLF makes one
+call per iterate, DRGD two (at x, and at x - gamma s'(x)^T grad f(x) for
+the retraction) and one at the final iterate, where the stop test still
+needs the product.
 
 Jacobian contractions are vector-Jacobian products: for exact oracles the
 Jacobian is symmetric so this equals the forward product; for the network
@@ -124,11 +126,13 @@ class _Recorder:
             feas, g = np.nan, np.nan
         return feas, g
 
-    def add(self, k, x, x_prev, surrogate):
-        """Record iterate k; its step norm is the distance from `x_prev`."""
+    def add(self, k, x, x_prev, mean):
+        """Record iterate k; its surrogate objective is f(mean), with `mean`
+        the Tweedie mean s(x), and its step norm the distance from `x_prev`."""
         feas, g = self.metrics(x)
+        value = self.objective.value
         self.rows.append(
-            (k, self.objective.value(x), surrogate, feas, g, float(np.linalg.norm(x - x_prev)))
+            (k, value(x), value(mean), feas, g, float(np.linalg.norm(x - x_prev)))
         )
 
     def finish(self, x_final, metadata):
@@ -146,14 +150,16 @@ class _Recorder:
 def _drive(step, score, meta, objective, x0, max_steps, stop_tol, baseline, record_every):
     """The one iteration loop: stop test, recording, runaway check, metadata.
 
-    `step(x)` returns (surrogate objective, stop vector, advance), where
-    `advance()` computes the next iterate. The run stops on the budget, on a
-    stop vector shorter than `stop_tol` (grad_tol; measured with
-    `scaled_norm`, so a tiny tolerance is not met by underflow), or on a
-    runaway iterate (diverged, which keeps the last finite iterate): one
-    whose norm exceeds 1e9 (1 + ||x0||), compared squared, so that NaN fails
-    the test and inf or an overflowing square exceeds the bound. The step
-    norm is computed only for the steps that are recorded.
+    `step(x)` returns (mean, stop vector, advance), where `mean` is the
+    Tweedie mean s(x) and `advance()` computes the next iterate. The run
+    stops on the budget, on a stop vector shorter than `stop_tol` (grad_tol;
+    measured with `scaled_norm`, so a tiny tolerance is not met by
+    underflow), or on a runaway iterate (diverged, which keeps the last
+    finite iterate): one whose norm exceeds 1e9 (1 + ||x0||), compared
+    squared, so that NaN fails the test and inf or an overflowing square
+    exceeds the bound. The surrogate objective f(s(x)) and the step norm are
+    evaluated only for the rows that are written, the row written on
+    divergence included.
     """
     x = np.array(x0, dtype=float)
     bound_sq = (_RUNAWAY_FACTOR * (1.0 + np.linalg.norm(x))) ** 2
@@ -162,11 +168,11 @@ def _drive(step, score, meta, objective, x0, max_steps, stop_tol, baseline, reco
                 termination="budget")
     x_prev = x
     for k in range(max_steps + 1):
-        surrogate, stop_vec, advance = step(x)
+        mean, stop_vec, advance = step(x)
         stop = k == max_steps or scaled_norm(stop_vec) < stop_tol
         recorded = stop or k % record_every == 0
         if recorded:
-            rec.add(k, x, x_prev, surrogate)
+            rec.add(k, x, x_prev, mean)
         if stop:
             if k < max_steps:
                 meta["termination"] = "grad_tol"
@@ -174,7 +180,7 @@ def _drive(step, score, meta, objective, x0, max_steps, stop_tol, baseline, reco
         x_next = advance()
         if not float(x_next @ x_next) <= bound_sq:
             if not recorded:
-                rec.add(k, x, x_prev, surrogate)
+                rec.add(k, x, x_prev, mean)
             meta["termination"] = "diverged"
             meta["diverged_at_step"] = k + 1
             break
@@ -191,7 +197,7 @@ def dlf_run(score, objective, x0, *, t_step, eta, max_steps, stop_grad_tol, reco
         post = score.posterior(x)
         mean = post.mean
         drift = -post.vjp(objective.gradient(mean)) + eta * (mean - x)
-        return objective.value(mean), drift, lambda: x + t_step * drift
+        return mean, drift, lambda: x + t_step * drift
 
     return _drive(step, score, {"algorithm": "dlf", "step_size": t_step, "eta": eta}, objective,
                   x0, max_steps, stop_grad_tol, baseline, record_every)
@@ -205,7 +211,7 @@ def drgd_run(score, objective, x0, *, gamma, max_steps, stop_grad_tol, record_ev
     def step(x):
         post = score.posterior(x)
         vjp = post.vjp(objective.gradient(x))
-        return objective.value(post.mean), vjp, lambda: score.posterior(x - gamma * vjp).mean
+        return post.mean, vjp, lambda: score.posterior(x - gamma * vjp).mean
 
     return _drive(step, score, {"algorithm": "drgd", "gamma": gamma}, objective, x0,
                   max_steps, stop_grad_tol, baseline, record_every)

@@ -88,6 +88,31 @@ def test_projection_of_non_finite_points_is_nan(monkeypatch):
                 assert np.isnan(call()).any()
 
 
+def test_sphere_norm_is_bitwise_the_linalg_norm():
+    # the projection and its product take ||x|| as sqrt(x @ x), the arithmetic
+    # of np.linalg.norm on a 1-D float vector, so both are bitwise unchanged;
+    # below the degenerate tolerance 1e-12 both raise
+    sph = Sphere(3, 2.0)
+    rng = np.random.default_rng(8)
+    xs = rng.standard_normal((1000, 3)) * 10.0 ** rng.uniform(-150, 150, (1000, 1))
+    vs = rng.standard_normal((1000, 3))
+    degenerate = 0
+    for x, v in zip(xs, vs):
+        n = np.linalg.norm(x)
+        if n < 1e-12:
+            degenerate += 1
+            for call in (lambda: sph.project(x), lambda: sph.projection_vjp(x, v)):
+                with pytest.raises(ProjectionError, match="origin"):
+                    call()
+            continue
+        u = x / n
+        assert np.array_equal(sph.project(x), (2.0 / n) * x)
+        assert np.array_equal(sph.projection_vjp(x, v), (2.0 / n) * (v - (u @ v[..., None]) * u))
+    assert 0 < degenerate < 1000
+    with pytest.raises(ProjectionError, match="origin"):
+        sph.project(np.zeros(3))
+
+
 def test_sphere_tangent_project_examples():
     circ = Circle()
     assert np.allclose(circ.riemannian_grad([1.0, 0.0], [0.0, 3.0]), [0.0, 3.0])

@@ -92,8 +92,9 @@ def test_dlf_divergent_step_aborts():
 
 
 class _JumpOracle:
-    """Mean x + 1 in every coordinate while x[0] < 3, then `jump`. With
-    f = 0, t_step = 1 and eta = 1, DLF steps x <- mean: 0, 1, 2, 3, jump."""
+    """Mean x + 1 in every coordinate while x[0] < 3, then `jump`. Its
+    products are zero, so with t_step = 1 and eta = 1 DLF steps x <- mean:
+    0, 1, 2, 3, jump, whatever the objective."""
 
     sigma = 0.0
 
@@ -111,17 +112,20 @@ class _JumpOracle:
                          ids=["nan", "inf", "minus_inf", "square_overflows", "beyond_bound"])
 def test_runaway_iterate_diverges_after_last_finite_step(jump, every):
     # the bound is 1e9 (1 + ||x0||) = 1e9; the run keeps x_3 = (3, 3) and
-    # records it once, with the step norm ||x_3 - x_2|| = sqrt(2)
+    # records it once, with f(x_3), the surrogate f(s(x_3)) = f(jump) and the
+    # step norm ||x_3 - x_2|| = sqrt(2)
+    obj = LinearObjective(np.array([1.0, 0.5]))
     with np.errstate(invalid="ignore", over="ignore"):
-        record = dlf_run(_JumpOracle(jump), ZeroObjective(2), np.zeros(2), t_step=1.0,
+        record = dlf_run(_JumpOracle(jump), obj, np.zeros(2), t_step=1.0,
                          eta=1.0, max_steps=20, stop_grad_tol=0.0, record_every=every)
         xf = record.final_point
+        surrogate = obj.value(jump)
     assert record.metadata["termination"] == "diverged"
     assert record.metadata["diverged_at_step"] == 4
     assert np.array_equal(xf, [3.0, 3.0])
     assert list(record.steps) == sorted({0, 3} | set(range(0, 4, every)))
-    last = [record.objective[-1], record.surrogate_objective[-1], record.step_norm[-1]]
-    assert last == [0.0, 0.0, np.sqrt(2.0)]
+    assert [record.objective[-1], record.step_norm[-1]] == [4.5, np.sqrt(2.0)]
+    assert np.array_equal(record.surrogate_objective[-1], surrogate, equal_nan=True)
     assert np.isnan(record.feasibility[-1]) and np.isnan(record.riem_grad_norm[-1])
 
 
@@ -131,6 +135,36 @@ def test_iterate_within_runaway_bound_runs_on():
     xf = record.final_point
     assert record.metadata["termination"] == "budget"
     assert np.array_equal(xf, [5e8, 0.0])
+
+
+class _CountingObjective:
+    """An objective that counts the `value` calls it passes on."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.value_calls = 0
+
+    def value(self, x):
+        self.value_calls += 1
+        return self.inner.value(x)
+
+    def gradient(self, x):
+        return self.inner.gradient(x)
+
+
+@pytest.mark.parametrize("algorithm", ["dlf", "drgd"])
+def test_objective_is_evaluated_only_for_written_rows(algorithm):
+    # f(x) and f(s(x)) once each per row of run.csv: steps 0, 7, 14 and 20
+    circ = Circle()
+    oracle = EmpiricalScoreOracle(circ.sample_uniform(256, seed=5), sigma=0.2)
+    obj = _CountingObjective(LinearObjective(np.array([0.7, -0.2])))
+    loop = dict(max_steps=20, stop_grad_tol=0.0, record_every=7, baseline=circ)
+    if algorithm == "dlf":
+        record = dlf_run(oracle, obj, np.array([1.1, 0.4]), t_step=1e-2, eta=5.0, **loop)
+    else:
+        record = drgd_run(oracle, obj, np.array([1.1, 0.4]), gamma=1e-2, **loop)
+    assert list(record.steps) == [0, 7, 14, 20]
+    assert obj.value_calls == 2 * len(record)
 
 
 @pytest.mark.parametrize("algorithm", ["dlf", "drgd"])

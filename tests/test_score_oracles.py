@@ -226,6 +226,26 @@ def test_mixture_kernel_matches_difference_formula():
         assert _rel_err(post.vjp(v), jac_ref @ v) <= 1e-10
 
 
+def test_mixture_product_accuracy_off_the_origin():
+    # a product forms p.v - m.v instead of (p - m).v, so it cancels: the
+    # terms are of size ||p|| ||v|| and their difference of size spread ||v||.
+    # Atoms far from the origin with a small spread, all of them of nearly
+    # equal weight, make ||p||/spread large (1.4e4 here) and leave no term
+    # that does not cancel: the worst case of the shipped and tested shapes
+    rng = np.random.default_rng(4)
+    points = np.array([100.0, 100.0]) + 0.01 * rng.standard_normal((5000, 2))
+    sigma = 0.05
+    post = EmpiricalScoreOracle(points, sigma).posterior(np.array([100.0, 100.0]))
+    assert post.weights.size == 5000 and post.weights.max() < 1e-3
+    # centered reference in long double from the same weights
+    w = post.weights.astype(np.longdouble)
+    centered = post.points.astype(np.longdouble) - w @ post.points.astype(np.longdouble)
+    jac_ref = (w[:, None] * centered).T @ centered / np.longdouble(sigma) ** 2
+    v = rng.standard_normal(2)
+    assert _rel_err(post.vjp(v), jac_ref @ v.astype(np.longdouble)) <= 1e-10
+    assert _rel_err(post.vjp(np.eye(2)), jac_ref) <= 1e-10
+
+
 def _unfloored_posterior(points, sigma, x):
     """The mixture kernel's arithmetic without the e^-700 weight floor: the
     same logits, 746 window and gather, then exp of every kept logit. Returns
@@ -242,10 +262,10 @@ def _unfloored_posterior(points, sigma, x):
     z = w.sum()
     w /= z
     mean = w @ points
-    centered = points - mean
-    t = centered @ np.eye(x.size)[..., None]
+    eye = np.eye(x.size)[..., None]
+    t = points @ eye - (mean @ eye)[..., None, :]
     t *= w[:, None]
-    jac = (centered.T @ t)[..., 0] / sigma**2
+    jac = (points.T @ t - t.sum(axis=-2, keepdims=True) * mean[:, None])[..., 0] / sigma**2
     return rows, shifted, w, mean, sigma**2 * float(m + np.log(z)), jac
 
 
