@@ -18,11 +18,11 @@ from msopt import rng as _rng
 _MAGIC = b"MSOPT1"
 
 
-def _net_input(x, sigma):
-    """Network input rows (x, sigma) for a batch (B, d); sigma is one value
-    or one per row."""
+def _net_input(x, sigma, dtype):
+    """Network input rows (x, sigma) of the given dtype for a batch (B, d);
+    sigma is one value or one per row."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    a = np.empty((x.shape[0], x.shape[1] + 1))
+    a = np.empty((x.shape[0], x.shape[1] + 1), dtype)
     a[:, :-1] = x
     a[:, -1] = sigma
     return a
@@ -57,17 +57,20 @@ class ScoreMlp:
 
     def forward_raw(self, x, sigma):
         """Scaled score s_tilde for a batch (B, d) with per-sample sigma (B,)."""
-        h = _net_input(x, sigma)
+        h = _net_input(x, sigma, self.layers[0][0].dtype)
         last = len(self.layers) - 1
         for i, (w, b) in enumerate(self.layers):
-            h = h @ w.T + b
+            # in place: bitwise h @ w.T + b and its ReLU, one array per layer
+            h = h @ w.T
+            h += b
             if i != last:
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
         return h
 
     def forward_cached(self, x, sigma):
-        """Forward pass keeping pre-activations for backprop."""
-        acts = [_net_input(x, sigma)]
+        """Forward pass keeping pre-activations for backprop, in the layers'
+        dtype."""
+        acts = [_net_input(x, sigma, self.layers[0][0].dtype)]
         pres = []
         last = len(self.layers) - 1
         for i, (w, b) in enumerate(self.layers):
@@ -80,15 +83,16 @@ class ScoreMlp:
         """Parameter gradients of a cached forward pass, for training.
 
         The loop stops at the first layer's parameters: training has no use
-        for the input gradient, which is `input_backward`'s job.
+        for the input gradient, which is `input_backward`'s job. The
+        arithmetic is in the layers' dtype.
         """
         grads = [None] * len(self.layers)
-        delta = np.asarray(dout, dtype=float)
+        delta = np.asarray(dout, dtype=self.layers[0][0].dtype)
         for i in range(len(self.layers) - 1, -1, -1):
             grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
             if i > 0:
                 delta = delta @ self.layers[i][0]
-                delta = delta * (pres[i - 1] > 0.0)
+                delta *= pres[i - 1] > 0.0
         return grads
 
     def input_backward(self, pres, dout):

@@ -92,7 +92,9 @@ class _MixturePosterior:
         # carries the NaN through to the mean
         if 0 < 2 * kept < keep.size:
             self.rows = keep
-            points, logits = points[keep], logits[keep]
+            # the rows of points[keep] in their order; compress gathers a
+            # few rows without boolean indexing's overhead
+            points, logits = points.compress(keep, axis=0), logits.compress(keep)
         # in place: on a dense posterior these are N-long arrays
         logits -= m
         # exp and, as z <= kept, w /= z run on normal numbers only; NaN * 0.0

@@ -3,9 +3,10 @@ import re
 import numpy as np
 import pytest
 
+from msopt import rng as _rng
 from msopt.errors import DivergenceError
-from msopt.score.dsm import dsm_train
-from msopt.score.mlp import make_score_mlp
+from msopt.score.dsm import _adam_step, dsm_train
+from msopt.score.mlp import load_score_mlp, make_score_mlp
 from msopt.score.sampler import ve_reverse_sample
 
 
@@ -51,9 +52,110 @@ def test_loss_decreases_on_two_atom_problem():
 def test_divergence_aborts_with_diagnostics():
     data = np.array([[0.0, 0.0]])
     mlp = make_score_mlp(2, hidden=(16,), seed=7)
+    before = _weights_copy(mlp)
     with pytest.raises(DivergenceError, match="step"):
         dsm_train(data, mlp, epochs=2000, batch=32, t_max=3.0, t_min=1e-4, lr_hi=1e4, lr_lo=1e4,
                   seed=8)
+    # training ran on a float32 copy: the caller's network is left untrained
+    for (w0, b0), (w1, b1) in zip(before, mlp.layers):
+        assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
+
+
+class _ReferenceAdam:
+    """Per-array Adam, the formulas of the flat update written out."""
+
+    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+
+    def step(self, params, grads, lr):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        corr1 = 1.0 - b1**self.t
+        corr2 = 1.0 - b2**self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= lr * (m / corr1) / (np.sqrt(v / corr2) + self.eps)
+
+
+def test_flat_adam_matches_per_array_float32_adam_bitwise():
+    rng = np.random.default_rng(21)
+    shapes = [(7, 3), (7,), (2, 7), (2,)]
+    params = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+    flat = np.concatenate([p.ravel() for p in params])
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    scratch = (np.empty_like(flat), np.empty_like(flat))
+    ref = _ReferenceAdam(params)
+    for step in range(1, 21):
+        grads = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+        lr = float(rng.uniform(1e-4, 1e-2))
+        ref.step(params, grads, lr)
+        _adam_step(flat, np.concatenate([g.ravel() for g in grads]), m, v, scratch, step, lr)
+        assert flat.dtype == np.float32
+        assert np.array_equal(flat, np.concatenate([p.ravel() for p in params]))
+    assert np.array_equal(m, np.concatenate([a.ravel() for a in ref.m]))
+    assert np.array_equal(v, np.concatenate([a.ravel() for a in ref.v]))
+
+
+def test_trained_network_stays_float64(tmp_path):
+    mlp = make_score_mlp(2, hidden=(16, 16), seed=9)
+    arrays = [arr for layer in mlp.layers for arr in layer]
+    dsm_train(np.array([[1.0, 0.0], [0.0, 1.0]]), mlp, epochs=20, batch=16, seed=10, **_SCHEDULE)
+    # written back in place into the caller's arrays, as float64 casts of
+    # the float32 weights
+    assert all(a is b for a, b in zip(arrays, (arr for layer in mlp.layers for arr in layer)))
+    for arr in arrays:
+        assert arr.dtype == np.float64
+        assert np.array_equal(arr, arr.astype(np.float32).astype(np.float64))
+    assert mlp.layers[-1][0].any()
+    path = tmp_path / "model.msopt"
+    mlp.save(path)
+    # magic, layer count, a shape per layer, then 8 bytes per value
+    assert path.stat().st_size == 6 + 4 + 8 * len(mlp.layers) + 8 * sum(a.size for a in arrays)
+    loaded = load_score_mlp(path)
+    for a, b in zip(arrays, (arr for layer in loaded.layers for arr in layer)):
+        assert b.dtype == np.dtype("<f8") and np.array_equal(a, b)
+
+
+def test_loss_trace_matches_float32_reference_loop_bitwise():
+    # the draws are those of the float64 trainer, from the same stream in
+    # the same order; only the network arithmetic is float32
+    data = np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, 0.8]])
+    epochs, batch, seed = 3, 32, 12
+    mlp = make_score_mlp(2, hidden=(16, 16), seed=11)
+    layers = [(w.astype(np.float32), b.astype(np.float32)) for w, b in mlp.layers]
+    _, trace = dsm_train(data, mlp, epochs=epochs, batch=batch, seed=seed, **_SCHEDULE)
+
+    params = [arr for layer in layers for arr in layer]
+    adam = _ReferenceAdam(params)
+    gen = _rng.stream(seed, "dsm_train")
+    lr_hi, lr_lo = _SCHEDULE["lr_hi"], _SCHEDULE["lr_lo"]
+    for step in range(epochs):
+        x0 = data[gen.integers(0, data.shape[0], batch)]
+        t = gen.uniform(_SCHEDULE["t_min"], _SCHEDULE["t_max"], batch)
+        z = gen.standard_normal(x0.shape)
+        acts = [np.column_stack([x0 + t[:, None] * z, t]).astype(np.float32)]
+        pres = []
+        for i, (w, b) in enumerate(layers):
+            pres.append(acts[-1] @ w.T + b)
+            acts.append(np.maximum(pres[-1], 0.0) if i < len(layers) - 1 else pres[-1])
+        residual = acts[-1] + z.astype(np.float32)
+        assert trace[step] == float(np.einsum("bd,bd->", residual, residual) / batch)
+        delta = 2.0 * residual / batch
+        grads = []
+        for i in range(len(layers) - 1, -1, -1):
+            grads[:0] = [delta.T @ acts[i], delta.sum(axis=0)]
+            if i > 0:
+                delta = (delta @ layers[i][0]) * (pres[i - 1] > 0.0)
+        lr = lr_lo + 0.5 * (lr_hi - lr_lo) * (1.0 + np.cos(np.pi * step / (epochs - 1)))
+        adam.step(params, grads, float(lr))
+    for (w, b), (w32, b32) in zip(mlp.layers, layers):
+        assert np.array_equal(w, w32) and np.array_equal(b, b32)
 
 
 def test_config_validation():

@@ -104,6 +104,21 @@ def _random_net(seed, hidden=(16, 16, 16), d=2):
     return mlp
 
 
+def test_forward_raw_matches_allocating_formula_bitwise():
+    mlp = _random_net(6, hidden=(128, 128, 128))
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((1000, 2))
+    sigma = rng.uniform(0.01, 3.0, 1000)
+    h = np.column_stack([x, sigma])
+    for i, (w, b) in enumerate(mlp.layers):
+        h = h @ w.T + b
+        if i < len(mlp.layers) - 1:
+            h = np.maximum(h, 0.0)
+    out = mlp.forward_raw(x, sigma)
+    assert out.dtype == np.float64 and np.array_equal(out, h)
+    assert np.array_equal(mlp.forward_cached(x, sigma)[0][-1], h)
+
+
 def test_posterior_runs_one_network_forward():
     mlp = _random_net(1)
     calls = []

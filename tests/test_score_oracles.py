@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -224,6 +225,40 @@ def test_mixture_kernel_matches_difference_formula():
         assert _rel_err(post.vjp(np.eye(x.size)), jac_ref) <= 1e-10
         v = rng.standard_normal(x.size)
         assert _rel_err(post.vjp(v), jac_ref @ v) <= 1e-10
+
+
+def _boolean_index_posterior(points, sigma, x):
+    """The mixture kernel's arithmetic with the gather written as boolean
+    indexing: a stand-in posterior with its points, weights and mean."""
+    logits = (points @ x - 0.5 * np.einsum("nd,nd->n", points, points)) / (sigma * sigma)
+    m = logits.max()
+    keep = logits > m - 746.0
+    kept = np.count_nonzero(keep)
+    if 0 < 2 * kept < keep.size:
+        points, logits = points[keep], logits[keep]
+    logits = logits - m
+    floor = -700.0 + np.log(max(kept, 1))
+    w = np.exp(np.maximum(logits, floor)) * (logits > floor)
+    w /= w.sum()
+    return SimpleNamespace(points=points, weights=w, mean=w @ points, sigma=sigma)
+
+
+@pytest.mark.parametrize("sigma, collapsed", [(0.05, True), (2.0, False)],
+                         ids=["collapsed", "dense"])
+def test_mixture_gather_matches_boolean_index_bitwise(sigma, collapsed):
+    # O(5) as 25-vectors, N = 4000: at sigma 0.05 a few atoms survive the
+    # logit window and their rows are gathered; at sigma 2 every atom does
+    points = Orthogonal(5).sample_uniform(4000, seed=17)
+    x = points[0] + 0.05 * np.random.default_rng(18).standard_normal(25)
+    post = EmpiricalScoreOracle(points, sigma).posterior(x)
+    ref = _boolean_index_posterior(points, sigma, x)
+    assert isinstance(post.rows, np.ndarray) == collapsed
+    assert (post.weights.size < 10) if collapsed else (post.weights.size == len(points))
+    assert np.array_equal(post.points, ref.points)
+    assert np.array_equal(post.weights, ref.weights)
+    assert np.array_equal(post.mean, ref.mean)
+    eye = np.eye(25)
+    assert np.array_equal(post.vjp(eye), type(post).vjp(ref, eye))
 
 
 def test_mixture_product_accuracy_off_the_origin():
