@@ -10,22 +10,3 @@ how well the surrogates track the true manifold operations.
 """
 
 __version__ = "0.1.0"
-
-from msopt.manifolds import Circle, Orthogonal, Sphere
-from msopt.score.oracles import (
-    EmpiricalScoreOracle,
-    ExactManifoldAdapter,
-    MlpScoreOracle,
-    quadrature_nodes,
-)
-
-__all__ = [
-    "Circle",
-    "Sphere",
-    "Orthogonal",
-    "EmpiricalScoreOracle",
-    "ExactManifoldAdapter",
-    "MlpScoreOracle",
-    "quadrature_nodes",
-    "__version__",
-]

@@ -1,6 +1,7 @@
 """Data-driven control stack: simulators, trajectory datasets, back-testing.
 
-Discrete-time systems are RK4 discretizations of the continuous dynamics.
+Discrete-time systems are RK4 discretizations of the continuous dynamics,
+and every rollout starts at rest.
 Datasets of input-output pairs sampled under persistently exciting inputs
 form the training measure on the system-behavior manifold; each is one flat
 row in the order of `TrajectoryLayout`, which the tracking objective shares.
@@ -33,18 +34,19 @@ SYSTEM_KINDS = ("unicycle", "double_pendulum")
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Unicycle car or torque-driven double pendulum."""
+    """Unicycle car or torque-driven double pendulum; the pendulum's masses,
+    lengths, gravity and joint damping are fixed class constants."""
 
     kind: str
     dt: float = None
-    # pendulum parameters; unused by the unicycle
-    m1: float = 1.0
-    l1: float = 1.0
-    g: float = 1.0
-    m2: float = 0.5
-    l2: float = 0.5
-    d1: float = 0.1
-    d2: float = 0.1
+    # pendulum constants; unused by the unicycle
+    m1 = 1.0
+    l1 = 1.0
+    g = 1.0
+    m2 = 0.5
+    l2 = 0.5
+    d1 = 0.1
+    d2 = 0.1
 
     def __post_init__(self):
         if self.kind not in SYSTEM_KINDS:
@@ -103,9 +105,6 @@ class SystemModel:
         x = np.asarray(x, dtype=float)
         return x.copy() if self.kind == "unicycle" else x[..., [0, 2]]
 
-    def step(self, x, u) -> np.ndarray:
-        return rk4_step(self.continuous_dynamics, x, u, self.dt)
-
     def sample_inputs(self, horizon: int, gen) -> np.ndarray:
         """Persistently exciting input law for dataset generation."""
         if self.kind == "unicycle":
@@ -115,21 +114,20 @@ class SystemModel:
         return gen.uniform(-5.0, 5.0, (horizon, 1))
 
 
-def rollout(model: SystemModel, u_seq, x0=None):
-    """Simulate input sequences u_seq (..., N, nu) from x0 (default 0), all
-    trajectories in one stepped pass; returns (outputs (..., N+1, ny), states
-    (..., N+1, nx)). A non-finite state raises DivergenceError naming the
-    step and, in a batch, the first trajectory (row-major over the batch
+def rollout(model: SystemModel, u_seq):
+    """Simulate input sequences u_seq (..., N, nu) from rest (the zero state),
+    all trajectories in one pass of RK4 steps; returns (outputs (..., N+1, ny),
+    states (..., N+1, nx)). A non-finite state raises DivergenceError naming
+    the step and, in a batch, the first trajectory (row-major over the batch
     axes) that left the finite range."""
     u_seq = np.atleast_2d(np.asarray(u_seq, dtype=float))
     if u_seq.shape[-1] != model.input_dim:
         raise ValueError(f"inputs have width {u_seq.shape[-1]}, expected {model.input_dim}")
     batch, horizon = u_seq.shape[:-2], u_seq.shape[-2]
     states = np.zeros(batch + (horizon + 1, model.state_dim))
-    if x0 is not None:
-        states[..., 0, :] = x0
     for k in range(horizon):
-        states[..., k + 1, :] = model.step(states[..., k, :], u_seq[..., k, :])
+        states[..., k + 1, :] = rk4_step(model.continuous_dynamics, states[..., k, :],
+                                         u_seq[..., k, :], model.dt)
         finite = np.isfinite(states[..., k + 1, :]).all(axis=-1)
         if not finite.all():
             which = f" in trajectory {np.flatnonzero(~finite)[0]}" if batch else ""
@@ -235,9 +233,17 @@ class TrajectoryDataset:
         missing = [k for k in ("system", "dt", "horizon", "count", "seed") if k not in meta]
         if missing:
             raise ValueError(f"{meta_path}: missing key(s) " + ", ".join(missing))
-        system = SystemModel(kind=meta["system"], dt=float(meta["dt"]))
-        horizon = int(meta["horizon"])
-        count = int(meta["count"])
+
+        def parse(key, convert):
+            try:
+                return convert(meta[key])
+            except ValueError as exc:
+                raise ValueError(f"{meta_path}: {key} = {meta[key]}: {exc}") from None
+
+        # the kind is checked first, so a dt error names the dt key
+        system = parse("system", SystemModel)
+        system = parse("dt", lambda v: SystemModel(kind=system.kind, dt=float(v)))
+        horizon, count, seed = (parse(key, int) for key in ("horizon", "count", "seed"))
         data_path = os.path.join(directory, "data.csv")
         data = read_csv(data_path)
         layout = TrajectoryLayout(horizon, system.input_dim, system.output_dim)
@@ -250,7 +256,7 @@ class TrajectoryDataset:
                 f"{data_path}: {data.shape[1]} columns, but horizon {horizon} of "
                 f"{system.kind} needs {layout}"
             )
-        return TrajectoryDataset(system=system, horizon=horizon, data=data, seed=int(meta["seed"]))
+        return TrajectoryDataset(system=system, horizon=horizon, data=data, seed=seed)
 
 
 def generate_dataset(model: SystemModel, count: int, horizon: int, seed: int) -> TrajectoryDataset:

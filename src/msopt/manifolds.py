@@ -75,7 +75,7 @@ class Sphere(_Manifold):
         # a plain `radius <= 0` test lets NaN and inf through
         if not 0.0 < self.radius < np.inf or self.ambient_dim < 1:
             raise ValueError("sphere needs finite radius > 0 and ambient_dim >= 1, "
-                             f"got radius = {self.radius!r}")
+                             f"got radius = {self.radius!r}, ambient_dim = {self.ambient_dim!r}")
 
     @property
     def safe_tube_radius(self) -> float:

@@ -1,11 +1,12 @@
 """Objective functions with analytic gradients and ground-truth oracles.
 
-An objective exposes value(x) and gradient(x) on flattened ambient points;
-the tracking objective's points are in the order of `control.TrajectoryLayout`.
-Every analytic gradient is checked against central differences by the
-test suite (tests/finite_differences.py); the package itself never
-differentiates numerically. The Brockett eigenvalue pairing provides
-an independent global optimum for the orthogonal-group experiments.
+Every objective exposes value(x) and gradient(x) on flattened ambient points;
+that pair is the whole contract, with no base class behind it. The tracking
+objective's points are in the order of `control.TrajectoryLayout`. Every
+analytic gradient is checked against central differences by the test suite
+(tests/finite_differences.py); the package itself never differentiates
+numerically. The Brockett eigenvalue pairing provides an independent global
+optimum for the orthogonal-group experiments.
 """
 
 from dataclasses import dataclass
@@ -22,16 +23,8 @@ def _check_finite(name, m):
         raise ValueError(f"objective coefficient {name} has non-finite entries")
 
 
-class Objective:
-    def value(self, x) -> float:
-        raise NotImplementedError
-
-    def gradient(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class ZeroObjective(Objective):
+class ZeroObjective:
     """f = 0; used by pure landing runs."""
 
     dim: int
@@ -44,7 +37,7 @@ class ZeroObjective(Objective):
 
 
 @dataclass(frozen=True)
-class LinearObjective(Objective):
+class LinearObjective:
     """f(x) = a . x; unique sphere minimizer at -radius * a/||a||."""
 
     a: np.ndarray
@@ -63,21 +56,19 @@ class LinearObjective(Objective):
         return self.a.copy()
 
 
-class BrockettObjective(Objective):
-    """f(X) = tr(A X Q X^T) on n x n matrices, A and Q symmetric."""
+class BrockettObjective:
+    """f(X) = tr(A X Q X^T) on n x n matrices, A symmetric and Q = diag(1..n)."""
 
-    def __init__(self, a, q=None):
+    def __init__(self, a):
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("A must be square")
         n = a.shape[0]
-        q = np.diag(np.arange(1.0, n + 1.0)) if q is None else np.asarray(q, dtype=float)
-        for name, m in (("A", a), ("Q", q)):
-            _check_finite(name, m)
-            if m.shape != (n, n) or np.abs(m - m.T).max() > 1e-12:
-                raise ValueError(f"{name} must be symmetric {n}x{n}")
+        _check_finite("A", a)
+        if np.abs(a - a.T).max() > 1e-12:
+            raise ValueError(f"A must be symmetric {n}x{n}")
         self.a = a
-        self.q = q
+        self.q = np.diag(np.arange(1.0, n + 1.0))
         self.n = n
 
     def _as_matrix(self, x):
@@ -105,20 +96,13 @@ def brockett_optimum(obj: BrockettObjective) -> float:
     """Global minimum of the Brockett cost over the orthogonal group.
 
     Rearrangement pairing: eigenvalues of A sorted ascending against the
-    diagonal of Q sorted descending. Requires diagonal Q with distinct
-    entries (the pairing is then uniquely defined).
+    diagonal n..1 of Q, whose distinct entries define the pairing uniquely.
     """
-    q = obj.q
-    if np.abs(q - np.diag(np.diag(q))).max() > 0.0:
-        raise ValueError("brockett_optimum requires diagonal Q")
-    qd = np.diag(q)
-    if np.unique(qd).size != qd.size:
-        raise ValueError("brockett_optimum requires distinct diagonal entries in Q")
     alpha = np.sort(np.linalg.eigvalsh(obj.a))
-    return float(alpha @ np.sort(qd)[::-1])
+    return float(alpha @ np.diag(obj.q)[::-1])
 
 
-class TrackingObjective(Objective):
+class TrackingObjective:
     """Finite-horizon tracking cost on points in the `TrajectoryLayout` order.
 
     The layout comes from the horizon and the sizes of R (inputs) and Q
@@ -167,10 +151,10 @@ class TrackingObjective(Objective):
         return self.layout.join(2.0 * u @ self.r, 2.0 * (y - self.reference) @ self.q)
 
 
-class AffineReparamObjective(Objective):
+class AffineReparamObjective:
     """Objective pulled back through x = shift + scale * z (elementwise)."""
 
-    def __init__(self, inner: Objective, shift, scale):
+    def __init__(self, inner, shift, scale):
         self.inner = inner
         self.shift = np.asarray(shift, dtype=float)
         self.scale = np.asarray(scale, dtype=float)

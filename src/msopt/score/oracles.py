@@ -73,12 +73,12 @@ class _MixturePosterior:
     """Softmax posterior over the atoms of a finite mixture at one point.
 
     `points` and `weights` are the atoms the posterior sums over and their
-    weights; `rows` selects them among the oracle's atoms (a boolean mask,
-    or every row). When fewer than half the atoms survive the logit window
-    their rows are gathered; otherwise the full array is used as it is and
-    the dropped atoms carry weight 0.0. Of K kept atoms, one whose logit is
-    more than 700 - log K below the largest carries weight 0.0 as well, so no
-    weight is subnormal, before or after the normalization (module docstring).
+    weights. When fewer than half the atoms survive the logit window their
+    rows are gathered, in their order; otherwise the full array is used as it
+    is and the dropped atoms carry weight 0.0. Of K kept atoms, one whose
+    logit is more than 700 - log K below the largest carries weight 0.0 as
+    well, so no weight is subnormal, before or after the normalization
+    (module docstring).
     """
 
     def __init__(self, points, half_sq, sigma, x):
@@ -87,11 +87,9 @@ class _MixturePosterior:
         m = logits.max()
         keep = logits > m - _LOGIT_WINDOW
         kept = np.count_nonzero(keep)
-        self.rows = slice(None)
         # a non-finite largest logit keeps no atom; the full array then
         # carries the NaN through to the mean
         if 0 < 2 * kept < keep.size:
-            self.rows = keep
             # the rows of points[keep] in their order; compress gathers a
             # few rows without boolean indexing's overhead
             points, logits = points.compress(keep, axis=0), logits.compress(keep)

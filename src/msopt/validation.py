@@ -18,6 +18,9 @@ from msopt.errors import MsoptError
 from msopt.optim import RunRecord
 from msopt.textio import key_values, write_csv
 
+# relative rise of a sweep error between neighbouring sigmas still counted as decreasing
+_MONOTONE_SLACK = 0.05
+
 
 @dataclass
 class RateSweepReport:
@@ -31,11 +34,11 @@ class RateSweepReport:
     seed: int
     excluded: int
 
-    def monotone_decreasing(self, slack: float = 0.05) -> bool:
-        """Errors non-increasing as sigma shrinks, up to relative slack."""
+    def monotone_decreasing(self) -> bool:
+        """Errors non-increasing as sigma shrinks, up to a relative slack of 5 %."""
         ok = True
         for series in (self.mean_errors, self.jacobian_errors):
-            ok &= bool(np.all(series[1:] <= series[:-1] * (1.0 + slack)))
+            ok &= bool(np.all(series[1:] <= series[:-1] * (1.0 + _MONOTONE_SLACK)))
         return ok
 
     def save_csv(self, path):

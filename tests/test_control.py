@@ -93,10 +93,21 @@ def test_rollout_straight_line_exact():
     assert np.abs(xs[:, 1:]).max() == 0.0
 
 
-def test_pendulum_energy_conservation_without_damping():
+def _free_swing(m, x0, steps):
+    """States of the unforced model over `steps` RK4 steps from x0: a
+    rollout's arithmetic from a start other than rest."""
+    xs = [np.asarray(x0, dtype=float)]
+    for _ in range(steps):
+        xs.append(rk4_step(m.continuous_dynamics, xs[-1], np.zeros(m.input_dim), m.dt))
+    return np.array(xs)
+
+
+def test_pendulum_energy_conservation_without_damping(monkeypatch):
     # independent physics oracle: total mechanical energy of the two point
     # masses must be preserved by the conservative dynamics under RK4
-    m = SystemModel("double_pendulum", d1=0.0, d2=0.0)
+    monkeypatch.setattr(SystemModel, "d1", 0.0)
+    monkeypatch.setattr(SystemModel, "d2", 0.0)
+    m = SystemModel("double_pendulum")
 
     def energy(x):
         th1, w1, th2, w2 = x
@@ -108,8 +119,7 @@ def test_pendulum_energy_conservation_without_damping():
         pe = -(m.m1 + m.m2) * m.g * m.l1 * np.cos(th1) - m.m2 * m.g * m.l2 * np.cos(th2)
         return ke + pe
 
-    x0 = np.array([0.3, 0.0, -0.15, 0.0])
-    _, xs = rollout(m, np.zeros((100, 1)), x0=x0)
+    xs = _free_swing(m, [0.3, 0.0, -0.15, 0.0], 100)
     e = np.array([energy(x) for x in xs])
     assert np.abs(e - e[0]).max() / abs(e[0]) <= 1e-5
 
@@ -131,7 +141,7 @@ def test_pendulum_small_angle_linearization():
     A[np.ix_([1, 3], [0, 2])] = -Minv @ Gp
     A[np.ix_([1, 3], [1, 3])] = -Minv @ D
     x0 = np.array([0.1, 0.0, -0.08, 0.0])
-    _, xs = rollout(m, np.zeros((10, 1)), x0=x0)
+    xs = _free_swing(m, x0, 10)
     worst = max(
         abs(xs[k][0] - (expm(A * m.dt * k) @ x0)[0]) for k in range(11)
     )
@@ -178,9 +188,10 @@ def _scalar_dynamics(m):
     return unicycle if m.kind == "unicycle" else pendulum
 
 
-def _reference_rollout(m, u_seq, x0=None):
-    """One trajectory, one rk4_step per input on a 1-D state: (outputs, states)."""
-    x = np.zeros(m.state_dim) if x0 is None else np.array(x0, dtype=float)
+def _reference_rollout(m, u_seq):
+    """One trajectory from rest, one rk4_step per input on a 1-D state:
+    (outputs, states)."""
+    x = np.zeros(m.state_dim)
     f = _scalar_dynamics(m)
     states = [x]
     for u in u_seq:
@@ -214,12 +225,10 @@ def test_batched_dataset_equals_scalar_reference_bitwise(kind, count, horizon, s
 def test_single_rollout_equals_scalar_reference_bitwise(kind):
     m = SystemModel(kind)
     u = m.sample_inputs(25, _rng.substream(21, "trajectory", 0))
-    x0 = np.random.default_rng(22).uniform(-1.0, 1.0, m.state_dim)
-    for start in (None, x0):
-        y, xs = rollout(m, u, x0=start)
-        y_ref, xs_ref = _reference_rollout(m, u, start)
-        assert y.shape == (26, m.output_dim) and xs.shape == (26, m.state_dim)
-        assert np.array_equal(y, y_ref) and np.array_equal(xs, xs_ref)
+    y, xs = rollout(m, u)
+    y_ref, xs_ref = _reference_rollout(m, u)
+    assert y.shape == (26, m.output_dim) and xs.shape == (26, m.state_dim)
+    assert np.array_equal(y, y_ref) and np.array_equal(xs, xs_ref)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -317,6 +326,24 @@ def test_dataset_load_rejects_inconsistent_meta(tmp_path):
         meta.write_text("\n".join(content) + "\n")
         with pytest.raises(ValueError, match=f"{meta}: {message}"):
             TrajectoryDataset.load(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("key, bad, cause", [
+    ("system", "rocket", "unknown system kind: 'rocket'"),
+    ("dt", "abc", "could not convert string to float: 'abc'"),
+    ("horizon", "abc", "invalid literal for int() with base 10: 'abc'"),
+    ("count", "6.0", "invalid literal for int() with base 10: '6.0'"),
+    ("seed", "abc", "invalid literal for int() with base 10: 'abc'"),
+])
+def test_dataset_load_names_file_and_key_of_malformed_meta_value(tmp_path, key, bad, cause):
+    # the conversion's own message named neither the file nor the key
+    ds = generate_dataset(SystemModel("unicycle"), count=4, horizon=6, seed=11)
+    ds.save(tmp_path / "ds")
+    meta = tmp_path / "ds" / "meta.txt"
+    meta.write_text("".join(f"{key} = {bad}\n" if line.startswith(f"{key} =") else line
+                            for line in meta.read_text().splitlines(keepends=True)))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{meta}: {key} = {bad}: {cause}')}$"):
+        TrajectoryDataset.load(tmp_path / "ds")
 
 
 def test_dataset_normalization_comes_from_its_rows(tmp_path):

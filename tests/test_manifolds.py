@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,16 @@ def _reflection(theta):
     return np.array([[c, s], [s, -c]])
 
 
-@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), float("inf")])
-def test_sphere_rejects_bad_radius(radius):
-    # NaN and inf pass a plain `radius <= 0` test
-    with pytest.raises(ValueError, match=f"finite radius > 0 .* got radius = {radius!r}"):
-        Sphere(3, radius=radius)
+@pytest.mark.parametrize("ambient_dim, radius", [
+    (3, 0.0), (3, -1.0), (3, float("nan")), (3, float("inf")), (0, 1.0),
+], ids=["0.0", "-1.0", "nan", "inf", "dim_0"])
+def test_sphere_rejects_bad_radius(ambient_dim, radius):
+    # NaN and inf pass a plain `radius <= 0` test; the message names both
+    # arguments, as a good radius with ambient_dim 0 is rejected too
+    with pytest.raises(ValueError, match=re.escape(
+            "sphere needs finite radius > 0 and ambient_dim >= 1, "
+            f"got radius = {radius!r}, ambient_dim = {ambient_dim!r}")):
+        Sphere(ambient_dim, radius=radius)
 
 
 def test_sphere_radial_projection():
