@@ -244,6 +244,11 @@ class TrajectoryDataset:
         system = parse("system", SystemModel)
         system = parse("dt", lambda v: SystemModel(kind=system.kind, dt=float(v)))
         horizon, count, seed = (parse(key, int) for key in ("horizon", "count", "seed"))
+        # written for other readers; checked against the system when present
+        for key in ("input_dim", "output_dim"):
+            if key in meta and parse(key, int) != getattr(system, key):
+                raise ValueError(f"{meta_path}: {key} = {meta[key]}, but {system.kind} "
+                                 f"has {key} = {getattr(system, key)}")
         data_path = os.path.join(directory, "data.csv")
         data = read_csv(data_path)
         layout = TrajectoryLayout(horizon, system.input_dim, system.output_dim)

@@ -594,6 +594,28 @@ def test_cli_reference_kind_is_matched_exactly(tmp_path, capsys, unicycle_data):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, stale, actual", [("input_dim", 4, 2), ("output_dim", 7, 3)])
+def test_cli_dataset_meta_dim_mismatch_exits_2(tmp_path, capsys, unicycle_data, key, stale,
+                                               actual):
+    # a stale or edited dimension in meta.txt must not pass silently
+    import shutil
+
+    shutil.copytree(unicycle_data, tmp_path / "traj")
+    meta = tmp_path / "traj" / "meta.txt"
+    text = meta.read_text()
+    assert f"{key} = {actual}\n" in text
+    meta.write_text(text.replace(f"{key} = {actual}\n", f"{key} = {stale}\n"))
+    out = tmp_path / "o"
+    cfg = _write(tmp_path, _tracking_cfg(tmp_path / "traj"))
+    assert run_cli(["optimize", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {meta}: {key} = {stale}, but unicycle has {key} = {actual}\n")
+    assert not out.exists()
+    # without the key the dimensions come from the system alone
+    meta.write_text(text.replace(f"{key} = {actual}\n", ""))
+    assert run_cli(["optimize", "--config", cfg, "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("algorithm, message", [
     ("check = report", "unknown validate check 'report'"),
     ("check = rate\nrun_csv = run.csv", "unknown key 'run_csv' in [algorithm]"),

@@ -215,6 +215,9 @@ def test_sampler_zero_steps_returns_gaussian_init():
     assert abs(out.std() - 3.0) <= 0.1
     again = ve_reverse_sample(mlp, count=2000, steps=0, seed=3, t_max=3.0, t_min=1e-4)
     assert np.array_equal(out, again)
+    # the float64 Gaussian start, bitwise
+    start = 3.0 * _rng.stream(3, "ve_reverse").standard_normal((2000, 2))
+    assert out.dtype == np.float64 and np.array_equal(out, start)
 
 
 def test_sampler_deterministic_per_seed():
@@ -238,3 +241,51 @@ def test_sampler_recovers_circle_radius():
     samples = ve_reverse_sample(mlp, count=500, steps=500, seed=16, t_max=3.0, t_min=1e-4)
     norms = np.linalg.norm(samples, axis=1)
     assert abs(norms.mean() - 1.0) <= 0.1
+
+
+@pytest.fixture(scope="module")
+def bench_circle_mlp():
+    """A network trained as in the benchmark's circle_dsm workload."""
+    from msopt.manifolds import Circle
+
+    data = Circle().sample_uniform(512, seed=17)
+    mlp = make_score_mlp(2, hidden=(128, 128, 128), seed=18)
+    dsm_train(data, mlp, epochs=600, batch=256, seed=19, t_max=3.0, t_min=1e-4, lr_hi=5e-3,
+              lr_lo=1e-4)
+    return mlp
+
+
+def _float64_reverse_sample(mlp, *, count, steps, seed, t_max, t_min):
+    """The reverse-SDE loop with the network forward in float64."""
+    gen = _rng.stream(seed, "ve_reverse")
+    x = t_max * gen.standard_normal((count, mlp.ambient_dim))
+    dt = (t_max - t_min) / steps
+    for i in range(steps):
+        sigma = t_max - i * dt
+        h = np.column_stack([x, np.full(count, sigma)])
+        for j, (w, b) in enumerate(mlp.layers):
+            h = h @ w.T + b
+            if j < len(mlp.layers) - 1:
+                h = np.maximum(h, 0.0)
+        noise = gen.standard_normal(x.shape)
+        x = x + dt * 2.0 * sigma * (h / sigma) + np.sqrt(2.0 * sigma * dt) * noise
+    return x
+
+
+def test_sampler_float32_forward_leaves_network_float64(bench_circle_mlp):
+    mlp = bench_circle_mlp
+    before = _weights_copy(mlp)
+    out = ve_reverse_sample(mlp, count=50, steps=20, seed=20, t_max=3.0, t_min=1e-4)
+    assert out.dtype == np.float64
+    for (w0, b0), (w1, b1) in zip(before, mlp.layers):
+        assert w1.dtype == np.float64 and b1.dtype == np.float64
+        assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
+
+
+def test_sampler_agrees_with_float64_forward(bench_circle_mlp):
+    # the float32 forward moved no sample coordinate by more than 1e-6 on the
+    # benchmark's workload seeds 0-9; the bound leaves a factor of 10
+    args = dict(count=1000, steps=100, seed=21, t_max=3.0, t_min=1e-4)
+    ref = _float64_reverse_sample(bench_circle_mlp, **args)
+    out = ve_reverse_sample(bench_circle_mlp, **args)
+    assert np.max(np.abs(out - ref)) <= 1e-5
