@@ -111,7 +111,7 @@ def dsm_train(dataset, mlp: ScoreMlp, *, epochs, batch, t_max, t_min, lr_hi, lr_
         z = gen.standard_normal(x0.shape)
         x = x0 + t[:, None] * z
 
-        acts, pres = work.forward_cached(x, t)
+        acts = work.forward_cached(x, t)
         residual = acts[-1] + z.astype(np.float32)
         loss = float(np.einsum("bd,bd->", residual, residual) / batch)
         trace[step] = loss
@@ -121,7 +121,7 @@ def dsm_train(dataset, mlp: ScoreMlp, *, epochs, batch, t_max, t_min, lr_hi, lr_
                 f"(lr {_cosine_lr(step, epochs, lr_hi, lr_lo):.2e}, "
                 f"batch {batch})"
             )
-        layer_grads = work.backward(acts, pres, 2.0 * residual / batch)
+        layer_grads = work.backward(acts, 2.0 * residual / batch)
         np.concatenate([arr.ravel() for pair in layer_grads for arr in pair], out=grads)
         _adam_step(params, grads, m, v, scratch, step + 1,
                    float(_cosine_lr(step, epochs, lr_hi, lr_lo)))

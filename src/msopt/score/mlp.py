@@ -3,10 +3,12 @@
 The network takes (x, sigma) concatenated and returns the *scaled* score
 s_tilde; the score itself is s_tilde / sigma, which keeps regression targets
 O(1) across noise levels. All forward/backward math is hand-rolled numpy on
-the fixed topology: training needs parameter gradients (`backward`), the
-optimizers need exact input Jacobians or vector-Jacobian products
-(`input_backward`), both with the ReLU subgradient that takes derivative 0
-at a tie at 0.
+the fixed topology. Training, sampling and the oracle run one forward pass,
+`forward_cached`, which keeps each layer's output; a hidden output is
+positive exactly where its pre-activation is, so the outputs are the ReLU
+masks too. Training needs parameter gradients (`backward`), the optimizers
+need exact input Jacobians or vector-Jacobian products (`input_backward`),
+both with the ReLU subgradient that takes derivative 0 at a tie at 0.
 """
 
 import struct
@@ -55,9 +57,12 @@ class ScoreMlp:
 
     # ---- forward / backward -------------------------------------------------
 
-    def forward_raw(self, x, sigma):
-        """Scaled score s_tilde for a batch (B, d) with per-sample sigma (B,)."""
+    def forward_cached(self, x, sigma):
+        """Every layer's output for a batch (B, d) with one sigma or one per
+        row, in the layers' dtype: the (x, sigma) input first, the scaled
+        score s_tilde last, the hidden outputs (the ReLU masks) between."""
         h = _net_input(x, sigma, self.layers[0][0].dtype)
+        acts = [h]
         last = len(self.layers) - 1
         for i, (w, b) in enumerate(self.layers):
             # in place: bitwise h @ w.T + b and its ReLU, one array per layer
@@ -65,21 +70,10 @@ class ScoreMlp:
             h += b
             if i != last:
                 np.maximum(h, 0.0, out=h)
-        return h
+            acts.append(h)
+        return acts
 
-    def forward_cached(self, x, sigma):
-        """Forward pass keeping pre-activations for backprop, in the layers'
-        dtype."""
-        acts = [_net_input(x, sigma, self.layers[0][0].dtype)]
-        pres = []
-        last = len(self.layers) - 1
-        for i, (w, b) in enumerate(self.layers):
-            pre = acts[-1] @ w.T + b
-            pres.append(pre)
-            acts.append(np.maximum(pre, 0.0) if i != last else pre)
-        return acts, pres
-
-    def backward(self, acts, pres, dout):
+    def backward(self, acts, dout):
         """Parameter gradients of a cached forward pass, for training.
 
         The loop stops at the first layer's parameters: training has no use
@@ -92,20 +86,20 @@ class ScoreMlp:
             grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
             if i > 0:
                 delta = delta @ self.layers[i][0]
-                delta *= pres[i - 1] > 0.0
+                delta *= acts[i] > 0.0
         return grads
 
-    def input_backward(self, pres, dout):
+    def input_backward(self, acts, dout):
         """Rows dout^T d(s_tilde)/d(x, sigma) of a cached forward pass.
 
-        The same masked chain as `backward` (ReLU masks pres > 0) with no
+        The same masked chain as `backward` (ReLU masks acts > 0) with no
         parameter gradients; the last column is the sigma input's. dout may
         carry leading stack axes, shape (..., rows, d).
         """
         delta = np.asarray(dout, dtype=float)
         for i in range(len(self.layers) - 1, 0, -1):
             delta = delta @ self.layers[i][0]
-            delta = delta * (pres[i - 1] > 0.0)
+            delta = delta * (acts[i] > 0.0)
         return delta @ self.layers[0][0]
 
     # ---- persistence --------------------------------------------------------

@@ -13,10 +13,11 @@ the noise posterior at x:
   .link       the link value ell_sigma(x), or None when the oracle has none.
 
 The last two are evaluated on request from the same state (for a mixture,
-the same posterior weights; for the network, the ReLU masks of the forward
-pass that gave the mean), so a mean and a product at one x cost one weight
-computation or one network forward. The network's products then run only
-the input end of backprop, `ScoreMlp.input_backward`.
+the same posterior weights; for the network, the layer outputs of the
+forward pass that gave the mean, whose positive entries are the ReLU masks),
+so a mean and a product at one x cost one weight computation or one network
+forward. The network's products then run only the input end of backprop,
+`ScoreMlp.input_backward`.
 
 A mixture posterior costs one matrix-vector product over all N atoms for
 the logits (p.x - ||p||^2/2) / sigma^2, with ||p||^2 cached by the oracle;
@@ -202,7 +203,7 @@ class ExactManifoldAdapter:
 class _MlpPosterior:
     """Network Tweedie mean at one point from one cached forward pass; no link.
 
-    The pre-activations of that pass are kept, so `vjp` runs only the input
+    The layer outputs of that pass are kept, so `vjp` runs only the input
     end of backprop over its ReLU masks.
     """
 
@@ -211,16 +212,16 @@ class _MlpPosterior:
     def __init__(self, mlp, sigma, x):
         self.mlp = mlp
         self.sigma = sigma
-        acts, self._pres = mlp.forward_cached(x[None, :], sigma)
+        self._acts = mlp.forward_cached(x[None, :], sigma)
         # s(x) = x + sigma^2 * score, with score = s_tilde / sigma
-        self.mean = x + sigma**2 * (acts[-1][0] / sigma)
+        self.mean = x + sigma**2 * (self._acts[-1][0] / sigma)
 
     def vjp(self, v) -> np.ndarray:
         # s'(x)^T v = v + sigma * (d s_tilde/dx)^T v; the sigma column is dropped
         v = np.asarray(v, dtype=float)
         # each direction is a (1, d) row of its own, also in a stack: rows of
         # one (k, d) matrix would sum in another order than a lone row
-        back = self.mlp.input_backward(self._pres, v[..., None, :])[..., 0, :-1]
+        back = self.mlp.input_backward(self._acts, v[..., None, :])[..., 0, :-1]
         return v + self.sigma * back
 
 

@@ -8,11 +8,12 @@ its time reversal
 started from Xbar ~ N(0, T^2 I) transports Gaussians back to the data, and
 is integrated here on a uniform grid over [0, T - t_min].
 
-Only the network forward is float32: it runs on a float32 copy of the
-layers, cast once per call, and its output is cast to float64 once per step.
-The state, the Gaussian start, the noise draws, the drift scaling and the
-Euler-Maruyama update stay float64. A network trained by `dsm_train` holds
-float64 casts of float32 weights, so for it the cast is exact.
+Only the network forward is float32: each step runs the network's one
+forward pass, `ScoreMlp.forward_cached`, on a float32 copy of the layers,
+cast once per call, and casts its last output, the scaled score, to float64
+once. The state, the Gaussian start, the noise draws, the drift scaling and
+the Euler-Maruyama update stay float64. A network trained by `dsm_train`
+holds float64 casts of float32 weights, so for it the cast is exact.
 """
 
 import copy
@@ -43,7 +44,7 @@ def ve_reverse_sample(mlp: ScoreMlp, *, count, steps, seed, t_max, t_min) -> np.
     for i in range(steps):
         t = i * dt
         sigma = t_max - t
-        score = work.forward_raw(x, sigma).astype(np.float64) / sigma
+        score = work.forward_cached(x, sigma)[-1].astype(np.float64) / sigma
         noise = gen.standard_normal((count, d))
         x = x + dt * 2.0 * sigma * score + np.sqrt(2.0 * sigma * dt) * noise
     return x

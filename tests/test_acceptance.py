@@ -234,7 +234,7 @@ def test_criterion_06a_dsm_single_gaussian():
             z = rng.standard_normal(2)
             z *= rng.uniform(0.5, 2.0) / np.linalg.norm(z)
             x = sigma * z
-            score = mlp.forward_raw(x[None, :], sigma)[0] / sigma
+            score = mlp.forward_cached(x[None, :], sigma)[-1][0] / sigma
             rel = np.linalg.norm(score + x / sigma**2) / np.linalg.norm(x / sigma**2)
             worst = max(worst, float(rel))
     ok = worst <= 0.10

@@ -255,20 +255,23 @@ def bench_circle_mlp():
     return mlp
 
 
-def _float64_reverse_sample(mlp, *, count, steps, seed, t_max, t_min):
-    """The reverse-SDE loop with the network forward in float64."""
+def _reference_reverse_sample(mlp, dtype, *, count, steps, seed, t_max, t_min):
+    """The reverse-SDE loop with the allocating network formula in `dtype`
+    and everything else in float64."""
+    layers = [(w.astype(dtype), b.astype(dtype)) for w, b in mlp.layers]
     gen = _rng.stream(seed, "ve_reverse")
     x = t_max * gen.standard_normal((count, mlp.ambient_dim))
     dt = (t_max - t_min) / steps
     for i in range(steps):
         sigma = t_max - i * dt
-        h = np.column_stack([x, np.full(count, sigma)])
-        for j, (w, b) in enumerate(mlp.layers):
+        h = np.column_stack([x, np.full(count, sigma)]).astype(dtype)
+        for j, (w, b) in enumerate(layers):
             h = h @ w.T + b
-            if j < len(mlp.layers) - 1:
+            if j < len(layers) - 1:
                 h = np.maximum(h, 0.0)
         noise = gen.standard_normal(x.shape)
-        x = x + dt * 2.0 * sigma * (h / sigma) + np.sqrt(2.0 * sigma * dt) * noise
+        score = h.astype(np.float64) / sigma
+        x = x + dt * 2.0 * sigma * score + np.sqrt(2.0 * sigma * dt) * noise
     return x
 
 
@@ -286,6 +289,18 @@ def test_sampler_agrees_with_float64_forward(bench_circle_mlp):
     # the float32 forward moved no sample coordinate by more than 1e-6 on the
     # benchmark's workload seeds 0-9; the bound leaves a factor of 10
     args = dict(count=1000, steps=100, seed=21, t_max=3.0, t_min=1e-4)
-    ref = _float64_reverse_sample(bench_circle_mlp, **args)
+    ref = _reference_reverse_sample(bench_circle_mlp, np.float64, **args)
     out = ve_reverse_sample(bench_circle_mlp, **args)
     assert np.max(np.abs(out - ref)) <= 1e-5
+
+
+def test_sampler_matches_float32_reference_loop_bitwise(bench_circle_mlp):
+    # the sampler's one network forward is the in-place form of the
+    # allocating float32 formula, so every sample is bitwise the same
+    args = dict(count=500, steps=100, seed=22, t_max=3.0, t_min=1e-4)
+    ref = _reference_reverse_sample(bench_circle_mlp, np.float32, **args)
+    out = ve_reverse_sample(bench_circle_mlp, **args)
+    assert np.array_equal(out, ref)
+    # the samples moved off the Gaussian start: the check is not of a no-op
+    start = 3.0 * _rng.stream(22, "ve_reverse").standard_normal((500, 2))
+    assert np.abs(out - start).max() > 1.0

@@ -75,15 +75,27 @@ def test_relu_tie_takes_zero_derivative():
     mlp = ScoreMlp([(w1, np.zeros(1)), (w2, np.zeros(1))])
     oracle = MlpScoreOracle(mlp, 0.5)
     for x, raw in ((0.0, 0.0), (0.1, 2.0)):
-        _, pres = mlp.forward_cached(np.array([[x]]), 0.5)
-        jac = mlp.input_backward(pres, np.eye(1))[:, :-1]
+        acts = mlp.forward_cached(np.array([[x]]), 0.5)
+        jac = mlp.input_backward(acts, np.eye(1))[:, :-1]
         assert jac[0, 0] == raw
         # Tweedie Jacobian 1 + sigma * raw through the posterior
         assert oracle.posterior(np.array([x])).vjp(np.eye(1))[0, 0] == 1.0 + 0.5 * raw
 
 
+def _allocating_forward(mlp, x, sigma):
+    """The allocating formula, layer by layer, in the layers' dtype: the layer
+    outputs (input first) and the pre-activations."""
+    acts = [np.column_stack([x, np.broadcast_to(sigma, len(x))]).astype(mlp.layers[0][0].dtype)]
+    pres = []
+    for i, (w, b) in enumerate(mlp.layers):
+        pres.append(acts[-1] @ w.T + b)
+        acts.append(np.maximum(pres[-1], 0.0) if i < len(mlp.layers) - 1 else pres[-1])
+    return acts, pres
+
+
 def _full_backward(mlp, acts, pres, dout):
-    """Backprop through every layer: parameter gradients and input gradient."""
+    """Backprop through every layer: parameter gradients and input gradient,
+    masked by the pre-activations."""
     grads = [None] * len(mlp.layers)
     delta = np.asarray(dout, dtype=float)
     for i in range(len(mlp.layers) - 1, -1, -1):
@@ -104,33 +116,58 @@ def _random_net(seed, hidden=(16, 16, 16), d=2):
     return mlp
 
 
-def test_forward_raw_matches_allocating_formula_bitwise():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_forward_cached_matches_allocating_formula_bitwise(dtype):
     mlp = _random_net(6, hidden=(128, 128, 128))
+    mlp.layers = [(w.astype(dtype), b.astype(dtype)) for w, b in mlp.layers]
     rng = np.random.default_rng(7)
     x = rng.standard_normal((1000, 2))
     sigma = rng.uniform(0.01, 3.0, 1000)
-    h = np.column_stack([x, sigma])
-    for i, (w, b) in enumerate(mlp.layers):
-        h = h @ w.T + b
-        if i < len(mlp.layers) - 1:
-            h = np.maximum(h, 0.0)
-    out = mlp.forward_raw(x, sigma)
-    assert out.dtype == np.float64 and np.array_equal(out, h)
-    assert np.array_equal(mlp.forward_cached(x, sigma)[0][-1], h)
+    acts = mlp.forward_cached(x, sigma)
+    ref, _ = _allocating_forward(mlp, x, sigma)
+    assert len(acts) == len(mlp.layers) + 1
+    for out, want in zip(acts, ref):
+        assert out.dtype == dtype and np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_relu_output_mask_equals_pre_activation_mask(dtype):
+    # backward and input_backward mask with output > 0; it must be pre > 0
+    # at a tie at exactly 0, at -0.0 and at NaN. The BLAS sums of the affine
+    # map start from +0.0 and do not yield -0.0, so that case is checked on
+    # the in-place ReLU that forward_cached applies
+    pre = np.array([1.5, 0.0, -0.0, np.nan, -2.0], dtype)
+    out = pre.copy()
+    np.maximum(out, 0.0, out=out)
+    assert np.array_equal(out > 0.0, pre > 0.0)
+    # through the network: the first hidden unit of the first layer sits at
+    # exactly 0 on every finite row, and row 2 is NaN
+    mlp = _random_net(4)
+    mlp.layers[0][0][0] = 0.0
+    mlp.layers[0][1][0] = 0.0
+    mlp.layers = [(w.astype(dtype), b.astype(dtype)) for w, b in mlp.layers]
+    x = np.random.default_rng(5).standard_normal((4, 2))
+    x[2] = np.nan
+    acts = mlp.forward_cached(x, 0.5)
+    _, pres = _allocating_forward(mlp, x, 0.5)
+    finite = np.arange(4) != 2
+    assert (pres[0][finite, 0] == 0.0).all() and np.isnan(pres[-2][2]).all()
+    for out, pre in zip(acts[1:-1], pres[:-1]):
+        assert np.array_equal(out > 0.0, pre > 0.0)
 
 
 def test_posterior_runs_one_network_forward():
+    assert [n for n in vars(ScoreMlp) if n.startswith("forward")] == ["forward_cached"]
     mlp = _random_net(1)
     calls = []
-    for name in ("forward_raw", "forward_cached"):
-        method = getattr(mlp, name)
-        setattr(mlp, name, lambda *a, _m=method, _n=name: calls.append(_n) or _m(*a))
+    method = mlp.forward_cached
+    mlp.forward_cached = lambda *a: calls.append(a) or method(*a)
     post = MlpScoreOracle(mlp, 0.3).posterior(np.array([0.4, -0.2]))
-    assert calls == ["forward_cached"]
+    assert len(calls) == 1
     post.vjp(np.array([1.0, 2.0]))
     post.vjp(np.eye(2))
     post.vjp(np.array([-0.5, 0.0]))
-    assert calls == ["forward_cached"]
+    assert len(calls) == 1
 
 
 def test_input_backward_matches_full_backward_bitwise():
@@ -142,22 +179,24 @@ def test_input_backward_matches_full_backward_bitwise():
         layer[1][0] = 0.0
     rng = np.random.default_rng(3)
     x = rng.standard_normal((5, 2))
-    acts, pres = mlp.forward_cached(x, rng.uniform(0.1, 1.0, 5))
+    sigma = rng.uniform(0.1, 1.0, 5)
+    acts = mlp.forward_cached(x, sigma)
+    ref_acts, pres = _allocating_forward(mlp, x, sigma)
     assert (pres[0][:, 0] == 0.0).all() and (pres[1][:, 0] == 0.0).all()
     dout = rng.standard_normal((5, 2))
-    grads_ref, dinp_ref = _full_backward(mlp, acts, pres, dout)
-    assert np.array_equal(mlp.input_backward(pres, dout), dinp_ref)
-    for (gw, gb), (rw, rb) in zip(mlp.backward(acts, pres, dout), grads_ref):
+    grads_ref, dinp_ref = _full_backward(mlp, ref_acts, pres, dout)
+    assert np.array_equal(mlp.input_backward(acts, dout), dinp_ref)
+    for (gw, gb), (rw, rb) in zip(mlp.backward(acts, dout), grads_ref):
         assert np.array_equal(gw, rw) and np.array_equal(gb, rb)
     # one point, as the posterior runs it: a vjp, and the Jacobian rows
     # against the reference on two copies of the point
-    acts, pres = mlp.forward_cached(x[:1], 0.4)
+    acts = mlp.forward_cached(x[:1], 0.4)
     v = dout[:1]
-    assert np.array_equal(mlp.input_backward(pres, v), _full_backward(mlp, acts, pres, v)[1])
-    acts2, pres2 = mlp.forward_cached(np.repeat(x[:1], 2, axis=0), 0.4)
+    assert np.array_equal(mlp.input_backward(acts, v),
+                          _full_backward(mlp, *_allocating_forward(mlp, x[:1], 0.4), v)[1])
     eye = np.eye(2)
-    assert np.array_equal(mlp.input_backward(pres, eye),
-                          _full_backward(mlp, acts2, pres2, eye)[1])
+    assert np.array_equal(mlp.input_backward(acts, eye),
+                          _full_backward(mlp, *_allocating_forward(mlp, x[[0, 0]], 0.4), eye)[1])
 
 
 def test_mlp_drgd_matches_reference_loop_bitwise():
@@ -172,10 +211,10 @@ def test_mlp_drgd_matches_reference_loop_bitwise():
     x0 = np.array([0.9, 0.3])
 
     def mean(x):
-        return x + sigma**2 * (mlp.forward_raw(x[None, :], sigma)[0] / sigma)
+        return x + sigma**2 * (_allocating_forward(mlp, x[None, :], sigma)[0][-1][0] / sigma)
 
     def vjp(x, v):
-        acts, pres = mlp.forward_cached(x[None, :], sigma)
+        acts, pres = _allocating_forward(mlp, x[None, :], sigma)
         return v + sigma * _full_backward(mlp, acts, pres, v[None, :])[1][0, :-1]
 
     x, step_norm = x0.copy(), 0.0

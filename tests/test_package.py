@@ -62,3 +62,27 @@ def test_every_defaulted_setting_is_set_by_some_call_in_src():
         if any(k.arg is None for k in call.keywords):
             set_by_calls |= {(name, p) for p in params.get(name, [])}
     assert sorted(defaulted - set_by_calls - {("run_cli", "argv")}) == []
+
+
+def test_every_function_and_class_in_src_is_used_in_src():
+    # a function, method or class of the package that no code of the package
+    # names is dead, or a helper only its own tests call (a second forward
+    # pass kept beside the one every caller runs, say). A use is a loaded
+    # name or an attribute; dunder methods are called by Python itself
+    allowed = {
+        # the reference value criterion 05 compares a run's best objective to
+        "brockett_optimum",
+        # the link value of criterion 01's identity grad ell = s; ROADMAP
+        # item 4b decides whether a run reads it or it goes
+        "link",
+    }
+    nodes = [n for p in sorted(pathlib.Path(msopt.__file__).parent.rglob("*.py"))
+             for n in ast.walk(ast.parse(p.read_text(), str(p)))]
+    defined = {n.name for n in nodes
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    used = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    used |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    unused = {name for name in defined - used
+              if not (name.startswith("__") and name.endswith("__"))}
+    assert sorted(unused - allowed) == []
+    assert allowed <= unused
